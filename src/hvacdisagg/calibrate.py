@@ -15,7 +15,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .energy import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import ConfigError, FitError, RankDeficiencyError
@@ -75,6 +74,9 @@ def fit_linear(features: np.ndarray, target: np.ndarray,
         raise RankDeficiencyError(
             f"features are collinear or constant: column '{names[culprit]}' "
             "adds no independent information", column=names[culprit])
+
+    # imported here so that commands which never fit skip scipy's start-up cost
+    import scipy.linalg
 
     chol = np.linalg.cholesky(gram)
     rhs = scaled.T @ y

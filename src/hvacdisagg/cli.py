@@ -25,8 +25,8 @@ from .errors import ConfigError, DisaggError
 from .faults import read_findings, run_all, write_findings
 from .impact import build_report, estimate_all, format_report, prioritize, \
     write_report_csv
-from .ingest import format_timestamp, read_points, read_reference_year, \
-    read_trends, write_trends
+from .ingest import format_timestamp, format_timestamps, read_points, \
+    read_reference_year, read_trends, write_trends
 from .synth import generate
 from .timeseries import TimeSeries, Unit, rmse
 
@@ -150,18 +150,13 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _write_comparison(path: str, data, estimated: np.ndarray,
-                      measured: np.ndarray, mask: np.ndarray) -> None:
-    ts = data.timestamps()
+def _write_comparison(path: str, stamps, estimated: np.ndarray,
+                      measured: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "estimated", "measured"])
-        for i in range(data.n_rows):
-            e, m = estimated[i], measured[i]
-            if not mask[i] or np.isnan(e) or np.isnan(m):
-                continue
-            writer.writerow([format_timestamp(int(ts[i])), repr(float(e)),
-                             repr(float(m))])
+        writer.writerows(zip(stamps, map(repr, estimated.tolist()),
+                             map(repr, measured.tolist())))
 
 
 def cmd_estimate(args) -> int:
@@ -207,10 +202,11 @@ def cmd_estimate(args) -> int:
         comparisons.append(("heating_comparison.csv",
                             predict_heating(model, data), data.heating_meter,
                             data.heating_rows(deadband)))
+    stamps = np.array(format_timestamps(data.timestamps()), dtype=object)
     for name, estimated, measured, mask in comparisons:
         path = os.path.join(cfg.output_dir, name)
-        _write_comparison(path, data, estimated, measured, mask)
         keep = mask & ~np.isnan(estimated) & ~np.isnan(measured)
+        _write_comparison(path, stamps[keep], estimated[keep], measured[keep])
         score = rmse(estimated[keep], measured[keep]) if keep.any() else float("nan")
         print(f"{name}: {int(keep.sum())} rows, rmse {score:.6g} MMBTU/hr")
     return 0

@@ -239,11 +239,12 @@ def _daily_pairs(delta: np.ndarray, data: BuildingData, start: int, end: int):
 def estimate_impact(finding: FaultFinding, model: CalibratedModel,
                     data: BuildingData, reference_year_oat) -> ImpactEstimate:
     """Full impact pipeline for one finding: observed loss, weather
-    regression, annual extrapolation."""
+    regression, annual extrapolation. A finding shorter than a week is
+    listed as not estimable rather than failing the whole report."""
     if finding.window_end - finding.window_start < MIN_WINDOW_DAYS * 86400:
-        raise DisaggError(
-            f"finding window is shorter than {MIN_WINDOW_DAYS} days; "
-            "impact needs at least one week of data")
+        return ImpactEstimate(
+            finding=finding, method=METHOD_NOT_ESTIMABLE,
+            notes=f"finding window is shorter than {MIN_WINDOW_DAYS} days")
     try:
         delta, method = _delta_series(finding, model, data)
     except _NotEstimable as why:

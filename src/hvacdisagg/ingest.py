@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import repeat
 
 import numpy as np
 
@@ -24,6 +26,7 @@ __all__ = [
     "IngestStats",
     "parse_timestamp",
     "format_timestamp",
+    "format_timestamps",
     "read_points",
     "write_points",
     "read_trends",
@@ -50,6 +53,13 @@ def parse_timestamp(text: str) -> int:
 
 def format_timestamp(epoch: int) -> str:
     return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
+
+
+def format_timestamps(epochs) -> list[str]:
+    """format_timestamp over an array of epochs, each distinct epoch once."""
+    distinct, inverse = np.unique(np.asarray(epochs, dtype=np.int64), return_inverse=True)
+    texts = [format_timestamp(e) for e in distinct.tolist()]
+    return [texts[i] for i in inverse.tolist()]
 
 
 @dataclass
@@ -80,7 +90,12 @@ def read_trends(
     for slot, point_id in binding.bindings.items():
         slots_by_point.setdefault(point_id, []).append(slot)
 
-    samples: dict = {pid: {} for pid in slots_by_point}
+    # one (epochs, values) column pair per bound point, in file order
+    columns = {pid: (array("q"), array("d")) for pid in slots_by_point}
+    appenders = {pid: (epochs.append, values.append)
+                 for pid, (epochs, values) in columns.items()}
+    # each distinct timestamp text repeats once per point; parse it once
+    epoch_of: dict = {}
     unknown: set = set()
     stats = IngestStats()
 
@@ -98,11 +113,15 @@ def read_trends(
                 continue
             stats.rows += 1
             point_id = row[1].strip()
-            if point_id not in samples:
+            append = appenders.get(point_id)
+            if append is None:
                 unknown.add(point_id)
                 continue
+            text = row[0]
             try:
-                epoch = parse_timestamp(row[0])
+                epoch = epoch_of.get(text)
+                if epoch is None:
+                    epoch = epoch_of[text] = parse_timestamp(text)
                 value = float(row[2])
             except ValueError as exc:
                 if strict:
@@ -114,33 +133,32 @@ def read_trends(
                     raise IngestError(f"{path}:{lineno}: non-finite value")
                 stats.skipped += 1
                 continue
-            bucket = samples[point_id]
-            if epoch in bucket:
-                stats.duplicates += 1
-            bucket[epoch] = value
+            append[0](epoch)
+            append[1](value)
 
     stats.unknown_points = len(unknown)
     if unknown:
         shown = ", ".join(sorted(unknown)[:5])
         stats.messages.append(f"{len(unknown)} unbound point(s) ignored ({shown} ...)")
 
-    series_by_point: dict = {}
-    for point_id, by_epoch in samples.items():
-        if not by_epoch:
+    result: dict = {}
+    for point_id, (epoch_col, value_col) in columns.items():
+        if not epoch_col:
             continue
         unit = binding.units.get(point_id, Unit.DEG_F)
-        epochs = np.fromiter(by_epoch.keys(), dtype=np.int64, count=len(by_epoch))
-        values = np.fromiter(by_epoch.values(), dtype=float, count=len(by_epoch))
-        order = np.argsort(epochs, kind="stable")
-        epochs, values = epochs[order], values[order]
+        # last occurrence of each epoch wins: first occurrence in reverse
+        epochs, last = np.unique(np.frombuffer(epoch_col, dtype=np.int64)[::-1],
+                                 return_index=True)
+        values = np.frombuffer(value_col, dtype=float)[::-1][last]
+        stats.duplicates += len(epoch_col) - len(epochs)
         if unit is Unit.PERCENT:
             values = values / 100.0
         elif unit is Unit.BOOL:
             values = (values != 0.0).astype(float)
 
         first = (int(epochs[0]) // interval_s) * interval_s
-        last = (int(epochs[-1]) // interval_s) * interval_s
-        n_out = (last - first) // interval_s + 1
+        end = (int(epochs[-1]) // interval_s) * interval_s
+        n_out = (end - first) // interval_s + 1
         idx = (epochs - first) // interval_s
         out = np.full(n_out, np.nan)
         if unit is Unit.BOOL:
@@ -152,16 +170,13 @@ def read_trends(
             np.add.at(counts, idx, 1.0)
             got = counts > 0
             out[got] = sums[got] / counts[got]
-        series_by_point[point_id] = TimeSeries(
+        series = TimeSeries(
             point_id=point_id,
             start=first,
             interval_s=interval_s,
             unit=_NORMALIZED_UNIT.get(unit, unit),
             values=out,
         )
-
-    result: dict = {}
-    for point_id, series in series_by_point.items():
         for slot in slots_by_point[point_id]:
             result[slot] = series
     return result, stats
@@ -208,15 +223,19 @@ def write_trends(series_list, path: str) -> None:
     Values go through repr() so a read-back reproduces the exact floats;
     rows are point-major and time-ordered, which keeps output byte-stable.
     """
+    ordered = sorted(series_list, key=lambda s: s.point_id)
+    kept = [~np.isnan(s.values) for s in ordered]
+    epochs = [s.timestamps()[k] for s, k in zip(ordered, kept)]
+    stamps = format_timestamps(np.concatenate(epochs)) if epochs else []
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TREND_HEADER)
-        for series in sorted(series_list, key=lambda s: s.point_id):
-            ts = series.timestamps()
-            for i, v in enumerate(series.values):
-                if math.isnan(v):
-                    continue
-                writer.writerow([format_timestamp(int(ts[i])), series.point_id, repr(float(v))])
+        pos = 0
+        for series, k in zip(ordered, kept):
+            values = series.values[k].tolist()
+            writer.writerows(zip(stamps[pos:pos + len(values)],
+                                 repeat(series.point_id), map(repr, values)))
+            pos += len(values)
 
 
 def read_reference_year(path: str) -> np.ndarray:

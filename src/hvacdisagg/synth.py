@@ -32,7 +32,8 @@ import numpy as np
 from .building import AhuNode, BindRule, EquipmentGraph, PointInfo, PointRole, VavNode, dump_metadata
 from .energy import ahu_power, economizer_term, occupancy_schedule, vav_cooling_power, vav_heating_power
 from .errors import ScenarioError
-from .ingest import format_timestamp, parse_timestamp, write_points, write_reference_year, write_trends
+from .ingest import format_timestamp, format_timestamps, parse_timestamp, write_points, \
+    write_reference_year, write_trends
 from .timeseries import TimeSeries, Unit
 
 RNG_NAME = "numpy-PCG64"
@@ -649,10 +650,9 @@ def _write_truth_powers(path: str, tr: TraceSet, per_equipment: dict, sums: dict
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp"] + columns)
-        for i in range(tr.n):
-            row = [format_timestamp(int(tr.ts[i]))]
-            row += [repr(float(arrays[c][i])) for c in columns]
-            writer.writerow(row)
+        writer.writerows(zip(format_timestamps(tr.ts),
+                             *(map(repr, np.asarray(arrays[c], dtype=float).tolist())
+                               for c in columns)))
 
 
 def load_truth_powers(path: str):

@@ -207,6 +207,22 @@ class TestEstimateImpact:
         assert est.annual_mmbtu is None
         assert "setpoint" in est.notes
 
+    def test_short_finding_not_estimable_beside_normal_one(self, impact_loaded,
+                                                           impact_model):
+        # min_persistence_days = 3 is legal, so a 3-day finding must be
+        # listed as not estimable instead of failing every other finding
+        (inj,) = impact_loaded.truth.injections
+        short = _finding(5, inj.equipment, inj.start, inj.start + 3 * DAY)
+        normal = _finding(5, inj.equipment, inj.start, inj.end)
+        got_short, got_normal = estimate_all(
+            [short, normal], impact_model, impact_loaded.data,
+            impact_loaded.reference_oat)
+        assert got_short.method == METHOD_NOT_ESTIMABLE
+        assert got_short.annual_mmbtu is None
+        assert "shorter than 7 days" in got_short.notes
+        assert got_normal.method == METHOD_SETPOINT
+        assert got_normal.annual_mmbtu == pytest.approx(DAMPER_ANNUAL_MMBTU, rel=1e-9)
+
     def test_method_tags_by_rule(self, faulted_loaded, faulted_model):
         result = run_all(faulted_loaded.data)
         estimates = estimate_all(result.findings, faulted_model,

@@ -1,9 +1,19 @@
+import csv
+import math
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvacdisagg.building import PointBinding, PointRole
 from hvacdisagg.errors import IngestError
 from hvacdisagg.ingest import (
+    TREND_HEADER,
+    IngestStats,
     format_timestamp,
     parse_timestamp,
     read_reference_year,
@@ -177,6 +187,32 @@ class TestRoundTrip:
         write_trends([s2, s1], str(p2))  # input order must not matter
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_matches_per_row_writer(self, tmp_path):
+        # the row-at-a-time writer it replaced, formatting every row's stamp
+        def reference_write(series_list, path):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(TREND_HEADER)
+                for series in sorted(series_list, key=lambda s: s.point_id):
+                    ts = series.timestamps()
+                    for i, v in enumerate(series.values):
+                        if math.isnan(v):
+                            continue
+                        writer.writerow([format_timestamp(int(ts[i])), series.point_id,
+                                         repr(float(v))])
+
+        rng = np.random.default_rng(11)
+        series = []
+        for i, offset in enumerate([0, 3, -5, 40]):  # overlapping, shifted grids
+            vals = rng.normal(0.0, 1e3, 60)
+            vals[rng.random(60) < 0.3] = np.nan
+            series.append(TimeSeries(f"P{i}", T0 + offset * GRID, GRID, Unit.CFM, vals))
+        series.append(TimeSeries("GAPS", T0, GRID, Unit.CFM, np.full(5, np.nan)))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trends(series, str(got))
+        reference_write(series, str(want))
+        assert got.read_bytes() == want.read_bytes()
+
     def test_fraction_series_round_trips_exactly(self, tmp_path):
         vals = np.array([0.37, 0.123456789012345, 1.0, 0.0])
         original = TimeSeries("VLV", T0, GRID, Unit.FRACTION, vals)
@@ -208,3 +244,228 @@ class TestReferenceYear:
         p.write_text("day_of_year,oat_f\n0,50.0\n")
         with pytest.raises(IngestError, match="out of range"):
             read_reference_year(str(p))
+
+
+# -- oracle: the per-row reader the columnar one replaced ---------------------
+
+_NORMALIZED = {Unit.PERCENT: Unit.FRACTION}
+
+
+def reference_read_trends(path, binding, interval_s=900, strict=False):
+    """Row-at-a-time reader: one parse per row, a dict of samples per point."""
+    slots_by_point = {}
+    for slot, point_id in binding.bindings.items():
+        slots_by_point.setdefault(point_id, []).append(slot)
+
+    samples = {pid: {} for pid in slots_by_point}
+    unknown = set()
+    stats = IngestStats()
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for lineno, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if lineno == 1 and [c.strip().lower() for c in row] == TREND_HEADER:
+                continue
+            if len(row) != 3:
+                if strict:
+                    raise IngestError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+                stats.skipped += 1
+                continue
+            stats.rows += 1
+            point_id = row[1].strip()
+            if point_id not in samples:
+                unknown.add(point_id)
+                continue
+            try:
+                epoch = parse_timestamp(row[0])
+                value = float(row[2])
+            except ValueError as exc:
+                if strict:
+                    raise IngestError(f"{path}:{lineno}: {exc}") from exc
+                stats.skipped += 1
+                continue
+            if not math.isfinite(value):
+                if strict:
+                    raise IngestError(f"{path}:{lineno}: non-finite value")
+                stats.skipped += 1
+                continue
+            bucket = samples[point_id]
+            if epoch in bucket:
+                stats.duplicates += 1
+            bucket[epoch] = value
+
+    stats.unknown_points = len(unknown)
+    if unknown:
+        shown = ", ".join(sorted(unknown)[:5])
+        stats.messages.append(f"{len(unknown)} unbound point(s) ignored ({shown} ...)")
+
+    series_by_point = {}
+    for point_id, by_epoch in samples.items():
+        if not by_epoch:
+            continue
+        unit = binding.units.get(point_id, Unit.DEG_F)
+        epochs = np.fromiter(by_epoch.keys(), dtype=np.int64, count=len(by_epoch))
+        values = np.fromiter(by_epoch.values(), dtype=float, count=len(by_epoch))
+        order = np.argsort(epochs, kind="stable")
+        epochs, values = epochs[order], values[order]
+        if unit is Unit.PERCENT:
+            values = values / 100.0
+        elif unit is Unit.BOOL:
+            values = (values != 0.0).astype(float)
+
+        first = (int(epochs[0]) // interval_s) * interval_s
+        last = (int(epochs[-1]) // interval_s) * interval_s
+        n_out = (last - first) // interval_s + 1
+        idx = (epochs - first) // interval_s
+        out = np.full(n_out, np.nan)
+        if unit is Unit.BOOL:
+            out[idx] = values
+        else:
+            sums = np.zeros(n_out)
+            counts = np.zeros(n_out)
+            np.add.at(sums, idx, values)
+            np.add.at(counts, idx, 1.0)
+            got = counts > 0
+            out[got] = sums[got] / counts[got]
+        series_by_point[point_id] = TimeSeries(
+            point_id=point_id, start=first, interval_s=interval_s,
+            unit=_NORMALIZED.get(unit, unit), values=out)
+
+    result = {}
+    for point_id, series in series_by_point.items():
+        for slot in slots_by_point[point_id]:
+            result[slot] = series
+    return result, stats
+
+
+# A analog, P percent (bound to two slots), B bool; U1/U2 are not bound.
+ORACLE_BINDING = PointBinding(
+    bindings={
+        ("V1", PointRole.ZONE_TEMP): "A",
+        ("AH1", PointRole.ECONOMIZER_DAMPER_POS): "P",
+        ("AH2", PointRole.ECONOMIZER_DAMPER_POS): "P",
+        ("V1", PointRole.OCCUPIED_CMD): "B",
+    },
+    unresolved=(),
+    units={"A": Unit.DEG_F, "P": Unit.PERCENT, "B": Unit.BOOL},
+)
+
+
+def _spell(epoch, spelling):
+    text = format_timestamp(epoch)  # ...+00:00
+    if spelling == "zulu":
+        return text[:-6] + "Z"
+    if spelling == "offset":  # the same instant at UTC-07:00
+        return format_timestamp(epoch - 7 * 3600)[:-6] + "-07:00"
+    if spelling == "padded":
+        return f" {text} "
+    return text
+
+
+_good_row = st.builds(
+    lambda point, step, spelling, value: [
+        _spell(T0 + step * 300, spelling), point,
+        repr(float(value)) if point != "B" else str(value % 3)],
+    st.sampled_from(["A", "P", "B", " A ", "U1", "U2"]),
+    st.integers(0, 11),  # 300 s steps: three samples per 900 s bucket
+    st.sampled_from(["plain", "zulu", "offset", "padded"]),
+    st.integers(-2000, 2000) | st.floats(-1e4, 1e4, allow_nan=False),
+)
+
+_bad_row = st.sampled_from([
+    [format_timestamp(T0), "A"],
+    [format_timestamp(T0), "A", "1.0", "extra"],
+    [format_timestamp(T0), "A", "oops"],
+    [format_timestamp(T0), "P", "nan"],
+    [format_timestamp(T0), "B", "-inf"],
+    ["not-a-time", "A", "1.0"],
+    ["2015-06-01T07:15:00", "A", "1.0"],  # naive
+    [format_timestamp(T0), "U1", "oops"],  # unknown wins over a bad value
+    [],
+])
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        if header:
+            writer.writerow(TREND_HEADER)
+        writer.writerows(rows)
+
+
+def _outcome(reader, path, strict):
+    try:
+        return reader(path, ORACLE_BINDING, interval_s=GRID, strict=strict)
+    except IngestError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    header=st.booleans(),
+    rows=st.lists(st.one_of(_good_row, _good_row, _good_row, _bad_row), max_size=40),
+    strict=st.booleans(),
+)
+def test_columnar_reader_matches_per_row_oracle(header, rows, strict):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        _write_rows(path, header, rows)
+        got = _outcome(read_trends, path, strict)
+        want = _outcome(reference_read_trends, path, strict)
+    if isinstance(want, str):
+        assert got == want
+        return
+    (got_series, got_stats), (want_series, want_stats) = got, want
+    assert got_stats == want_stats
+    assert list(got_series) == list(want_series)
+    for slot, w in want_series.items():
+        g = got_series[slot]
+        assert (g.point_id, g.start, g.interval_s, g.unit) == (
+            w.point_id, w.start, w.interval_s, w.unit)
+        assert g.values.tobytes() == w.values.tobytes()
+
+
+def test_oracle_inputs_exercise_duplicates_and_spellings(tmp_path):
+    # one out-of-order, non-adjacent duplicate spelled three ways, plus a
+    # bucket that averages and a bool bucket that keeps its last sample
+    p = tmp_path / "t.csv"
+    rows = [
+        [_spell(T0 + 600, "plain"), "A", "4.0"],
+        [_spell(T0, "plain"), "A", "1.0"],
+        [_spell(T0 + 300, "plain"), "B", "0"],
+        [_spell(T0 + 600, "zulu"), "A", "5.0"],
+        [_spell(T0 + 300, "plain"), "P", "50"],
+        [_spell(T0 + 600, "offset"), "A", "7.0"],
+        [_spell(T0 + 600, "plain"), "B", "2"],
+    ]
+    _write_rows(p, True, rows)
+    series, stats = read_trends(str(p), ORACLE_BINDING, interval_s=GRID)
+    want_series, want_stats = reference_read_trends(str(p), ORACLE_BINDING, interval_s=GRID)
+    assert stats == want_stats
+    assert stats.duplicates == 2
+    assert series[("V1", PointRole.ZONE_TEMP)].values.tolist() == [4.0]
+    assert series[("V1", PointRole.OCCUPIED_CMD)].values.tolist() == [1.0]
+    assert series[("AH2", PointRole.ECONOMIZER_DAMPER_POS)].values.tolist() == [0.5]
+    for slot, w in want_series.items():
+        assert series[slot].values.tobytes() == w.values.tobytes()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([format_timestamp(T0), "A"], "expected 3 columns, got 2"),
+    ([format_timestamp(T0), "A", "oops"], "could not convert"),
+    (["not-a-time", "A", "1.0"], "Invalid isoformat"),
+    ([format_timestamp(T0), "A", "inf"], "non-finite value"),
+])
+def test_strict_error_names_the_malformed_line(tmp_path, bad, message):
+    # the good rows parse the same timestamp first, so a cached epoch must
+    # not hide a later bad row
+    p = tmp_path / "t.csv"
+    good = [[format_timestamp(T0), "A", "1.0"], [format_timestamp(T0), "B", "1"]]
+    _write_rows(p, True, good + [[], bad] + good)
+    with pytest.raises(IngestError, match=f"^{re.escape(str(p))}:5: .*{message}") as got:
+        read_trends(str(p), ORACLE_BINDING, interval_s=GRID, strict=True)
+    with pytest.raises(IngestError) as want:
+        reference_read_trends(str(p), ORACLE_BINDING, interval_s=GRID, strict=True)
+    assert str(got.value) == str(want.value)
