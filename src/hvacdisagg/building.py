@@ -280,7 +280,8 @@ def load_metadata(path: str) -> EquipmentGraph:
         fixed.append(v)
 
     sched = b.get("occupied_schedule", "").strip()
-    occ_start, occ_end = _parse_schedule(sched) if sched else (7 * 3600, 19 * 3600)
+    occ_start, occ_end = (_parse_schedule(sched) if sched else
+                          (EquipmentGraph.occupied_start_s, EquipmentGraph.occupied_end_s))
 
     return EquipmentGraph(
         building_id=building_id,
@@ -345,17 +346,12 @@ class PointBinding:
     def get(self, equipment_id: str, role: PointRole) -> str | None:
         return self.bindings.get((equipment_id, role))
 
-    def has(self, equipment_id: str, role: PointRole) -> bool:
-        return (equipment_id, role) in self.bindings
 
-
-def _rule_targets(graph: EquipmentGraph, rules, point: PointInfo):
+def _rule_targets(graph: EquipmentGraph, compiled, pools: dict, point: PointInfo):
     """All distinct (equipment_id, role) targets the rule list assigns this point."""
-    vav_ids = set(graph.vav_ids())
-    ahu_ids = set(graph.ahu_ids())
     targets = []
-    for rule in rules:
-        m = rule.compiled().match(point.raw_name)
+    for rule, pattern in compiled:
+        m = pattern.match(point.raw_name)
         if not m:
             continue
         captured = m.groupdict().get("id")
@@ -364,10 +360,7 @@ def _rule_targets(graph: EquipmentGraph, rules, point: PointInfo):
             if captured is not None and captured != graph.building_id:
                 continue
         else:
-            if captured is None:
-                continue
-            pool = vav_ids if rule.kind == "vav" else ahu_ids
-            if captured not in pool:
+            if captured is None or captured not in pools[rule.kind]:
                 continue
             equip = captured
         if (equip, rule.role) not in targets:
@@ -414,8 +407,10 @@ def bind_points(graph: EquipmentGraph, point_inventory, rules=None) -> PointBind
             )
         bindings[(graph.building_id, role)] = point_id
 
+    compiled = [(rule, rule.compiled()) for rule in rules]
+    pools = {"vav": set(graph.vav_ids()), "ahu": set(graph.ahu_ids())}
     for point in sorted(point_inventory, key=lambda p: p.point_id):
-        targets = _rule_targets(graph, rules, point)
+        targets = _rule_targets(graph, compiled, pools, point)
         if not targets:
             continue
         if len(targets) > 1:

@@ -29,7 +29,18 @@ RANK_TOL = 1e-10
 
 MODEL_FORMAT = 1
 
-COEFFICIENT_NAMES = ("c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8")
+# Share of the frame's rows, from the start, that fit_model trains on.
+DEFAULT_SPLIT_FRACTION = 0.7
+
+# Each sub-model's coefficients, its intercept last. "c7" (reheat) is only
+# fitted when the building has reheat valves and a hot water temperature.
+SUBMODEL_COEFFICIENTS = {
+    "cooling_vav": ("c1", "c2", "c3"),
+    "cooling_ahu": ("c4", "c5"),
+    "heating": ("c6", "c7", "c8"),
+}
+
+COEFFICIENT_NAMES = tuple(c for names in SUBMODEL_COEFFICIENTS.values() for c in names)
 
 # Coefficients that are physically gains and should come out positive.
 _SIGN_CHECKED = {"c1", "c2", "c4", "c6", "c7"}
@@ -106,14 +117,6 @@ class SubModelFit:
         return self.coefficients[self.coefficient_names.index(name)]
 
 
-def _window_mask(data, window):
-    ts = data.timestamps()
-    if window is None:
-        return np.ones(data.n_rows, dtype=bool)
-    start, end = window
-    return (ts >= start) & (ts < end)
-
-
 def _fit_submodel(name: str, columns: list[tuple[str, np.ndarray]],
                   target: np.ndarray, mask: np.ndarray) -> SubModelFit:
     """Shared drop/fit/diagnose path for the three balance fits."""
@@ -178,11 +181,10 @@ def fit_cooling_vav(data, window=None,
     either plant mode because both terms go to their actual values rather
     than a mode-specific approximation.
     """
-    mask = _window_mask(data, window)
+    mask = data.row_mask(*(window or ()))
     return _fit_submodel(
         "cooling_vav",
-        [("c1", data.sum_vav_cooling(constants.air_power_k)),
-         ("c2", data.sum_economizer(constants.air_power_k))],
+        [("c1", data.sum_vav_cooling(constants)), ("c2", data.sum_economizer(constants))],
         data.cooling_meter,
         mask,
     )
@@ -195,12 +197,12 @@ def fit_cooling_ahu(data, window=None,
     Restricted to rows where every AHU is cooling or idle; coil power as
     flow times mixed-minus-supply only measures the cooling plant there.
     """
-    mask = _window_mask(data, window) & data.cooling_rows(constants.mode_deadband_f)
+    mask = data.row_mask(*(window or ())) & data.cooling_rows(constants)
     if not mask.any():
         raise FitError("cooling_ahu: insufficient samples (no cooling-mode rows in window)")
     return _fit_submodel(
         "cooling_ahu",
-        [("c4", data.sum_ahu_cooling(constants.air_power_k, constants.mode_deadband_f))],
+        [("c4", data.sum_ahu_cooling(constants))],
         data.cooling_meter,
         mask,
     )
@@ -214,13 +216,13 @@ def fit_heating(data, window=None,
     no reheat valves (or no hot water temperature point) get a
     two-coefficient fit and c7 stays at zero.
     """
-    mask = _window_mask(data, window) & data.heating_rows(constants.mode_deadband_f)
+    mask = data.row_mask(*(window or ())) & data.heating_rows(constants)
     if not mask.any():
         raise FitError("heating: insufficient samples (no heating-mode rows in window)")
     if data.heating_meter is None:
         raise FitError("heating: building has no heating meter series")
-    columns = [("c6", data.sum_ahu_heating(constants.air_power_k, constants.mode_deadband_f))]
-    reheat = data.sum_vav_heating(constants.air_power_k)
+    columns = [("c6", data.sum_ahu_heating(constants))]
+    reheat = data.sum_vav_heating(constants)
     if reheat is not None:
         columns.append(("c7", reheat))
     return _fit_submodel("heating", columns, data.heating_meter, mask)
@@ -243,26 +245,19 @@ class CalibratedModel:
         return self.coefficients[name]
 
 
-def _collect(vav: SubModelFit, ahu: SubModelFit, heat: SubModelFit | None) -> dict[str, float]:
-    coeffs = {
-        "c1": vav.coefficient("c1"),
-        "c2": vav.coefficient("c2"),
-        "c3": vav.coefficients[-1],
-        "c4": ahu.coefficient("c4"),
-        "c5": ahu.coefficients[-1],
-        "c6": 0.0,
-        "c7": 0.0,
-        "c8": 0.0,
-    }
-    if heat is not None:
-        coeffs["c6"] = heat.coefficient("c6")
-        if "c7" in heat.coefficient_names:
-            coeffs["c7"] = heat.coefficient("c7")
-        coeffs["c8"] = heat.coefficients[-1]
+def _collect(submodels: dict[str, SubModelFit]) -> dict[str, float]:
+    """The full coefficient set; anything a sub-model did not fit stays zero."""
+    coeffs = dict.fromkeys(COEFFICIENT_NAMES, 0.0)
+    for name, sub in submodels.items():
+        *features, intercept = SUBMODEL_COEFFICIENTS[name]
+        for cname in features:
+            if cname in sub.coefficient_names:
+                coeffs[cname] = sub.coefficient(cname)
+        coeffs[intercept] = sub.coefficients[-1]
     return coeffs
 
 
-def fit_model(data, split_fraction: float = 0.7,
+def fit_model(data, split_fraction: float = DEFAULT_SPLIT_FRACTION,
               constants: PhysicalConstants = DEFAULT_CONSTANTS) -> CalibratedModel:
     """Fit all sub-models on a chronological head split, evaluate on the tail."""
     if not 0.0 < split_fraction <= 1.0:
@@ -273,27 +268,23 @@ def fit_model(data, split_fraction: float = 0.7,
     train_window = (data.start, split_ts)
     test_window = (split_ts, data.end) if split_ts < data.end else None
 
-    vav = fit_cooling_vav(data, train_window, constants)
-    ahu = fit_cooling_ahu(data, train_window, constants)
-    heat = None
+    submodels = {"cooling_vav": fit_cooling_vav(data, train_window, constants),
+                 "cooling_ahu": fit_cooling_ahu(data, train_window, constants)}
     heat_warnings: tuple[str, ...] = ()
     if data.heating_meter is not None:
-        heat = fit_heating(data, train_window, constants)
+        submodels["heating"] = fit_heating(data, train_window, constants)
     else:
         heat_warnings = ("no heating meter bound; heating coefficients left at zero",)
 
-    submodels = {"cooling_vav": vav, "cooling_ahu": ahu}
-    if heat is not None:
-        submodels["heating"] = heat
-
     model = CalibratedModel(
-        coefficients=_collect(vav, ahu, heat),
+        coefficients=_collect(submodels),
         constants=constants,
         interval_s=data.interval_s,
         train_window=train_window,
         test_window=test_window,
         submodels=submodels,
-        reheat_fitted=heat is not None and "c7" in heat.coefficient_names,
+        reheat_fitted=("heating" in submodels
+                       and "c7" in submodels["heating"].coefficient_names),
         warnings=tuple(w for sub in submodels.values() for w in sub.warnings) + heat_warnings,
     )
     if test_window is not None:
@@ -302,18 +293,17 @@ def fit_model(data, split_fraction: float = 0.7,
 
 
 def predict_cooling_vav(model: CalibratedModel, data) -> np.ndarray:
-    k = model.constants.air_power_k
-    return (model["c1"] * data.sum_vav_cooling(k)
-            + model["c2"] * data.sum_economizer(k) + model["c3"])
+    return (model["c1"] * data.sum_vav_cooling(model.constants)
+            + model["c2"] * data.sum_economizer(model.constants) + model["c3"])
 
 
 def predict_cooling_ahu(model: CalibratedModel, data) -> np.ndarray:
-    return model["c4"] * data.sum_ahu_cooling(model.constants.air_power_k, model.constants.mode_deadband_f) + model["c5"]
+    return model["c4"] * data.sum_ahu_cooling(model.constants) + model["c5"]
 
 
 def predict_heating(model: CalibratedModel, data) -> np.ndarray:
-    pred = model["c6"] * data.sum_ahu_heating(model.constants.air_power_k, model.constants.mode_deadband_f) + model["c8"]
-    reheat = data.sum_vav_heating(model.constants.air_power_k)
+    pred = model["c6"] * data.sum_ahu_heating(model.constants) + model["c8"]
+    reheat = data.sum_vav_heating(model.constants)
     if reheat is not None:
         pred = pred + model["c7"] * reheat
     return pred
@@ -343,18 +333,18 @@ def evaluate(model: CalibratedModel, data, window) -> CalibratedModel:
 
     Returns a new model with test diagnostics filled in.
     """
-    mask = _window_mask(data, window)
+    mask = data.row_mask(*window)
     subs = dict(model.submodels)
     subs["cooling_vav"] = _evaluate_sub(
         subs["cooling_vav"], predict_cooling_vav(model, data),
         data.cooling_meter, mask)
     subs["cooling_ahu"] = _evaluate_sub(
         subs["cooling_ahu"], predict_cooling_ahu(model, data),
-        data.cooling_meter, mask & data.cooling_rows(model.constants.mode_deadband_f))
+        data.cooling_meter, mask & data.cooling_rows(model.constants))
     if "heating" in subs and data.heating_meter is not None:
         subs["heating"] = _evaluate_sub(
             subs["heating"], predict_heating(model, data),
-            data.heating_meter, mask & data.heating_rows(model.constants.mode_deadband_f))
+            data.heating_meter, mask & data.heating_rows(model.constants))
     return dataclasses.replace(model, submodels=subs, test_window=window)
 
 
@@ -459,22 +449,14 @@ def load_model(path: str) -> CalibratedModel:
         if not section.startswith("diagnostics "):
             continue
         name = section.split(" ", 1)[1]
-        if name == "cooling_vav":
-            cnames = ("c1", "c2", "cooling_vav.intercept")
-            coeffs = (coefficients["c1"], coefficients["c2"], coefficients["c3"])
-        elif name == "cooling_ahu":
-            cnames = ("c4", "cooling_ahu.intercept")
-            coeffs = (coefficients["c4"], coefficients["c5"])
-        elif name == "heating":
-            if reheat_fitted:
-                cnames = ("c6", "c7", "heating.intercept")
-                coeffs = (coefficients["c6"], coefficients["c7"], coefficients["c8"])
-            else:
-                cnames = ("c6", "heating.intercept")
-                coeffs = (coefficients["c6"], coefficients["c8"])
-        else:
+        if name not in SUBMODEL_COEFFICIENTS:
             raise ConfigError(f"bad model file: unknown diagnostics section '{name}'")
-        submodels[name] = _read_sub(cp, name, cnames, coeffs)
+        *features, intercept = SUBMODEL_COEFFICIENTS[name]
+        if not reheat_fitted and "c7" in features:
+            features.remove("c7")
+        submodels[name] = _read_sub(
+            cp, name, (*features, f"{name}.intercept"),
+            tuple(coefficients[c] for c in (*features, intercept)))
 
     interval_s = cp["model"].getint("interval_s")
     warnings = tuple(w for sub in submodels.values() for w in sub.warnings)

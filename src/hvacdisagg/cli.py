@@ -164,8 +164,7 @@ def cmd_estimate(args) -> int:
     graph, _, _, _, data = _load_building(cfg, args.strict)
     model = load_model(cfg.model_path)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    k = model.constants.air_power_k
-    deadband = model.constants.mode_deadband_f
+    constants = model.constants
     bid = graph.building_id
 
     def series(point_id, values):
@@ -176,14 +175,14 @@ def cmd_estimate(args) -> int:
     # raw physics powers per equipment; building-level scaling lives in the
     # comparison files, so these stay additive across equipment
     out_series = []
-    for vav_id, power in data.vav_cooling_powers(k).items():
+    for vav_id, power in data.vav_cooling_powers(constants).items():
         out_series.append(series(f"{bid}.{vav_id}.CLG-POWER", power))
-    for vav_id, power in data.vav_heating_powers(k).items():
+    for vav_id, power in data.vav_heating_powers(constants).items():
         out_series.append(series(f"{bid}.{vav_id}.RH-POWER", power))
-    for ahu_id, (cooling, heating) in data.ahu_powers(k, deadband).items():
+    for ahu_id, (cooling, heating) in data.ahu_powers(constants).items():
         out_series.append(series(f"{bid}.{ahu_id}.CLG-POWER", cooling))
         out_series.append(series(f"{bid}.{ahu_id}.HTG-POWER", heating))
-    for ahu_id, econ in data.economizer_terms(k).items():
+    for ahu_id, econ in data.economizer_terms(constants).items():
         out_series.append(series(f"{bid}.{ahu_id}.ECON-POWER", econ))
     powers_path = os.path.join(cfg.output_dir, "equipment_powers.csv")
     write_trends(out_series, powers_path)
@@ -191,17 +190,16 @@ def cmd_estimate(args) -> int:
 
     # each sub-model is compared only where its balance applies, mirroring
     # the fit diagnostics: AHU cooling needs every AHU cooling or idle
-    all_rows = np.ones(data.n_rows, dtype=bool)
     comparisons = [
         ("cooling_vav_comparison.csv", predict_cooling_vav(model, data),
-         data.cooling_meter, all_rows),
+         data.cooling_meter, data.row_mask()),
         ("cooling_ahu_comparison.csv", predict_cooling_ahu(model, data),
-         data.cooling_meter, data.cooling_rows(deadband)),
+         data.cooling_meter, data.cooling_rows(constants)),
     ]
     if data.heating_meter is not None:
         comparisons.append(("heating_comparison.csv",
                             predict_heating(model, data), data.heating_meter,
-                            data.heating_rows(deadband)))
+                            data.heating_rows(constants)))
     stamps = np.array(format_timestamps(data.timestamps()), dtype=object)
     for name, estimated, measured, mask in comparisons:
         path = os.path.join(cfg.output_dir, name)
@@ -265,7 +263,7 @@ def cmd_report(args) -> int:
     findings = read_findings(cfg.findings_path)
     reference = read_reference_year(cfg.reference_year_path)
 
-    ordered = prioritize(estimate_all(findings, model, data, reference))
+    ordered = prioritize(estimate_all(findings, model, data, reference, cfg.thresholds))
     os.makedirs(cfg.output_dir, exist_ok=True)
     impacts_path = os.path.join(cfg.output_dir, "impacts.csv")
     _write_impacts(ordered, impacts_path)

@@ -31,6 +31,7 @@ __all__ = [
     "estimate_mixed_air",
     "ahu_power",
     "ahu_mode",
+    "rows_in_mode",
     "vav_heating_power",
     "occupancy_schedule",
     "VavData",
@@ -51,7 +52,8 @@ class PhysicalConstants:
 DEFAULT_CONSTANTS = PhysicalConstants()
 
 
-def vav_cooling_power(flow_cfm, zone_temp_f, supply_temp_f, k: float = 1.08):
+def vav_cooling_power(flow_cfm, zone_temp_f, supply_temp_f,
+                      k: float = DEFAULT_CONSTANTS.air_power_k):
     """Cooling delivered to a zone, clamped at zero (Btu balance, MMBTU/hr)."""
     p = k * np.asarray(flow_cfm, float) * (
         np.asarray(zone_temp_f, float) - np.asarray(supply_temp_f, float)
@@ -59,7 +61,8 @@ def vav_cooling_power(flow_cfm, zone_temp_f, supply_temp_f, k: float = 1.08):
     return np.maximum(p, 0.0)
 
 
-def economizer_term(flow_cfm, return_temp_f, mixed_temp_f, k: float = 1.08):
+def economizer_term(flow_cfm, return_temp_f, mixed_temp_f,
+                    k: float = DEFAULT_CONSTANTS.air_power_k):
     """Signed outside-air credit: positive when the mix is cooler than return."""
     return (
         k
@@ -69,23 +72,29 @@ def economizer_term(flow_cfm, return_temp_f, mixed_temp_f, k: float = 1.08):
     )
 
 
+def _command_fraction(command, what: str) -> np.ndarray:
+    """A 0..1 command clipped onto [0, 1]. Anything outside that range (beyond
+    float fuzz) is a data error, not something to clamp away."""
+    c = np.asarray(command, dtype=float)
+    finite = c[~np.isnan(c)]
+    if finite.size and (finite.min() < -1e-6 or finite.max() > 1.0 + 1e-6):
+        raise SeriesError(
+            f"{what} outside [0, 1]: range {finite.min():.4f}..{finite.max():.4f}"
+        )
+    return np.clip(c, 0.0, 1.0)
+
+
 def estimate_mixed_air(oat_f, return_temp_f, damper_fraction):
     """Mixed-air temperature from linear damper mixing.
 
-    The damper command must already be a 0..1 fraction; anything outside that
-    range (beyond float fuzz) is a data error, not something to clamp away.
+    The damper command must already be a 0..1 fraction.
     """
-    d = np.asarray(damper_fraction, dtype=float)
-    finite = d[~np.isnan(d)]
-    if finite.size and (finite.min() < -1e-6 or finite.max() > 1.0 + 1e-6):
-        raise SeriesError(
-            f"damper command outside [0, 1]: range {finite.min():.4f}..{finite.max():.4f}"
-        )
-    d = np.clip(d, 0.0, 1.0)
+    d = _command_fraction(damper_fraction, "damper command")
     return d * np.asarray(oat_f, float) + (1.0 - d) * np.asarray(return_temp_f, float)
 
 
-def ahu_mode(mixed_temp_f, supply_temp_f, deadband_f: float = 0.5):
+def ahu_mode(mixed_temp_f, supply_temp_f,
+             deadband_f: float = DEFAULT_CONSTANTS.mode_deadband_f):
     """+1 cooling, -1 heating, 0 within the deadband, NaN where inputs are gaps."""
     dt = np.asarray(mixed_temp_f, float) - np.asarray(supply_temp_f, float)
     mode = np.zeros_like(dt)
@@ -95,7 +104,18 @@ def ahu_mode(mixed_temp_f, supply_temp_f, deadband_f: float = 0.5):
     return mode
 
 
-def ahu_power(mixed_temp_f, supply_temp_f, flow_cfm, k: float = 1.08, deadband_f: float = 0.5):
+def rows_in_mode(modes, n_rows: int, sign: float) -> np.ndarray:
+    """Rows where every air handler's mode is sign (+1 cooling, -1 heating)
+    or idle. A gap in any mode drops the row."""
+    mask = np.ones(n_rows, dtype=bool)
+    for mode in modes:
+        mask &= sign * mode >= 0.0  # NaN compares False
+    return mask
+
+
+def ahu_power(mixed_temp_f, supply_temp_f, flow_cfm,
+              k: float = DEFAULT_CONSTANTS.air_power_k,
+              deadband_f: float = DEFAULT_CONSTANTS.mode_deadband_f):
     """Coil power at the air handler, split by mode.
 
     Returns (cooling, heating) vectors in MMBTU/hr. A temperature difference
@@ -114,19 +134,15 @@ def ahu_power(mixed_temp_f, supply_temp_f, flow_cfm, k: float = 1.08, deadband_f
     return cooling, heating
 
 
-def vav_heating_power(hot_water_f, supply_air_f, flow_cfm, valve_fraction, k: float = 1.08):
+def vav_heating_power(hot_water_f, supply_air_f, flow_cfm, valve_fraction,
+                      k: float = DEFAULT_CONSTANTS.air_power_k):
     """Reheat power scaled by valve position, clamped at zero."""
-    v = np.asarray(valve_fraction, float)
-    finite = v[~np.isnan(v)]
-    if finite.size and (finite.min() < -1e-6 or finite.max() > 1.0 + 1e-6):
-        raise SeriesError(
-            f"heating valve command outside [0, 1]: range {finite.min():.4f}..{finite.max():.4f}"
-        )
+    v = _command_fraction(valve_fraction, "heating valve command")
     p = (
         k
         * (np.asarray(hot_water_f, float) - np.asarray(supply_air_f, float))
         * np.asarray(flow_cfm, float)
-        * np.clip(v, 0.0, 1.0)
+        * v
         / _MMBTU
     )
     return np.maximum(p, 0.0)
@@ -197,6 +213,7 @@ class BuildingData:
         return self.start + self.n_rows * self.interval_s
 
     def row_mask(self, window_start: int | None = None, window_end: int | None = None):
+        """Rows inside [window_start, window_end); a bound left as None is open."""
         ts = self.timestamps()
         mask = np.ones(self.n_rows, dtype=bool)
         if window_start is not None:
@@ -208,80 +225,68 @@ class BuildingData:
     # ------------------------------------------------------------------
     # derived powers; each returns vectors aligned to the frame rows
 
-    def vav_cooling_powers(self, k: float = 1.08) -> dict:
-        return {
-            v.vav_id: vav_cooling_power(v.flow, v.zone_temp, v.supply_temp, k)
-            for v in self.vavs.values()
-        }
-
-    def sum_vav_cooling(self, k: float = 1.08) -> np.ndarray:
-        powers = list(self.vav_cooling_powers(k).values())
-        return np.sum(powers, axis=0)
-
-    def economizer_terms(self, k: float = 1.08) -> dict:
-        out = {}
+    def _mixed_ahus(self):
+        """Air handlers in order, refusing one without a mixed-air temperature."""
         for a in self.ahus.values():
             if a.mixed_temp is None:
                 raise DisaggError(f"AHU '{a.ahu_id}': no mixed-air temperature available")
-            out[a.ahu_id] = economizer_term(a.flow_sum, a.return_temp, a.mixed_temp, k)
-        return out
+            yield a
 
-    def sum_economizer(self, k: float = 1.08) -> np.ndarray:
-        return np.sum(list(self.economizer_terms(k).values()), axis=0)
+    def vav_cooling_powers(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> dict:
+        k = constants.air_power_k
+        return {v.vav_id: vav_cooling_power(v.flow, v.zone_temp, v.supply_temp, k)
+                for v in self.vavs.values()}
 
-    def ahu_powers(self, k: float = 1.08, deadband_f: float = 0.5) -> dict:
-        out = {}
-        for a in self.ahus.values():
-            if a.mixed_temp is None:
-                raise DisaggError(f"AHU '{a.ahu_id}': no mixed-air temperature available")
-            out[a.ahu_id] = ahu_power(a.mixed_temp, a.supply_temp, a.flow_sum, k, deadband_f)
-        return out
+    def sum_vav_cooling(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
+        return np.sum(list(self.vav_cooling_powers(constants).values()), axis=0)
 
-    def sum_ahu_cooling(self, k: float = 1.08, deadband_f: float = 0.5) -> np.ndarray:
-        return np.sum([c for c, _ in self.ahu_powers(k, deadband_f).values()], axis=0)
+    def economizer_terms(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> dict:
+        k = constants.air_power_k
+        return {a.ahu_id: economizer_term(a.flow_sum, a.return_temp, a.mixed_temp, k)
+                for a in self._mixed_ahus()}
 
-    def sum_ahu_heating(self, k: float = 1.08, deadband_f: float = 0.5) -> np.ndarray:
-        return np.sum([h for _, h in self.ahu_powers(k, deadband_f).values()], axis=0)
+    def sum_economizer(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
+        return np.sum(list(self.economizer_terms(constants).values()), axis=0)
 
-    def vav_heating_powers(self, k: float = 1.08) -> dict:
+    def ahu_powers(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> dict:
+        k, deadband = constants.air_power_k, constants.mode_deadband_f
+        return {a.ahu_id: ahu_power(a.mixed_temp, a.supply_temp, a.flow_sum, k, deadband)
+                for a in self._mixed_ahus()}
+
+    def sum_ahu_cooling(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
+        return np.sum([c for c, _ in self.ahu_powers(constants).values()], axis=0)
+
+    def sum_ahu_heating(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
+        return np.sum([h for _, h in self.ahu_powers(constants).values()], axis=0)
+
+    def vav_heating_powers(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> dict:
         """Reheat per VAV, only for boxes with a bound heating valve."""
         if self.hot_water_temp is None:
             return {}
-        out = {}
-        for v in self.vavs.values():
-            if v.heating_valve is None:
-                continue
-            out[v.vav_id] = vav_heating_power(
-                self.hot_water_temp, v.supply_temp, v.flow, v.heating_valve, k
-            )
-        return out
+        k = constants.air_power_k
+        return {v.vav_id: vav_heating_power(self.hot_water_temp, v.supply_temp, v.flow,
+                                            v.heating_valve, k)
+                for v in self.vavs.values() if v.heating_valve is not None}
 
-    def sum_vav_heating(self, k: float = 1.08) -> np.ndarray | None:
-        powers = list(self.vav_heating_powers(k).values())
+    def sum_vav_heating(self, constants: PhysicalConstants = DEFAULT_CONSTANTS
+                        ) -> np.ndarray | None:
+        powers = list(self.vav_heating_powers(constants).values())
         if not powers:
             return None
         return np.sum(powers, axis=0)
 
-    def ahu_modes(self, deadband_f: float = 0.5) -> dict:
-        out = {}
-        for a in self.ahus.values():
-            if a.mixed_temp is None:
-                raise DisaggError(f"AHU '{a.ahu_id}': no mixed-air temperature available")
-            out[a.ahu_id] = ahu_mode(a.mixed_temp, a.supply_temp, deadband_f)
-        return out
+    def _rows_in_mode(self, sign: float, constants: PhysicalConstants) -> np.ndarray:
+        deadband = constants.mode_deadband_f
+        return rows_in_mode((ahu_mode(a.mixed_temp, a.supply_temp, deadband)
+                             for a in self._mixed_ahus()), self.n_rows, sign)
 
-    def cooling_rows(self, deadband_f: float = 0.5) -> np.ndarray:
+    def cooling_rows(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
         """Rows where every air handler is cooling or idle (gap rows excluded)."""
-        mask = np.ones(self.n_rows, dtype=bool)
-        for mode in self.ahu_modes(deadband_f).values():
-            mask &= mode >= 0.0  # NaN compares False and drops the row
-        return mask
+        return self._rows_in_mode(1.0, constants)
 
-    def heating_rows(self, deadband_f: float = 0.5) -> np.ndarray:
-        mask = np.ones(self.n_rows, dtype=bool)
-        for mode in self.ahu_modes(deadband_f).values():
-            mask &= mode <= 0.0
-        return mask
+    def heating_rows(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
+        """Rows where every air handler is heating or idle (gap rows excluded)."""
+        return self._rows_in_mode(-1.0, constants)
 
 
 def _mean_rows(arrays: list) -> np.ndarray:
@@ -324,9 +329,8 @@ def assemble(
     oat = col(bid, PointRole.OUTSIDE_AIR_TEMP)
     hot_water = col(bid, PointRole.HOT_WATER_SUPPLY_TEMP)
 
-    ts = frame.start + frame.interval_s * np.arange(frame.n_rows, dtype=np.int64)
     schedule = occupancy_schedule(
-        ts, graph.occupied_start_s, graph.occupied_end_s, graph.occupied_weekdays_only
+        frame.timestamps(), graph.occupied_start_s, graph.occupied_end_s, graph.occupied_weekdays_only
     )
 
     fallbacks: list = []

@@ -23,7 +23,7 @@ import numpy as np
 from .calibrate import CalibratedModel
 from .energy import BuildingData, ahu_power, vav_cooling_power, vav_heating_power
 from .errors import DegenerateSeriesError, DisaggError, FitError
-from .faults import RULE_NAMES, FaultFinding
+from .faults import RULE_NAMES, FaultFinding, Thresholds
 from .timeseries import pearson
 
 __all__ = [
@@ -53,8 +53,6 @@ MIN_ANNUALIZE_DAYS = 7
 # below this, a loss-vs-weather slope is treated as noise and the mean
 # daily loss is extrapolated flat across the year
 CORRELATION_FLOOR = 0.3
-
-_VALVE_CLOSED = 0.01
 
 
 @dataclass(frozen=True)
@@ -87,10 +85,11 @@ class _NotEstimable(Exception):
 
 
 def _delta_series(finding: FaultFinding, model: CalibratedModel,
-                  data: BuildingData):
+                  data: BuildingData, thresholds: Thresholds):
     """Per-row (faulty - ideal) energy in MMBTU across the whole frame,
     zero outside the finding window, plus the method tag. The rows are
-    signed; clamping happens where a loss is summed. Raises _NotEstimable."""
+    signed; clamping happens where a loss is summed. A valve counts as
+    closed at the same tolerance detection used. Raises _NotEstimable."""
     k = model.constants.air_power_k
     deadband = model.constants.mode_deadband_f
     window = data.row_mask(finding.window_start, finding.window_end)
@@ -140,7 +139,7 @@ def _delta_series(finding: FaultFinding, model: CalibratedModel,
         valve = ahu.cooling_valve if rule == 2 else ahu.heating_valve
         if valve is None:
             raise _NotEstimable("no valve command to isolate closed instants")
-        rows = (window & ~np.isnan(valve) & (valve <= _VALVE_CLOSED)
+        rows = (window & ~np.isnan(valve) & (valve <= thresholds.valve_closed_tolerance)
                 & ~np.isnan(ahu.supply_temp) & ~np.isnan(ahu.mixed_temp)
                 & ~np.isnan(ahu.flow_sum))
         if not rows.any():
@@ -178,7 +177,7 @@ def fault_energy_loss(finding: FaultFinding, model: CalibratedModel,
             f"finding window is shorter than {MIN_WINDOW_DAYS} days; "
             "impact needs at least one week of data")
     try:
-        delta, _ = _delta_series(finding, model, data)
+        delta, _ = _delta_series(finding, model, data, Thresholds())
     except _NotEstimable:
         return None
     return max(0.0, float(delta.sum()))
@@ -217,9 +216,8 @@ def annualize(daily_losses, daily_oat, reference_year_oat) -> AnnualResult:
 def _daily_pairs(delta: np.ndarray, data: BuildingData, start: int, end: int):
     """Aggregate the delta series into per-calendar-day losses (each day
     clamped, same contract as the window loss) with that day's mean OAT."""
-    ts = data.timestamps()
-    in_win = (ts >= start) & (ts < end)
-    days = ts[in_win] // 86400
+    in_win = data.row_mask(start, end)
+    days = data.timestamps()[in_win] // 86400
     win_delta = delta[in_win]
     oat = data.oat[in_win] if data.oat is not None else None
     daily_losses = []
@@ -237,16 +235,18 @@ def _daily_pairs(delta: np.ndarray, data: BuildingData, start: int, end: int):
 
 
 def estimate_impact(finding: FaultFinding, model: CalibratedModel,
-                    data: BuildingData, reference_year_oat) -> ImpactEstimate:
+                    data: BuildingData, reference_year_oat,
+                    thresholds: Thresholds = Thresholds()) -> ImpactEstimate:
     """Full impact pipeline for one finding: observed loss, weather
     regression, annual extrapolation. A finding shorter than a week is
-    listed as not estimable rather than failing the whole report."""
+    listed as not estimable rather than failing the whole report.
+    thresholds are the ones detection ran with."""
     if finding.window_end - finding.window_start < MIN_WINDOW_DAYS * 86400:
         return ImpactEstimate(
             finding=finding, method=METHOD_NOT_ESTIMABLE,
             notes=f"finding window is shorter than {MIN_WINDOW_DAYS} days")
     try:
-        delta, method = _delta_series(finding, model, data)
+        delta, method = _delta_series(finding, model, data, thresholds)
     except _NotEstimable as why:
         return ImpactEstimate(finding=finding, method=METHOD_NOT_ESTIMABLE,
                               notes=str(why))
@@ -269,8 +269,8 @@ def estimate_impact(finding: FaultFinding, model: CalibratedModel,
 
 
 def estimate_all(findings, model: CalibratedModel, data: BuildingData,
-                 reference_year_oat):
-    return tuple(estimate_impact(f, model, data, reference_year_oat)
+                 reference_year_oat, thresholds: Thresholds = Thresholds()):
+    return tuple(estimate_impact(f, model, data, reference_year_oat, thresholds)
                  for f in findings)
 
 

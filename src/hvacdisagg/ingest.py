@@ -20,7 +20,7 @@ import numpy as np
 
 from .building import PointBinding, PointInfo
 from .errors import IngestError
-from .timeseries import TimeSeries, Unit
+from .timeseries import TimeSeries, Unit, bucket
 
 __all__ = [
     "IngestStats",
@@ -160,16 +160,7 @@ def read_trends(
         end = (int(epochs[-1]) // interval_s) * interval_s
         n_out = (end - first) // interval_s + 1
         idx = (epochs - first) // interval_s
-        out = np.full(n_out, np.nan)
-        if unit is Unit.BOOL:
-            out[idx] = values  # later samples in a bucket overwrite earlier ones
-        else:
-            sums = np.zeros(n_out)
-            counts = np.zeros(n_out)
-            np.add.at(sums, idx, values)
-            np.add.at(counts, idx, 1.0)
-            got = counts > 0
-            out[got] = sums[got] / counts[got]
+        out = bucket(idx, values, n_out, "last" if unit is Unit.BOOL else "mean")
         series = TimeSeries(
             point_id=point_id,
             start=first,

@@ -25,13 +25,16 @@ from __future__ import annotations
 import configparser
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .building import AhuNode, BindRule, EquipmentGraph, PointInfo, PointRole, VavNode, dump_metadata
-from .energy import ahu_power, economizer_term, occupancy_schedule, vav_cooling_power, vav_heating_power
+from .calibrate import DEFAULT_SPLIT_FRACTION
+from .energy import DEFAULT_CONSTANTS, PhysicalConstants, ahu_mode, ahu_power, economizer_term, \
+    occupancy_schedule, rows_in_mode, vav_cooling_power, vav_heating_power
 from .errors import ScenarioError
+from .faults import Thresholds
 from .ingest import format_timestamp, format_timestamps, parse_timestamp, write_points, \
     write_reference_year, write_trends
 from .timeseries import TimeSeries, Unit
@@ -55,9 +58,8 @@ FAULT_TYPES = (
 _AHU_FAULTS = {FAULT_ECONOMIZER, FAULT_COOLING_LEAK, FAULT_HEATING_LEAK}
 _VAV_FAULTS = {FAULT_CONFIG, FAULT_DAMPER}
 
-_K = 1.08
+_K = DEFAULT_CONSTANTS.air_power_k
 _MMBTU = 1e6
-_DEADBAND = 0.5
 
 # Feedforward valve spans, degF of coil action per unit command.
 _CLG_SPAN = 25.0
@@ -593,7 +595,7 @@ def _meters_from_written(tr: TraceSet, written: dict, rng: np.random.Generator):
         rat = written[_point(ahu, "RAT")]
         qsum = np.sum([written[_point(v, "FLOW")] for v in tr.children[ahu]], axis=0)
         e_sum += economizer_term(qsum, rat, mat, _K)
-        clg, htg = ahu_power(mat, sat, qsum, _K, _DEADBAND)
+        clg, htg = ahu_power(mat, sat, qsum, _K)
         ahu_htg += htg
         per_equipment[f"{ahu}.cooling"] = clg
         per_equipment[f"{ahu}.heating"] = htg
@@ -628,13 +630,10 @@ def _meters_from_written(tr: TraceSet, written: dict, rng: np.random.Generator):
 
 def _mode_row_counts(tr: TraceSet, written: dict):
     """Cooling/heating row counts exactly as the pipeline will see them."""
-    cooling = np.ones(tr.n, dtype=bool)
-    heating = np.ones(tr.n, dtype=bool)
-    for ahu in tr.ahu_ids:
-        dt = written[_point(ahu, "MAT")] - written[_point(ahu, "SAT")]
-        cooling &= dt >= -_DEADBAND
-        heating &= dt <= _DEADBAND
-    return int(cooling.sum()), int(heating.sum())
+    modes = [ahu_mode(written[_point(ahu, "MAT")], written[_point(ahu, "SAT")])
+             for ahu in tr.ahu_ids]
+    return (int(rows_in_mode(modes, tr.n, 1.0).sum()),
+            int(rows_in_mode(modes, tr.n, -1.0).sum()))
 
 
 def _reference_year(spec: ScenarioSpec) -> np.ndarray:
@@ -777,24 +776,10 @@ def _write_run_config(path: str, spec: ScenarioSpec) -> None:
         "findings": "findings.csv",
         "output_dir": "out",
     }
-    cp["thresholds"] = {
-        "correlation_min": "0.5",
-        "cooling_mpe_pct": "-5.0",
-        "heating_mpe_pct": "5.0",
-        "occupied_flow_slack": "1.1",
-        "flow_rmspe_pct": "20.0",
-        "min_persistence_days": "7",
-        "min_coverage": "0.5",
-        "config_violation_fraction": "0.9",
-        "damper_range_min": "0.2",
-        "valve_closed_tolerance": "0.01",
-    }
-    cp["constants"] = {
-        "air_power_k": repr(_K),
-        "mode_deadband_f": repr(_DEADBAND),
-        "interval_s": str(spec.interval_s),
-    }
-    cp["fit"] = {"split_fraction": "0.7"}
+    cp["thresholds"] = {f.name: repr(f.default) for f in fields(Thresholds)}
+    cp["constants"] = {f.name: repr(f.default) for f in fields(PhysicalConstants)}
+    cp["constants"]["interval_s"] = str(spec.interval_s)
+    cp["fit"] = {"split_fraction": repr(DEFAULT_SPLIT_FRACTION)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         cp.write(fh)
 

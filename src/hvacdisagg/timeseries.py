@@ -19,6 +19,7 @@ __all__ = [
     "Unit",
     "TimeSeries",
     "AlignedFrame",
+    "bucket",
     "resample",
     "align",
     "rmse",
@@ -132,6 +133,22 @@ class AlignedFrame:
         return mask
 
 
+def bucket(idx, values, n_out: int, policy: str) -> np.ndarray:
+    """Samples into n_out slots by slot index: "mean" averages each slot,
+    "last" keeps its final sample; a slot with no sample is a gap."""
+    out = np.full(n_out, np.nan)
+    if policy == "mean":
+        sums = np.zeros(n_out)
+        counts = np.zeros(n_out)
+        np.add.at(sums, idx, values)
+        np.add.at(counts, idx, 1.0)
+        got = counts > 0
+        out[got] = sums[got] / counts[got]
+    else:
+        out[idx] = values  # later samples in a slot overwrite earlier ones
+    return out
+
+
 def resample(
     series: TimeSeries,
     target_interval_s: int,
@@ -160,18 +177,8 @@ def resample(
         last_bucket = ((series.end - 1) // target_interval_s) * target_interval_s
         n_out = (last_bucket - first_bucket) // target_interval_s + 1
         idx = (ts - first_bucket) // target_interval_s
-        out = np.full(n_out, np.nan)
         valid = ~np.isnan(series.values)
-        if policy == "mean":
-            sums = np.zeros(n_out)
-            counts = np.zeros(n_out)
-            np.add.at(sums, idx[valid], series.values[valid])
-            np.add.at(counts, idx[valid], 1.0)
-            nonzero = counts > 0
-            out[nonzero] = sums[nonzero] / counts[nonzero]
-        else:
-            # later samples overwrite earlier ones within a bucket
-            out[idx[valid]] = series.values[valid]
+        out = bucket(idx[valid], series.values[valid], n_out, policy)
         return TimeSeries(series.point_id, int(first_bucket), int(target_interval_s), series.unit, out)
 
     if policy == "interp":
@@ -248,6 +255,17 @@ def rmse(a, b) -> float:
     return float(np.sqrt(np.mean((x - y) ** 2)))
 
 
+def _percent_base(measured, reference, eps: float, what: str):
+    """Complete rows with |reference| >= eps; refuses a mostly near-zero reference."""
+    m, r = _paired(measured, reference, what)
+    ok = np.abs(r) >= eps
+    if ok.sum() * 2 < len(r):
+        raise DegenerateSeriesError(
+            f"{what}: reference degenerate, {len(r) - int(ok.sum())} of {len(r)} rows below eps={eps}"
+        )
+    return m[ok], r[ok]
+
+
 def rmspe(measured, reference, eps: float = 1e-9) -> float:
     """Root mean square percentage error of measured against reference.
 
@@ -256,25 +274,15 @@ def rmspe(measured, reference, eps: float = 1e-9) -> float:
     flows, 0.5 degF for temperatures). More than half the rows excluded means
     the reference is too close to zero to be a meaningful base.
     """
-    m, r = _paired(measured, reference, "rmspe")
-    ok = np.abs(r) >= eps
-    if ok.sum() * 2 < len(r):
-        raise DegenerateSeriesError(
-            f"rmspe: reference degenerate, {len(r) - int(ok.sum())} of {len(r)} rows below eps={eps}"
-        )
-    pct = (m[ok] - r[ok]) / r[ok] * 100.0
+    m, r = _percent_base(measured, reference, eps, "rmspe")
+    pct = (m - r) / r * 100.0
     return float(np.sqrt(np.mean(pct**2)))
 
 
 def mpe(measured, reference, eps: float = 1e-9) -> float:
     """Signed mean percentage error; sign tells which way measured is biased."""
-    m, r = _paired(measured, reference, "mpe")
-    ok = np.abs(r) >= eps
-    if ok.sum() * 2 < len(r):
-        raise DegenerateSeriesError(
-            f"mpe: reference degenerate, {len(r) - int(ok.sum())} of {len(r)} rows below eps={eps}"
-        )
-    return float(np.mean((m[ok] - r[ok]) / r[ok]) * 100.0)
+    m, r = _percent_base(measured, reference, eps, "mpe")
+    return float(np.mean((m - r) / r) * 100.0)
 
 
 def pearson(a, b) -> float:

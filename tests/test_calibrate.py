@@ -369,9 +369,15 @@ class TestFitModel:
 
 
 class TestModelFile:
-    def test_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("reheat", [True, False], ids=["reheat", "no-reheat"])
+    def test_round_trip(self, tmp_path, reheat):
         data = TestFitModel()._prepared()
+        if not reheat:
+            for v in data.vavs.values():
+                v.heating_valve = None
+            data.heating_meter = 1.2 * data.sum_ahu_heating() + 0.01
         model = fit_model(data)
+        assert model.reheat_fitted == reheat
         path = tmp_path / "model.ini"
         save_model(model, str(path))
         loaded = load_model(str(path))
@@ -388,6 +394,8 @@ class TestModelFile:
             assert got.n_test == want.n_test
             assert got.train_rmse == pytest.approx(want.train_rmse, rel=1e-11)
             assert got.improvement_pct == pytest.approx(want.improvement_pct, rel=1e-11)
+            assert got.coefficient_names == want.coefficient_names
+            assert got.coefficients == pytest.approx(want.coefficients, rel=1e-11)
 
     def test_na_improvement_survives(self, tmp_path):
         data = TestFitModel()._prepared()

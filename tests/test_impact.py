@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from hvacdisagg.calibrate import fit_model
 from hvacdisagg.errors import DisaggError, FitError
-from hvacdisagg.faults import RULE_NAMES, FaultFinding, run_all
+from hvacdisagg.faults import RULE_NAMES, FaultFinding, Thresholds, run_all
 from hvacdisagg.impact import (
     METHOD_MODEL,
     METHOD_NOT_ESTIMABLE,
@@ -222,6 +222,26 @@ class TestEstimateImpact:
         assert "shorter than 7 days" in got_short.notes
         assert got_normal.method == METHOD_SETPOINT
         assert got_normal.annual_mmbtu == pytest.approx(DAMPER_ANNUAL_MMBTU, rel=1e-9)
+
+    def test_valve_closed_uses_configured_tolerance(self, faulted_loaded, faulted_model):
+        # AH2's shut cooling valve reads 0.03: closed under a 0.05 tolerance
+        # only, so detection finds the leak and impact must price it
+        data = faulted_loaded.data
+        ahu = data.ahus["AH2"]
+        valve = np.where(ahu.cooling_valve <= 0.01, 0.03, ahu.cooling_valve)
+        ahus = {**data.ahus, "AH2": dataclasses.replace(ahu, cooling_valve=valve)}
+        data = dataclasses.replace(data, ahus=ahus)
+        th = Thresholds(valve_closed_tolerance=0.05)
+        (finding,) = [f for f in run_all(data, th).findings if f.rule == 2]
+        assert finding.equipment == "AH2"
+        (est,) = estimate_all([finding], faulted_model, data,
+                              faulted_loaded.reference_oat, th)
+        assert est.method == METHOD_MODEL
+        assert est.observed_mmbtu > 0.0
+        (strict,) = estimate_all([finding], faulted_model, data,
+                                 faulted_loaded.reference_oat)
+        assert strict.method == METHOD_NOT_ESTIMABLE
+        assert "never commanded closed" in strict.notes
 
     def test_method_tags_by_rule(self, faulted_loaded, faulted_model):
         result = run_all(faulted_loaded.data)

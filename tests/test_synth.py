@@ -17,6 +17,7 @@ back from the ground-truth file.
 import csv
 import dataclasses
 import os
+import types
 
 import numpy as np
 import pytest
@@ -141,6 +142,16 @@ class TestMeterIdentities:
         data, truth = recovery_loaded.data, recovery_loaded.truth
         assert int(data.cooling_rows().sum()) == truth.n_cooling_rows
         assert int(data.heating_rows().sum()) == truth.n_heating_rows
+
+    def test_mode_counts_at_deadband_edges(self):
+        # MAT - SAT of exactly -0.5 is heating and +0.5 is cooling, so each
+        # edge row leaves the other mode's count, as cooling_rows and
+        # heating_rows see it
+        sat = np.full(4, 55.0)
+        written = {synth._point("AH1", "MAT"): sat + np.array([-0.5, 0.5, 0.0, 1.0]),
+                   synth._point("AH1", "SAT"): sat}
+        trace = types.SimpleNamespace(n=4, ahu_ids=["AH1"])
+        assert synth._mode_row_counts(trace, written) == (3, 2)
 
     def test_truth_powers_align_with_pipeline(self, impact_loaded):
         ts, cols = load_truth_powers(impact_loaded.bundle.truth_powers_path)
