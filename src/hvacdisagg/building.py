@@ -165,15 +165,6 @@ class EquipmentGraph:
     def vav_ids(self) -> list[str]:
         return [v.vav_id for v in self.vavs]
 
-    def children(self, ahu_id: str) -> list[VavNode]:
-        return [v for v in self.vavs if v.ahu_id == ahu_id]
-
-    def vav(self, vav_id: str) -> VavNode:
-        for v in self.vavs:
-            if v.vav_id == vav_id:
-                return v
-        raise TopologyError(f"unknown VAV '{vav_id}'")
-
 
 def _parse_schedule(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(\d{2}):(\d{2})-(\d{2}):(\d{2})", text.strip())
@@ -342,9 +333,6 @@ class PointBinding:
     unresolved: tuple  # (equipment_id, role, fallback_tag)
     warnings: tuple = ()
     units: dict = field(default_factory=dict)  # point_id -> inventory Unit
-
-    def get(self, equipment_id: str, role: PointRole) -> str | None:
-        return self.bindings.get((equipment_id, role))
 
 
 def _rule_targets(graph: EquipmentGraph, compiled, pools: dict, point: PointInfo):

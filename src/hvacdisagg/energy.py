@@ -8,7 +8,7 @@ complete-row policy downstream keeps working.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -222,6 +222,17 @@ class BuildingData:
             mask &= ts < window_end
         return mask
 
+    def window(self, start: int, end: int) -> BuildingData:
+        """The rows row_mask(start, end) picks, as a frame whose arrays are
+        slices of this frame's arrays, not copies. A reversed or empty window
+        gives a frame with no rows."""
+        i0, i1 = (int(i) for i in np.searchsorted(self.timestamps(), (start, end)))
+        rows = slice(i0, max(i0, i1))
+        return _sliced(self, rows, start=self.start + i0 * self.interval_s,
+                       n_rows=rows.stop - i0,
+                       vavs={k: _sliced(v, rows) for k, v in self.vavs.items()},
+                       ahus={k: _sliced(a, rows) for k, a in self.ahus.items()})
+
     # ------------------------------------------------------------------
     # derived powers; each returns vectors aligned to the frame rows
 
@@ -287,6 +298,13 @@ class BuildingData:
     def heating_rows(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
         """Rows where every air handler is heating or idle (gap rows excluded)."""
         return self._rows_in_mode(-1.0, constants)
+
+
+def _sliced(obj, rows: slice, **changes):
+    """A copy of the dataclass obj with every array field cut to rows."""
+    arrays = {f.name: value[rows] for f in fields(obj)
+              if isinstance(value := getattr(obj, f.name), np.ndarray)}
+    return replace(obj, **arrays, **changes)
 
 
 def _mean_rows(arrays: list) -> np.ndarray:

@@ -13,10 +13,12 @@ ordinary trend data:
                          minimum even with the zone below its upper limit
  5. damper stuck         supply flow ignores its own setpoint
 
-Each rule screens one piece of equipment over one time window and returns a
-verdict. run_all slides a persistence-length window across the whole frame a
-day at a time, so a fault only surfaces when its signature holds for the
-configured number of consecutive days, and short excursions stay quiet.
+Each rule screens one piece of equipment over whatever frame it is given
+and returns a verdict. run_all slides a persistence-length window across the
+whole frame a day at a time and hands every rule each window as a view of
+the frame's rows (BuildingData.window), so a fault only surfaces when its
+signature holds for the configured number of consecutive days, and short
+excursions stay quiet.
 """
 
 from __future__ import annotations
@@ -166,20 +168,17 @@ def _vav(data: BuildingData, vav_id: str):
         raise FaultRuleError(f"unknown VAV '{vav_id}'") from None
 
 
-def _covered(valid: np.ndarray, window: np.ndarray, floor: float):
-    """Coverage of usable rows inside the window, or a reason it falls short."""
-    total = int(window.sum())
-    if total == 0:
+def _covered(valid: np.ndarray, floor: float):
+    """Coverage of usable rows in the frame, or a reason it falls short."""
+    if len(valid) == 0:
         return None, "window holds no rows"
-    frac = int(valid.sum()) / total
+    frac = int(valid.sum()) / len(valid)
     if frac < floor:
         return None, f"only {frac:.0%} of the window is usable (need {floor:.0%})"
     return frac, None
 
 
-def rule_economizer_stuck(data: BuildingData, ahu_id: str, th: Thresholds,
-                          window_start: int | None = None,
-                          window_end: int | None = None) -> RuleResult:
+def rule_economizer_stuck(data: BuildingData, ahu_id: str, th: Thresholds) -> RuleResult:
     """Correlate the measured mixed-air temperature with the one the damper
     command implies. A working economizer keeps the two moving together; a
     stuck damper decouples them."""
@@ -190,11 +189,10 @@ def rule_economizer_stuck(data: BuildingData, ahu_id: str, th: Thresholds,
         return RuleResult(
             INCONCLUSIVE,
             detail="no outside-air temp and damper command to estimate the mix")
-    window = data.row_mask(window_start, window_end)
     measured = ahu.mixed_temp_measured
     estimated = ahu.mixed_temp_estimated
-    valid = window & ~np.isnan(measured) & ~np.isnan(estimated) & ~np.isnan(ahu.damper)
-    _, short = _covered(valid, window, th.min_coverage)
+    valid = ~np.isnan(measured) & ~np.isnan(estimated) & ~np.isnan(ahu.damper)
+    _, short = _covered(valid, th.min_coverage)
     if short:
         return RuleResult(INCONCLUSIVE, detail=short)
     d = ahu.damper[valid]
@@ -214,16 +212,14 @@ def rule_economizer_stuck(data: BuildingData, ahu_id: str, th: Thresholds,
     return RuleResult(OK, corr)
 
 
-def _valve_leak(data, ahu_id, th, window_start, window_end, *, heating: bool):
+def _valve_leak(data, ahu_id, th, *, heating: bool):
     ahu = _ahu(data, ahu_id)
     valve = ahu.heating_valve if heating else ahu.cooling_valve
     side = "heating" if heating else "cooling"
     if valve is None:
         return RuleResult(INCONCLUSIVE, detail=f"no {side} valve command trend")
-    window = data.row_mask(window_start, window_end)
-    valid = (window & ~np.isnan(valve)
-             & ~np.isnan(ahu.supply_temp) & ~np.isnan(ahu.mixed_temp))
-    _, short = _covered(valid, window, th.min_coverage)
+    valid = ~np.isnan(valve) & ~np.isnan(ahu.supply_temp) & ~np.isnan(ahu.mixed_temp)
+    _, short = _covered(valid, th.min_coverage)
     if short:
         return RuleResult(INCONCLUSIVE, detail=short)
     closed = valid & (valve <= th.valve_closed_tolerance)
@@ -248,23 +244,17 @@ def _valve_leak(data, ahu_id, th, window_start, window_end, *, heating: bool):
     return RuleResult(OK, bias)
 
 
-def rule_cooling_valve_leak(data: BuildingData, ahu_id: str, th: Thresholds,
-                            window_start: int | None = None,
-                            window_end: int | None = None) -> RuleResult:
+def rule_cooling_valve_leak(data: BuildingData, ahu_id: str, th: Thresholds) -> RuleResult:
     """Supply air biased cold across the instants the cooling valve is shut."""
-    return _valve_leak(data, ahu_id, th, window_start, window_end, heating=False)
+    return _valve_leak(data, ahu_id, th, heating=False)
 
 
-def rule_heating_valve_leak(data: BuildingData, ahu_id: str, th: Thresholds,
-                            window_start: int | None = None,
-                            window_end: int | None = None) -> RuleResult:
+def rule_heating_valve_leak(data: BuildingData, ahu_id: str, th: Thresholds) -> RuleResult:
     """Supply air biased warm across the instants the heating valve is shut."""
-    return _valve_leak(data, ahu_id, th, window_start, window_end, heating=True)
+    return _valve_leak(data, ahu_id, th, heating=True)
 
 
-def rule_config_error(data: BuildingData, vav_id: str, th: Thresholds,
-                      window_start: int | None = None,
-                      window_end: int | None = None) -> RuleResult:
+def rule_config_error(data: BuildingData, vav_id: str, th: Thresholds) -> RuleResult:
     """Unoccupied flow pinned above the configured minimum.
 
     Only instants where the zone is below its upper limit count: a warm zone
@@ -274,10 +264,9 @@ def rule_config_error(data: BuildingData, vav_id: str, th: Thresholds,
     vav = _vav(data, vav_id)
     if vav.min_flow is None:
         raise FaultRuleError(f"{vav_id}: VAV missing min-flow config")
-    window = data.row_mask(window_start, window_end)
-    valid = (window & ~np.isnan(vav.flow) & ~np.isnan(vav.zone_temp)
+    valid = (~np.isnan(vav.flow) & ~np.isnan(vav.zone_temp)
              & ~np.isnan(vav.occupied) & ~np.isnan(vav.min_flow))
-    _, short = _covered(valid, window, th.min_coverage)
+    _, short = _covered(valid, th.min_coverage)
     if short:
         return RuleResult(INCONCLUSIVE, detail=short)
     eligible = valid & (vav.occupied <= 0.0)
@@ -295,16 +284,13 @@ def rule_config_error(data: BuildingData, vav_id: str, th: Thresholds,
     return RuleResult(OK, frac)
 
 
-def rule_damper_stuck(data: BuildingData, vav_id: str, th: Thresholds,
-                      window_start: int | None = None,
-                      window_end: int | None = None) -> RuleResult:
+def rule_damper_stuck(data: BuildingData, vav_id: str, th: Thresholds) -> RuleResult:
     """Flow that no longer follows its own setpoint."""
     vav = _vav(data, vav_id)
     if vav.flow_setpoint is None:
         return RuleResult(INCONCLUSIVE, detail="no flow setpoint trend")
-    window = data.row_mask(window_start, window_end)
-    valid = window & ~np.isnan(vav.flow) & ~np.isnan(vav.flow_setpoint)
-    _, short = _covered(valid, window, th.min_coverage)
+    valid = ~np.isnan(vav.flow) & ~np.isnan(vav.flow_setpoint)
+    _, short = _covered(valid, th.min_coverage)
     if short:
         return RuleResult(INCONCLUSIVE, detail=short)
     try:
@@ -331,7 +317,8 @@ _RULES = {
 def run_all(data: BuildingData, th: Thresholds | None = None) -> DetectionResult:
     """Evaluate every rule against every matching piece of equipment.
 
-    The persistence window slides across the frame in one-day steps. A
+    The persistence window slides across the frame in one-day steps, and
+    every rule judges every unit on one view of each window. A
     (rule, equipment) pair that violates in any window yields exactly one
     finding spanning the union of its violating windows, carrying the worst
     statistic seen. Rule errors on one unit degrade to an inconclusive note
@@ -349,38 +336,41 @@ def run_all(data: BuildingData, th: Thresholds | None = None) -> DetectionResult
                       f"{th.min_persistence_days}-day persistence floor; "
                       "no detection run",))
 
-    starts = range(data.start, data.end - persist + 1, day)
+    hits = {(rule_id, unit): [] for rule_id, (_, kind, _, _) in sorted(_RULES.items())
+            for unit in sorted(data.ahus if kind == "ahu" else data.vavs)}
+    first_reason = {}
+    for s in range(data.start, data.end - persist + 1, day):
+        view = data.window(s, s + persist)
+        for rule_id, unit in hits:
+            func = _RULES[rule_id][0]
+            try:
+                res = func(view, unit, th)
+            except DisaggError as exc:
+                res = RuleResult(INCONCLUSIVE, detail=str(exc))
+            if res.verdict == FINDING:
+                hits[rule_id, unit].append((s, s + persist, res.statistic, res.detail))
+            elif res.verdict == INCONCLUSIVE:
+                first_reason.setdefault((rule_id, unit), res.detail)
+
     findings = []
     notes = []
-    for rule_id, (func, kind, pick, worse) in sorted(_RULES.items()):
-        units = sorted(data.ahus) if kind == "ahu" else sorted(data.vavs)
-        for unit in units:
-            hits = []
-            first_reason = None
-            for s in starts:
-                try:
-                    res = func(data, unit, th, s, s + persist)
-                except DisaggError as exc:
-                    res = RuleResult(INCONCLUSIVE, detail=str(exc))
-                if res.verdict == FINDING:
-                    hits.append((s, s + persist, res.statistic, res.detail))
-                elif res.verdict == INCONCLUSIVE and first_reason is None:
-                    first_reason = res.detail
-            if hits:
-                stat = worse(h[2] for h in hits)
-                detail = next(h[3] for h in hits if h[2] == stat)
-                findings.append(FaultFinding(
-                    rule=rule_id,
-                    rule_name=RULE_NAMES[rule_id],
-                    equipment=unit,
-                    window_start=min(h[0] for h in hits),
-                    window_end=max(h[1] for h in hits),
-                    statistic=stat,
-                    threshold=pick(th),
-                    detail=detail,
-                ))
-            elif first_reason is not None:
-                notes.append(InconclusiveNote(rule_id, unit, first_reason))
+    for (rule_id, unit), unit_hits in hits.items():
+        _, _, pick, worse = _RULES[rule_id]
+        if unit_hits:
+            stat = worse(h[2] for h in unit_hits)
+            detail = next(h[3] for h in unit_hits if h[2] == stat)
+            findings.append(FaultFinding(
+                rule=rule_id,
+                rule_name=RULE_NAMES[rule_id],
+                equipment=unit,
+                window_start=min(h[0] for h in unit_hits),
+                window_end=max(h[1] for h in unit_hits),
+                statistic=stat,
+                threshold=pick(th),
+                detail=detail,
+            ))
+        elif (rule_id, unit) in first_reason:
+            notes.append(InconclusiveNote(rule_id, unit, first_reason[rule_id, unit]))
 
     findings.sort(key=lambda f: (f.rule, f.equipment))
     notes.sort(key=lambda n: (n.rule, n.equipment))

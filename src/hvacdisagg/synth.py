@@ -31,8 +31,8 @@ import numpy as np
 
 from .building import AhuNode, BindRule, EquipmentGraph, PointInfo, PointRole, VavNode, dump_metadata
 from .calibrate import DEFAULT_SPLIT_FRACTION
-from .energy import DEFAULT_CONSTANTS, PhysicalConstants, ahu_mode, ahu_power, economizer_term, \
-    occupancy_schedule, rows_in_mode, vav_cooling_power, vav_heating_power
+from .energy import _MMBTU, DEFAULT_CONSTANTS, PhysicalConstants, ahu_mode, ahu_power, \
+    economizer_term, occupancy_schedule, rows_in_mode, vav_cooling_power, vav_heating_power
 from .errors import ScenarioError
 from .faults import Thresholds
 from .ingest import format_timestamp, format_timestamps, parse_timestamp, write_points, \
@@ -59,7 +59,6 @@ _AHU_FAULTS = {FAULT_ECONOMIZER, FAULT_COOLING_LEAK, FAULT_HEATING_LEAK}
 _VAV_FAULTS = {FAULT_CONFIG, FAULT_DAMPER}
 
 _K = DEFAULT_CONSTANTS.air_power_k
-_MMBTU = 1e6
 
 # Feedforward valve spans, degF of coil action per unit command.
 _CLG_SPAN = 25.0

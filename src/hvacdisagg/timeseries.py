@@ -75,30 +75,6 @@ class TimeSeries:
     def timestamps(self) -> np.ndarray:
         return self.start + self.interval_s * np.arange(len(self.values), dtype=np.int64)
 
-    def gap_count(self) -> int:
-        return int(np.isnan(self.values).sum())
-
-    def coverage(self) -> float:
-        """Fraction of grid slots holding a value."""
-        if len(self.values) == 0:
-            return 0.0
-        return 1.0 - self.gap_count() / len(self.values)
-
-    def slice(self, start: int, end: int) -> "TimeSeries":
-        """Sub-series on [start, end), snapped inward to the grid."""
-        if end <= start:
-            raise SeriesError(f"{self.point_id}: empty slice window [{start}, {end})")
-        i0 = max(0, math.ceil((start - self.start) / self.interval_s))
-        i1 = min(len(self.values), math.ceil((end - self.start) / self.interval_s))
-        i1 = max(i0, i1)
-        return TimeSeries(
-            point_id=self.point_id,
-            start=self.start + i0 * self.interval_s,
-            interval_s=self.interval_s,
-            unit=self.unit,
-            values=self.values[i0:i1],
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class AlignedFrame:
@@ -123,14 +99,6 @@ class AlignedFrame:
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
-
-    def complete_mask(self, names=None) -> np.ndarray:
-        """True where every requested column holds a value."""
-        names = list(self.columns) if names is None else list(names)
-        mask = np.ones(self.n_rows, dtype=bool)
-        for name in names:
-            mask &= ~np.isnan(self.columns[name])
-        return mask
 
 
 def bucket(idx, values, n_out: int, policy: str) -> np.ndarray:

@@ -83,9 +83,10 @@ class TestLoadMetadata:
         assert g.building_id == "B1"
         assert g.ahu_ids() == ["AH1", "AH2"]
         assert g.vav_ids() == ["VAV101", "VAV201"]
-        assert g.vav("VAV101").min_flow_cfm == 120
-        assert g.vav("VAV101").zone_upper_limit_f == 76
-        assert [v.vav_id for v in g.children("AH2")] == ["VAV201"]
+        vav101 = next(v for v in g.vavs if v.vav_id == "VAV101")
+        assert vav101.min_flow_cfm == 120
+        assert vav101.zone_upper_limit_f == 76
+        assert [v.vav_id for v in g.vavs if v.ahu_id == "AH2"] == ["VAV201"]
         assert g.occupied_start_s == 7 * 3600
         assert len(g.bind_rules) == 5
 
@@ -131,7 +132,7 @@ heating_meter_point = M2
         p = tmp_path / "t.ini"
         p.write_text(text)
         g = load_metadata(str(p))
-        assert g.vav("VAV1").ahu_id == "AH1"
+        assert [(v.vav_id, v.ahu_id) for v in g.vavs] == [("VAV1", "AH1")]
         assert any("assigned" in w for w in g.warnings)
 
     def test_multi_ahu_leaves_unmapped(self, tmp_path):
@@ -150,7 +151,7 @@ heating_meter_point = M2
         p = tmp_path / "t.ini"
         p.write_text(text)
         g = load_metadata(str(p))
-        assert g.vav("VAV1").ahu_id is None
+        assert [(v.vav_id, v.ahu_id) for v in g.vavs] == [("VAV1", None)]
         assert any("excluded" in w for w in g.warnings)
 
     def test_missing_file_is_io_error(self):
@@ -162,9 +163,9 @@ class TestBindPoints:
     def test_binding_and_fallbacks(self, topo_path):
         g = load_metadata(topo_path)
         binding = bind_points(g, inventory())
-        assert binding.get("VAV101", PointRole.ZONE_TEMP) == "B1.VAV101.ZNT"
-        assert binding.get("AH1", PointRole.AHU_SUPPLY_AIR_TEMP) == "B1.AH1.SAT"
-        assert binding.get("B1", PointRole.BUILDING_COOLING_POWER) == "B1.CLGMTR"
+        assert binding.bindings[("VAV101", PointRole.ZONE_TEMP)] == "B1.VAV101.ZNT"
+        assert binding.bindings[("AH1", PointRole.AHU_SUPPLY_AIR_TEMP)] == "B1.AH1.SAT"
+        assert binding.bindings[("B1", PointRole.BUILDING_COOLING_POWER)] == "B1.CLGMTR"
         # AH2 has no mixed-air sensor, VAVs have no discharge temp sensor
         tags = {(e, r): tag for e, r, tag in binding.unresolved}
         assert tags[("AH2", PointRole.AHU_MIXED_AIR_TEMP)] == FALLBACK_OAT_DAMPER_MIX
@@ -214,7 +215,7 @@ class TestBindPoints:
         g = load_metadata(topo_path)
         inv = inventory() + [PointInfo("B1.VAV101.ZNT2", "B1.VAV101.ZNT", Unit.DEG_F)]
         binding = bind_points(g, inv)
-        assert binding.get("VAV101", PointRole.ZONE_TEMP) == "B1.VAV101.ZNT"
+        assert binding.bindings[("VAV101", PointRole.ZONE_TEMP)] == "B1.VAV101.ZNT"
         assert any("duplicate claimant" in w for w in binding.warnings)
 
     def test_unmatched_points_ignored(self, topo_path):

@@ -1,5 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hvacdisagg.building import (
     FALLBACK_MEAN_ZONE_TEMPS,
@@ -12,6 +16,9 @@ from hvacdisagg.building import (
     VavNode,
 )
 from hvacdisagg.energy import (
+    AhuData,
+    BuildingData,
+    VavData,
     ahu_mode,
     ahu_power,
     assemble,
@@ -235,3 +242,47 @@ class TestAssemble:
         data = assemble(_graph(), _binding(), smap)
         np.testing.assert_array_equal(data.cooling_rows(), [True, True, False, False])
         np.testing.assert_array_equal(data.heating_rows(), [False, True, True, False])
+
+
+def _numbered_frame(start, interval, n):
+    """A frame whose every array is distinct, with some optional fields left None."""
+    rows = np.arange(n, dtype=float)
+    vav = VavData("VAV11", "AH1", rows + 1, rows + 2, rows + 3,
+                  flow_setpoint=rows + 4, min_flow=rows + 5)
+    ahu = AhuData("AH1", rows + 6, rows + 7, rows + 8, mixed_temp=rows + 9,
+                  damper=rows / max(n, 1))
+    return BuildingData(graph=_graph(vavs_per_ahu=1), start=start, interval_s=interval,
+                        n_rows=n, cooling_meter=rows + 10, heating_meter=rows + 11,
+                        vavs={"VAV11": vav}, ahus={"AH1": ahu}, oat=rows + 12)
+
+
+class TestWindow:
+    @settings(max_examples=300, deadline=None)
+    @given(interval=st.sampled_from([60, 420, 900, 3600, 25200]),
+           n=st.integers(0, 60),
+           phase=st.integers(0, 25199),
+           lo=st.integers(-3 * 86400, 20 * 86400),
+           hi=st.integers(-3 * 86400, 20 * 86400))
+    @example(interval=420, n=40, phase=0, lo=5 * 420 + 1, hi=9 * 420 - 1)  # off-grid
+    @example(interval=420, n=40, phase=0, lo=-86400, hi=86400 * 9)  # beyond both ends
+    @example(interval=420, n=40, phase=0, lo=3000, hi=1000)  # reversed
+    @example(interval=420, n=40, phase=0, lo=2100, hi=2100)  # empty
+    def test_view_matches_row_mask(self, interval, n, phase, lo, hi):
+        data = _numbered_frame(T0 + phase, interval, n)
+        start, end = T0 + lo, T0 + hi
+        view = data.window(start, end)
+        mask = data.row_mask(start, end)
+        np.testing.assert_array_equal(view.timestamps(), data.timestamps()[mask])
+        assert view.n_rows == int(mask.sum())
+        assert view.interval_s == interval and view.graph is data.graph
+        pairs = [(data, view), (data.vavs["VAV11"], view.vavs["VAV11"]),
+                 (data.ahus["AH1"], view.ahus["AH1"])]
+        for parent, child in pairs:
+            for f in fields(parent):
+                p, c = getattr(parent, f.name), getattr(child, f.name)
+                if isinstance(p, np.ndarray):
+                    np.testing.assert_array_equal(c, p[mask])
+                    assert c.size == 0 or np.shares_memory(c, p), f.name
+                elif p is None:
+                    assert c is None, f.name
+        assert data.n_rows == n and data.start == T0 + phase

@@ -7,17 +7,24 @@ its setpoint is exactly 30% RMS error, and so on. The sliding-window
 behaviour of run_all is checked with violations of known duration.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hvacdisagg.building import AhuNode, EquipmentGraph, VavNode
 from hvacdisagg.energy import AhuData, BuildingData, VavData
-from hvacdisagg.errors import ConfigError, FaultRuleError, IngestError
+from hvacdisagg.errors import ConfigError, DisaggError, FaultRuleError, IngestError
 from hvacdisagg.faults import (
+    _RULES,
     FINDING,
     INCONCLUSIVE,
     OK,
+    RULE_NAMES,
+    DetectionResult,
     FaultFinding,
+    InconclusiveNote,
+    RuleResult,
     Thresholds,
     read_findings,
     rule_config_error,
@@ -52,10 +59,10 @@ def _graph():
     )
 
 
-def _frame(days=8, seed=5):
+def _frame(days=8, seed=5, grid=GRID):
     """Healthy single-AHU frame: mix tracks the damper, coils tight, flows
     on setpoint, boxes idle at min flow overnight."""
-    n = days * DAY_ROWS
+    n = days * 86400 // grid
     rng = np.random.default_rng(seed)
     t = np.arange(n)
 
@@ -67,8 +74,8 @@ def _frame(days=8, seed=5):
     clg_valve = np.zeros(n)
     htg_valve = np.zeros(n)
 
-    occupied = ((t % DAY_ROWS) >= 28) & ((t % DAY_ROWS) < 76)
-    occupied = occupied.astype(float)
+    second = t * grid % 86400
+    occupied = ((second >= 7 * 3600) & (second < 19 * 3600)).astype(float)
     setpoint = np.where(occupied > 0.0, 420.0, 100.0)
     zone = 72.0 + 1.0 * np.sin(2 * np.pi * t / 96 + 0.9) + rng.normal(0, 0.1, n)
 
@@ -85,7 +92,7 @@ def _frame(days=8, seed=5):
         damper=damper, cooling_valve=clg_valve, heating_valve=htg_valve,
     )
     return BuildingData(
-        graph=_graph(), start=T0, interval_s=GRID, n_rows=n,
+        graph=_graph(), start=T0, interval_s=grid, n_rows=n,
         cooling_meter=np.zeros(n), heating_meter=np.zeros(n),
         vavs={"V1": vav("V1"), "V2": vav("V2")}, ahus={"A1": ahu},
     )
@@ -337,6 +344,121 @@ class TestRunAll:
         result = run_all(_frame(days=3))
         assert result.findings == ()
         assert result.warnings and "persistence" in result.warnings[0]
+
+
+def _masked(data, start, end):
+    """The window as a boolean-masked copy of every array in the frame."""
+    mask = data.row_mask(start, end)
+
+    def cut(obj, **changes):
+        arrays = {f.name: getattr(obj, f.name)[mask] for f in dataclasses.fields(obj)
+                  if isinstance(getattr(obj, f.name), np.ndarray)}
+        return dataclasses.replace(obj, **arrays, **changes)
+
+    return cut(data, start=int(data.timestamps()[mask][0]), n_rows=int(mask.sum()),
+               vavs={k: cut(v) for k, v in data.vavs.items()},
+               ahus={k: cut(a) for k, a in data.ahus.items()})
+
+
+def reference_run_all(data, th=TH):
+    """The rule-major sweep run_all replaced: each (rule, unit) walks every
+    window, judged on a masked copy of the frame."""
+    day, persist = 86400, th.min_persistence_days * 86400
+    starts = range(data.start, data.end - persist + 1, day)
+    findings, notes = [], []
+    for rule_id, (func, kind, pick, worse) in sorted(_RULES.items()):
+        for unit in sorted(data.ahus if kind == "ahu" else data.vavs):
+            hits, reason = [], None
+            for s in starts:
+                try:
+                    res = func(_masked(data, s, s + persist), unit, th)
+                except DisaggError as exc:
+                    res = RuleResult(INCONCLUSIVE, detail=str(exc))
+                if res.verdict == FINDING:
+                    hits.append((s, s + persist, res.statistic, res.detail))
+                elif res.verdict == INCONCLUSIVE and reason is None:
+                    reason = res.detail
+            if hits:
+                stat = worse(h[2] for h in hits)
+                findings.append(FaultFinding(
+                    rule_id, RULE_NAMES[rule_id], unit, min(h[0] for h in hits),
+                    max(h[1] for h in hits), stat, pick(th),
+                    next(h[3] for h in hits if h[2] == stat)))
+            elif reason is not None:
+                notes.append(InconclusiveNote(rule_id, unit, reason))
+    return DetectionResult(tuple(findings), tuple(notes), ())
+
+
+def _gappy_frame(grid=GRID):
+    """Gaps and faults that come and go, so verdicts change between windows."""
+    data = _frame(days=12, grid=grid)
+    day = np.arange(data.n_rows) * grid // 86400
+    ahu = data.ahus["A1"]
+    ahu.mixed_temp_measured[day < 4] = np.nan  # coverage short, then enough
+    ahu.cooling_valve[(day >= 2) & (day < 6)] = np.nan
+    ahu.supply_temp = np.where(day >= 6, ahu.mixed_temp - 6.0, ahu.supply_temp)
+    v1, v2 = data.vavs["V1"], data.vavs["V2"]
+    v1.flow = np.where((day >= 3) & (v1.occupied <= 0.0), 300.0, v1.flow)
+    v1.zone_temp[day == 8] = np.nan
+    v2.flow = np.where(day >= 5, (0.8 - 0.02 * day) * v2.flow_setpoint, v2.flow)
+    v2.flow_setpoint[day < 3] = np.nan
+    return data
+
+
+class TestSweepOracle:
+    @pytest.mark.parametrize("make", [
+        lambda: _frame(),
+        _gappy_frame,
+        lambda: _gappy_frame(grid=420),
+    ], ids=["healthy", "gappy", "gappy-420s"])
+    def test_hand_built_frames(self, make):
+        data = make()
+        assert run_all(data) == reference_run_all(make())
+
+    def test_vav_without_min_flow(self):
+        data = _gappy_frame()
+        data.vavs["V1"].min_flow = None
+        result = run_all(data)
+        assert result == reference_run_all(data)
+        assert InconclusiveNote(4, "V1", "V1: VAV missing min-flow config") in result.inconclusive
+
+    def test_gappy_frame_has_findings_and_notes(self):
+        result = run_all(_gappy_frame())
+        assert [(f.rule, f.equipment) for f in result.findings] == [
+            (2, "A1"), (4, "V1"), (5, "V1"), (5, "V2")]
+        assert [(n.rule, n.equipment) for n in result.inconclusive] == [(1, "A1")]
+
+    def test_faulted_bundle(self, faulted_loaded):
+        result = run_all(faulted_loaded.data)
+        assert result.findings
+        assert result == reference_run_all(faulted_loaded.data)
+
+    def test_healthy_bundle(self, healthy_loaded):
+        assert run_all(healthy_loaded.data) == reference_run_all(healthy_loaded.data)
+
+
+class TestSweepNotes:
+    def test_first_inconclusive_reason_is_the_note(self):
+        data = _frame(days=9)
+        ahu = data.ahus["A1"]
+        day = np.arange(data.n_rows) // DAY_ROWS
+        # 4 of the first window's 7 days lack a valve trend; later windows
+        # have enough rows but the valve never shuts
+        ahu.cooling_valve = np.where(day < 4, np.nan, 0.4)
+        result = run_all(data)
+        notes = {(n.rule, n.equipment): n.reason for n in result.inconclusive}
+        assert notes[(2, "A1")] == "only 43% of the window is usable (need 50%)"
+
+    def test_unit_with_a_hit_gets_no_note(self):
+        data = _frame(days=10)
+        vav = data.vavs["V2"]
+        day = np.arange(data.n_rows) // DAY_ROWS
+        vav.flow = 0.7 * vav.flow_setpoint
+        vav.flow_setpoint[day < 4] = np.nan  # first window inconclusive
+        result = run_all(data)
+        assert [(f.rule, f.equipment) for f in result.findings] == [(5, "V2")]
+        assert result.findings[0].window_start == data.start + 86400
+        assert (5, "V2") not in {(n.rule, n.equipment) for n in result.inconclusive}
 
 
 class TestThresholdValidation:
