@@ -118,7 +118,7 @@ class SubModelFit:
 
 
 def _fit_submodel(name: str, columns: list[tuple[str, np.ndarray]],
-                  target: np.ndarray, mask: np.ndarray) -> SubModelFit:
+                  target: np.ndarray, mask: np.ndarray | bool = True) -> SubModelFit:
     """Shared drop/fit/diagnose path for the three balance fits."""
     keep = mask & ~np.isnan(target)
     for _, col in columns:
@@ -173,31 +173,27 @@ def _fit_submodel(name: str, columns: list[tuple[str, np.ndarray]],
     )
 
 
-def fit_cooling_vav(data, window=None,
-                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SubModelFit:
+def fit_cooling_vav(data, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SubModelFit:
     """Fit the cooling meter against summed VAV cooling and economizer terms.
 
-    Uses every complete row in the window; the VAV-side balance holds in
-    either plant mode because both terms go to their actual values rather
-    than a mode-specific approximation.
+    Uses every complete row of data; the VAV-side balance holds in either
+    plant mode because both terms go to their actual values rather than a
+    mode-specific approximation.
     """
-    mask = data.row_mask(*(window or ()))
     return _fit_submodel(
         "cooling_vav",
         [("c1", data.sum_vav_cooling(constants)), ("c2", data.sum_economizer(constants))],
         data.cooling_meter,
-        mask,
     )
 
 
-def fit_cooling_ahu(data, window=None,
-                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SubModelFit:
+def fit_cooling_ahu(data, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SubModelFit:
     """Fit the cooling meter against summed AHU coil cooling power.
 
     Restricted to rows where every AHU is cooling or idle; coil power as
     flow times mixed-minus-supply only measures the cooling plant there.
     """
-    mask = data.row_mask(*(window or ())) & data.cooling_rows(constants)
+    mask = data.cooling_rows(constants)
     if not mask.any():
         raise FitError("cooling_ahu: insufficient samples (no cooling-mode rows in window)")
     return _fit_submodel(
@@ -208,19 +204,16 @@ def fit_cooling_ahu(data, window=None,
     )
 
 
-def fit_heating(data, window=None,
-                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SubModelFit:
+def fit_heating(data, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SubModelFit:
     """Fit the heating meter against AHU heating coil and VAV reheat power.
 
     Restricted to rows where every AHU is heating or idle.  Buildings with
     no reheat valves (or no hot water temperature point) get a
     two-coefficient fit and c7 stays at zero.
     """
-    mask = data.row_mask(*(window or ())) & data.heating_rows(constants)
+    mask = data.heating_rows(constants)
     if not mask.any():
         raise FitError("heating: insufficient samples (no heating-mode rows in window)")
-    if data.heating_meter is None:
-        raise FitError("heating: building has no heating meter series")
     columns = [("c6", data.sum_ahu_heating(constants))]
     reheat = data.sum_vav_heating(constants)
     if reheat is not None:
@@ -268,13 +261,10 @@ def fit_model(data, split_fraction: float = DEFAULT_SPLIT_FRACTION,
     train_window = (data.start, split_ts)
     test_window = (split_ts, data.end) if split_ts < data.end else None
 
-    submodels = {"cooling_vav": fit_cooling_vav(data, train_window, constants),
-                 "cooling_ahu": fit_cooling_ahu(data, train_window, constants)}
-    heat_warnings: tuple[str, ...] = ()
-    if data.heating_meter is not None:
-        submodels["heating"] = fit_heating(data, train_window, constants)
-    else:
-        heat_warnings = ("no heating meter bound; heating coefficients left at zero",)
+    train = data.window(*train_window)
+    submodels = {"cooling_vav": fit_cooling_vav(train, constants),
+                 "cooling_ahu": fit_cooling_ahu(train, constants),
+                 "heating": fit_heating(train, constants)}
 
     model = CalibratedModel(
         coefficients=_collect(submodels),
@@ -283,12 +273,11 @@ def fit_model(data, split_fraction: float = DEFAULT_SPLIT_FRACTION,
         train_window=train_window,
         test_window=test_window,
         submodels=submodels,
-        reheat_fitted=("heating" in submodels
-                       and "c7" in submodels["heating"].coefficient_names),
-        warnings=tuple(w for sub in submodels.values() for w in sub.warnings) + heat_warnings,
+        reheat_fitted="c7" in submodels["heating"].coefficient_names,
+        warnings=tuple(w for sub in submodels.values() for w in sub.warnings),
     )
     if test_window is not None:
-        model = evaluate(model, data, test_window)
+        model = evaluate(model, data.window(*test_window))
     return model
 
 
@@ -310,7 +299,7 @@ def predict_heating(model: CalibratedModel, data) -> np.ndarray:
 
 
 def _evaluate_sub(sub: SubModelFit, pred: np.ndarray, target: np.ndarray,
-                  mask: np.ndarray) -> SubModelFit:
+                  mask: np.ndarray | bool = True) -> SubModelFit:
     keep = mask & ~np.isnan(target) & ~np.isnan(pred)
     n = int(keep.sum())
     if n == 0:
@@ -328,24 +317,24 @@ def _evaluate_sub(sub: SubModelFit, pred: np.ndarray, target: np.ndarray,
         baseline_test_rmse=baseline, improvement_pct=improvement)
 
 
-def evaluate(model: CalibratedModel, data, window) -> CalibratedModel:
-    """Score each sub-model on held-out rows against the train-mean baseline.
+def evaluate(model: CalibratedModel, data) -> CalibratedModel:
+    """Score each sub-model on every row of data against the train-mean
+    baseline; data is the held-out frame, usually a window of the fitted one.
 
-    Returns a new model with test diagnostics filled in.
+    Returns a new model with test diagnostics filled in and test_window set
+    to data's span.
     """
-    mask = data.row_mask(*window)
     subs = dict(model.submodels)
     subs["cooling_vav"] = _evaluate_sub(
-        subs["cooling_vav"], predict_cooling_vav(model, data),
-        data.cooling_meter, mask)
+        subs["cooling_vav"], predict_cooling_vav(model, data), data.cooling_meter)
     subs["cooling_ahu"] = _evaluate_sub(
         subs["cooling_ahu"], predict_cooling_ahu(model, data),
-        data.cooling_meter, mask & data.cooling_rows(model.constants))
-    if "heating" in subs and data.heating_meter is not None:
+        data.cooling_meter, data.cooling_rows(model.constants))
+    if "heating" in subs:
         subs["heating"] = _evaluate_sub(
             subs["heating"], predict_heating(model, data),
-            data.heating_meter, mask & data.heating_rows(model.constants))
-    return dataclasses.replace(model, submodels=subs, test_window=window)
+            data.heating_meter, data.heating_rows(model.constants))
+    return dataclasses.replace(model, submodels=subs, test_window=(data.start, data.end))
 
 
 def _format_float(value: float) -> str:

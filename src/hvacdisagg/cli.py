@@ -189,17 +189,16 @@ def cmd_estimate(args) -> int:
     print(f"per-equipment powers: {powers_path} ({len(out_series)} series)")
 
     # each sub-model is compared only where its balance applies, mirroring
-    # the fit diagnostics: AHU cooling needs every AHU cooling or idle
+    # the fit diagnostics: VAV cooling on every row, AHU cooling where every
+    # AHU is cooling or idle
     comparisons = [
         ("cooling_vav_comparison.csv", predict_cooling_vav(model, data),
-         data.cooling_meter, data.row_mask()),
+         data.cooling_meter, True),
         ("cooling_ahu_comparison.csv", predict_cooling_ahu(model, data),
          data.cooling_meter, data.cooling_rows(constants)),
+        ("heating_comparison.csv", predict_heating(model, data),
+         data.heating_meter, data.heating_rows(constants)),
     ]
-    if data.heating_meter is not None:
-        comparisons.append(("heating_comparison.csv",
-                            predict_heating(model, data), data.heating_meter,
-                            data.heating_rows(constants)))
     stamps = np.array(format_timestamps(data.timestamps()), dtype=object)
     for name, estimated, measured, mask in comparisons:
         path = os.path.join(cfg.output_dir, name)

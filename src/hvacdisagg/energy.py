@@ -342,7 +342,7 @@ def assemble(
     bid = graph.building_id
     cooling_meter = col(bid, PointRole.BUILDING_COOLING_POWER)
     heating_meter = col(bid, PointRole.BUILDING_HEATING_POWER)
-    if cooling_meter is None or heating_meter is None:
+    if any(meter is None for meter in (cooling_meter, heating_meter)):
         raise DisaggError("building meter series missing from trend data")
     oat = col(bid, PointRole.OUTSIDE_AIR_TEMP)
     hot_water = col(bid, PointRole.HOT_WATER_SUPPLY_TEMP)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .calibrate import CalibratedModel
 from .energy import BuildingData, ahu_power, vav_cooling_power, vav_heating_power
-from .errors import DegenerateSeriesError, DisaggError, FitError
+from .errors import DegenerateSeriesError, FitError
 from .faults import RULE_NAMES, FaultFinding, Thresholds
 from .timeseries import pearson
 
@@ -86,13 +86,12 @@ class _NotEstimable(Exception):
 
 def _delta_series(finding: FaultFinding, model: CalibratedModel,
                   data: BuildingData, thresholds: Thresholds):
-    """Per-row (faulty - ideal) energy in MMBTU across the whole frame,
-    zero outside the finding window, plus the method tag. The rows are
+    """Per-row (faulty - ideal) energy in MMBTU across data, zero at rows
+    the counterfactual cannot use, plus the method tag. The rows are
     signed; clamping happens where a loss is summed. A valve counts as
     closed at the same tolerance detection used. Raises _NotEstimable."""
     k = model.constants.air_power_k
     deadband = model.constants.mode_deadband_f
-    window = data.row_mask(finding.window_start, finding.window_end)
     dt_hr = data.interval_s / 3600.0
     rule = finding.rule
 
@@ -100,8 +99,7 @@ def _delta_series(finding: FaultFinding, model: CalibratedModel,
         vav = data.vavs.get(finding.equipment)
         if vav is None:
             raise _NotEstimable(f"VAV '{finding.equipment}' not in the assembled frame")
-        rows = (window & ~np.isnan(vav.flow) & ~np.isnan(vav.zone_temp)
-                & ~np.isnan(vav.supply_temp))
+        rows = ~np.isnan(vav.flow) & ~np.isnan(vav.zone_temp) & ~np.isnan(vav.supply_temp)
         if rule == 5:
             if vav.flow_setpoint is None:
                 raise _NotEstimable("no flow setpoint to define the ideal flow")
@@ -139,7 +137,7 @@ def _delta_series(finding: FaultFinding, model: CalibratedModel,
         valve = ahu.cooling_valve if rule == 2 else ahu.heating_valve
         if valve is None:
             raise _NotEstimable("no valve command to isolate closed instants")
-        rows = (window & ~np.isnan(valve) & (valve <= thresholds.valve_closed_tolerance)
+        rows = (~np.isnan(valve) & (valve <= thresholds.valve_closed_tolerance)
                 & ~np.isnan(ahu.supply_temp) & ~np.isnan(ahu.mixed_temp)
                 & ~np.isnan(ahu.flow_sum))
         if not rows.any():
@@ -155,7 +153,7 @@ def _delta_series(finding: FaultFinding, model: CalibratedModel,
     # told to make and the one the sensor reports
     if ahu.mixed_temp_measured is None or ahu.mixed_temp_estimated is None:
         raise _NotEstimable("need both a mixed-air sensor and an estimated mix")
-    rows = (window & ~np.isnan(ahu.mixed_temp_measured)
+    rows = (~np.isnan(ahu.mixed_temp_measured)
             & ~np.isnan(ahu.mixed_temp_estimated)
             & ~np.isnan(ahu.supply_temp) & ~np.isnan(ahu.flow_sum))
     if not rows.any():
@@ -168,16 +166,22 @@ def _delta_series(finding: FaultFinding, model: CalibratedModel,
     return np.where(rows, delta, 0.0) * dt_hr, METHOD_MODEL
 
 
+def _window_delta(finding: FaultFinding, model: CalibratedModel,
+                  data: BuildingData, thresholds: Thresholds):
+    """The finding window of data as a view, its delta series and the
+    method tag. Raises _NotEstimable, also for a window under a week."""
+    if finding.window_end - finding.window_start < MIN_WINDOW_DAYS * 86400:
+        raise _NotEstimable(f"finding window is shorter than {MIN_WINDOW_DAYS} days")
+    view = data.window(finding.window_start, finding.window_end)
+    return (view, *_delta_series(finding, model, view, thresholds))
+
+
 def fault_energy_loss(finding: FaultFinding, model: CalibratedModel,
                       data: BuildingData) -> float | None:
     """Observed waste over the finding window in MMBTU, or None when the
-    counterfactual cannot be built. Requires at least a week of window."""
-    if finding.window_end - finding.window_start < MIN_WINDOW_DAYS * 86400:
-        raise DisaggError(
-            f"finding window is shorter than {MIN_WINDOW_DAYS} days; "
-            "impact needs at least one week of data")
+    counterfactual cannot be built or the window is shorter than a week."""
     try:
-        delta, _ = _delta_series(finding, model, data, Thresholds())
+        _, delta, _ = _window_delta(finding, model, data, Thresholds())
     except _NotEstimable:
         return None
     return max(0.0, float(delta.sum()))
@@ -213,22 +217,20 @@ def annualize(daily_losses, daily_oat, reference_year_oat) -> AnnualResult:
     return AnnualResult(annual, float(slope), float(intercept), r, False)
 
 
-def _daily_pairs(delta: np.ndarray, data: BuildingData, start: int, end: int):
-    """Aggregate the delta series into per-calendar-day losses (each day
-    clamped, same contract as the window loss) with that day's mean OAT."""
-    in_win = data.row_mask(start, end)
-    days = data.timestamps()[in_win] // 86400
-    win_delta = delta[in_win]
-    oat = data.oat[in_win] if data.oat is not None else None
+def _daily_pairs(delta: np.ndarray, data: BuildingData):
+    """Aggregate the delta series over data's rows into per-calendar-day
+    losses (each day clamped, same contract as the window loss) with that
+    day's mean OAT."""
+    days = data.timestamps() // 86400
     daily_losses = []
     daily_oat = []
     for day in np.unique(days):
         sel = days == day
-        daily_losses.append(max(0.0, float(win_delta[sel].sum())))
-        if oat is None:
+        daily_losses.append(max(0.0, float(delta[sel].sum())))
+        if data.oat is None:
             daily_oat.append(np.nan)
         else:
-            vals = oat[sel]
+            vals = data.oat[sel]
             vals = vals[~np.isnan(vals)]
             daily_oat.append(float(vals.mean()) if len(vals) else np.nan)
     return np.array(daily_losses), np.array(daily_oat)
@@ -241,18 +243,13 @@ def estimate_impact(finding: FaultFinding, model: CalibratedModel,
     regression, annual extrapolation. A finding shorter than a week is
     listed as not estimable rather than failing the whole report.
     thresholds are the ones detection ran with."""
-    if finding.window_end - finding.window_start < MIN_WINDOW_DAYS * 86400:
-        return ImpactEstimate(
-            finding=finding, method=METHOD_NOT_ESTIMABLE,
-            notes=f"finding window is shorter than {MIN_WINDOW_DAYS} days")
     try:
-        delta, method = _delta_series(finding, model, data, thresholds)
+        view, delta, method = _window_delta(finding, model, data, thresholds)
     except _NotEstimable as why:
         return ImpactEstimate(finding=finding, method=METHOD_NOT_ESTIMABLE,
                               notes=str(why))
     observed = max(0.0, float(delta.sum()))
-    daily_losses, daily_oat = _daily_pairs(
-        delta, data, finding.window_start, finding.window_end)
+    daily_losses, daily_oat = _daily_pairs(delta, view)
     have_oat = ~np.isnan(daily_oat)
     if have_oat.sum() >= MIN_ANNUALIZE_DAYS:
         res = annualize(daily_losses[have_oat], daily_oat[have_oat],

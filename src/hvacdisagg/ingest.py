@@ -77,10 +77,10 @@ _NORMALIZED_UNIT = {Unit.PERCENT: Unit.FRACTION}
 def read_trends(
     path: str,
     binding: PointBinding,
-    interval_s: int = 900,
+    interval_s: int,
     strict: bool = False,
 ) -> tuple[dict, IngestStats]:
-    """Load a trend CSV into per-(equipment, role) series on the canonical grid.
+    """Load a trend CSV into per-(equipment, role) series on the interval_s grid.
 
     Duplicate (timestamp, point) rows keep the last occurrence. Unknown points
     are counted and dropped. Malformed rows raise in strict mode and are

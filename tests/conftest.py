@@ -12,6 +12,7 @@ import pytest
 
 from hvacdisagg import synth
 from hvacdisagg.building import EquipmentGraph, PointBinding, bind_points, load_metadata
+from hvacdisagg.config import load_run_config
 from hvacdisagg.energy import BuildingData, assemble
 from hvacdisagg.ingest import read_points, read_reference_year, read_trends
 
@@ -31,7 +32,8 @@ def load_bundle(bundle: synth.ScenarioBundle) -> LoadedBundle:
     graph = load_metadata(bundle.topology_path)
     points = read_points(bundle.points_path)
     binding = bind_points(graph, points)
-    series, _ = read_trends(bundle.trends_path, binding)
+    interval_s = load_run_config(bundle.run_config_path).interval_s
+    series, _ = read_trends(bundle.trends_path, binding, interval_s)
     data = assemble(graph, binding, series)
     return LoadedBundle(
         bundle=bundle,

@@ -25,6 +25,7 @@ from hvacdisagg import synth
 from hvacdisagg.building import PointRole, bind_points, load_metadata
 from hvacdisagg.calibrate import fit_cooling_ahu, fit_model, save_model
 from hvacdisagg.cli import main
+from hvacdisagg.config import load_run_config
 from hvacdisagg.energy import assemble
 from hvacdisagg.errors import AlignmentError, BindingError, UnitMismatchError
 from hvacdisagg.faults import (
@@ -239,7 +240,7 @@ def test_criterion_8b_trend_round_trip(impact_loaded, tmp_path):
     path = str(tmp_path / "trends.csv")
     unique = {s.point_id: s for s in impact_loaded.series.values()}
     write_trends(list(unique.values()), path)
-    reread, _ = read_trends(path, impact_loaded.binding)
+    reread, _ = read_trends(path, impact_loaded.binding, impact_loaded.data.interval_s)
     assert set(reread) == set(impact_loaded.series)
     for slot, original in impact_loaded.series.items():
         got = reread[slot]
@@ -294,7 +295,8 @@ def test_criterion_9_named_validation_errors(impact_bundle, tmp_path, capsys):
         bind_points(graph, mangled)
 
     binding = bind_points(graph, points)
-    series, _ = read_trends(impact_bundle.trends_path, binding)
+    interval_s = load_run_config(impact_bundle.run_config_path).interval_s
+    series, _ = read_trends(impact_bundle.trends_path, binding, interval_s)
     slot = ("B1", PointRole.BUILDING_COOLING_POWER)
     series[slot] = dataclasses.replace(
         series[slot], start=series[slot].start + 365 * 86400)

@@ -15,6 +15,9 @@ from hvacdisagg.building import AhuNode, EquipmentGraph, VavNode
 from hvacdisagg.calibrate import (
     MIN_FIT_ROWS,
     CalibratedModel,
+    _collect,
+    _evaluate_sub,
+    _fit_submodel,
     evaluate,
     fit_cooling_ahu,
     fit_cooling_vav,
@@ -22,10 +25,12 @@ from hvacdisagg.calibrate import (
     fit_linear,
     fit_model,
     load_model,
+    predict_cooling_ahu,
     predict_cooling_vav,
+    predict_heating,
     save_model,
 )
-from hvacdisagg.energy import AhuData, BuildingData, VavData
+from hvacdisagg.energy import DEFAULT_CONSTANTS, AhuData, BuildingData, VavData
 from hvacdisagg.errors import ConfigError, FitError, RankDeficiencyError
 
 T0 = 1_767_571_200  # 2026-01-05T00:00:00Z, a Monday
@@ -229,14 +234,13 @@ class TestCoolingVavFit:
         data = _building()
         data.cooling_meter = (1.1 * data.sum_vav_cooling()
                               + 0.9 * data.sum_economizer() + 0.05)
-        window = (T0, T0 + 100 * GRID)
-        fit = fit_cooling_vav(data, window)
+        fit = fit_cooling_vav(data.window(T0, T0 + 100 * GRID))
         assert fit.n_train == 100
 
     def test_insufficient_rows(self):
         data = _building()
         with pytest.raises(FitError, match="insufficient overlapping samples"):
-            fit_cooling_vav(data, (T0, T0 + (MIN_FIT_ROWS - 1) * GRID))
+            fit_cooling_vav(data.window(T0, T0 + (MIN_FIT_ROWS - 1) * GRID))
 
     def test_dead_building_degenerates_to_intercept(self):
         data = _building()
@@ -274,9 +278,9 @@ class TestCoolingAhuFit:
     def test_all_heating_window_refused(self):
         data = _building()
         data.cooling_meter = 1.15 * data.sum_ahu_cooling() + 0.03
-        heating_only = (T0 + (data.n_rows // 2) * GRID, data.end)
+        heating_only = data.window(T0 + (data.n_rows // 2) * GRID, data.end)
         with pytest.raises(FitError, match="insufficient"):
-            fit_cooling_ahu(data, heating_only)
+            fit_cooling_ahu(heating_only)
 
 
 class TestHeatingFit:
@@ -333,7 +337,7 @@ class TestFitModel:
     def test_coefficients_match_direct_window_fits(self):
         data = self._prepared()
         model = fit_model(data, split_fraction=0.7)
-        direct = fit_cooling_vav(data, model.train_window)
+        direct = fit_cooling_vav(data.window(*model.train_window))
         assert model["c1"] == direct.coefficient("c1")
         assert model["c2"] == direct.coefficient("c2")
         assert model["c3"] == direct.coefficients[-1]
@@ -366,6 +370,84 @@ class TestFitModel:
         data = self._prepared()
         with pytest.raises(ConfigError, match="split fraction"):
             fit_model(data, split_fraction=1.5)
+
+
+def masked_fit_model(data, split_fraction, constants=DEFAULT_CONSTANTS):
+    """The masked path fit_model replaced: every sub-fit and every score
+    runs on full-frame arrays, restricted by row_mask of its window and,
+    for the AHU cooling and heating balances, by the mode rows."""
+    n_train = max(1, min(data.n_rows, int(round(data.n_rows * split_fraction))))
+    split = data.start + n_train * data.interval_s
+    train = data.row_mask(data.start, split)
+    cooling, heating = data.cooling_rows(constants), data.heating_rows(constants)
+    heat_columns = [("c6", data.sum_ahu_heating(constants))]
+    reheat = data.sum_vav_heating(constants)
+    if reheat is not None:
+        heat_columns.append(("c7", reheat))
+    subs = {
+        "cooling_vav": _fit_submodel(
+            "cooling_vav", [("c1", data.sum_vav_cooling(constants)),
+                            ("c2", data.sum_economizer(constants))],
+            data.cooling_meter, train),
+        "cooling_ahu": _fit_submodel(
+            "cooling_ahu", [("c4", data.sum_ahu_cooling(constants))],
+            data.cooling_meter, train & cooling),
+        "heating": _fit_submodel("heating", heat_columns, data.heating_meter,
+                                 train & heating),
+    }
+    model = CalibratedModel(
+        coefficients=_collect(subs), constants=constants,
+        interval_s=data.interval_s, train_window=(data.start, split),
+        test_window=None, submodels=subs,
+        reheat_fitted="c7" in subs["heating"].coefficient_names)
+    if split >= data.end:
+        return model
+    test = data.row_mask(split, data.end)
+    scored = {
+        "cooling_vav": _evaluate_sub(subs["cooling_vav"], predict_cooling_vav(model, data),
+                                     data.cooling_meter, test),
+        "cooling_ahu": _evaluate_sub(subs["cooling_ahu"], predict_cooling_ahu(model, data),
+                                     data.cooling_meter, test & cooling),
+        "heating": _evaluate_sub(subs["heating"], predict_heating(model, data),
+                                 data.heating_meter, test & heating),
+    }
+    return CalibratedModel(
+        coefficients=model.coefficients, constants=constants,
+        interval_s=data.interval_s, train_window=model.train_window,
+        test_window=(split, data.end), submodels=scored,
+        reheat_fitted=model.reheat_fitted)
+
+
+class TestWindowedFitMatchesMaskedPath:
+    """fit_model cuts its train and test windows as views; the masked
+    full-frame path must give the same numbers, bit for bit."""
+
+    def _check(self, data, split_fraction):
+        got = fit_model(data, split_fraction)
+        want = masked_fit_model(data, split_fraction)
+        assert got.coefficients == want.coefficients
+        assert got.submodels == want.submodels
+        assert got.train_window == want.train_window
+        assert got.test_window == want.test_window
+        assert got.reheat_fitted == want.reheat_fitted
+
+    @pytest.mark.parametrize("split_fraction", [0.3, 0.7, 1.0])
+    def test_same_fit_and_scores(self, split_fraction):
+        self._check(TestFitModel()._prepared(), split_fraction)
+
+    @pytest.mark.parametrize("split_fraction", [0.3, 0.7, 1.0])
+    def test_same_fit_and_scores_with_held_out_gaps(self, split_fraction):
+        data = TestFitModel()._prepared()
+        rng = np.random.default_rng(17)
+        half = data.n_rows // 2
+        for values in (data.cooling_meter, data.heating_meter,
+                       data.vavs["V1"].zone_temp, data.vavs["V2"].flow,
+                       data.ahus["A1"].mixed_temp):
+            values[half + rng.choice(data.n_rows - half, size=25, replace=False)] = np.nan
+        self._check(data, split_fraction)
+        sub = fit_model(data, split_fraction).submodels["cooling_vav"]
+        held_out = data.n_rows - int(round(data.n_rows * split_fraction))
+        assert sub.n_test is None if held_out == 0 else sub.n_test < held_out
 
 
 class TestModelFile:
@@ -436,8 +518,9 @@ class TestEvaluate:
         data = TestFitModel()._prepared()
         model = fit_model(data, split_fraction=1.0)
         assert model.test_window is None
-        scored = evaluate(model, data, (T0, data.end))
+        scored = evaluate(model, data.window(T0, data.end))
         assert scored is not model
+        assert scored.test_window == (T0, data.end)
         assert isinstance(scored, CalibratedModel)
         assert scored.submodels["cooling_vav"].n_test == data.n_rows
         assert model.submodels["cooling_vav"].n_test is None

@@ -20,14 +20,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hvacdisagg.calibrate import fit_model
-from hvacdisagg.errors import DisaggError, FitError
+from hvacdisagg.energy import ahu_power, vav_cooling_power, vav_heating_power
+from hvacdisagg.errors import FitError
 from hvacdisagg.faults import RULE_NAMES, FaultFinding, Thresholds, run_all
 from hvacdisagg.impact import (
     METHOD_MODEL,
     METHOD_NOT_ESTIMABLE,
     METHOD_SETPOINT,
+    MIN_WINDOW_DAYS,
     REPORT_HEADER,
     ImpactEstimate,
+    _NotEstimable,
+    _window_delta,
     annualize,
     build_report,
     estimate_all,
@@ -148,8 +152,10 @@ class TestFaultEnergyLoss:
     def test_short_window_rejected(self, impact_loaded, impact_model):
         (inj,) = impact_loaded.truth.injections
         finding = _finding(5, inj.equipment, inj.start, inj.start + 3 * DAY)
-        with pytest.raises(DisaggError, match="shorter than 7 days"):
-            fault_energy_loss(finding, impact_model, impact_loaded.data)
+        assert fault_energy_loss(finding, impact_model, impact_loaded.data) is None
+        est = estimate_impact(finding, impact_model, impact_loaded.data,
+                              impact_loaded.reference_oat)
+        assert est.notes == "finding window is shorter than 7 days"
 
     def test_missing_setpoint_not_estimable(self, impact_loaded, impact_model):
         data = impact_loaded.data
@@ -169,6 +175,122 @@ class TestFaultEnergyLoss:
         data = dataclasses.replace(data, vavs={**data.vavs, "VAV1-01": starved})
         finding = _finding(5, "VAV1-01", data.start, data.start + 8 * DAY)
         assert fault_energy_loss(finding, impact_model, data) == 0.0
+
+
+def masked_delta_series(finding, model, data, thresholds):
+    """The full-frame path the window view replaced: per-row (faulty -
+    ideal) MMBTU over the whole frame, zero outside row_mask of the finding
+    window, plus the method tag. Raises _NotEstimable as impact does."""
+    if finding.window_end - finding.window_start < MIN_WINDOW_DAYS * DAY:
+        raise _NotEstimable(f"finding window is shorter than {MIN_WINDOW_DAYS} days")
+    k = model.constants.air_power_k
+    deadband = model.constants.mode_deadband_f
+    window = data.row_mask(finding.window_start, finding.window_end)
+    dt_hr = data.interval_s / 3600.0
+    rule = finding.rule
+    if rule in (4, 5):
+        vav = data.vavs.get(finding.equipment)
+        if vav is None:
+            raise _NotEstimable(f"VAV '{finding.equipment}' not in the assembled frame")
+        rows = (window & ~np.isnan(vav.flow) & ~np.isnan(vav.zone_temp)
+                & ~np.isnan(vav.supply_temp))
+        if rule == 5:
+            if vav.flow_setpoint is None:
+                raise _NotEstimable("no flow setpoint to define the ideal flow")
+            rows &= ~np.isnan(vav.flow_setpoint)
+            ideal_flow = vav.flow_setpoint
+        else:
+            if vav.min_flow is None:
+                raise _NotEstimable("VAV missing min-flow config")
+            if vav.occupied is None:
+                raise _NotEstimable("no occupancy signal to scope the ideal flow")
+            rows &= ~np.isnan(vav.min_flow) & ~np.isnan(vav.occupied)
+            held = vav.occupied <= 0.0
+            if vav.zone_upper_limit is not None:
+                held &= vav.zone_temp < vav.zone_upper_limit
+            ideal_flow = np.where(held, vav.min_flow, vav.flow)
+        if not rows.any():
+            raise _NotEstimable("no usable instants in the finding window")
+        delta = model["c1"] * (
+            vav_cooling_power(vav.flow, vav.zone_temp, vav.supply_temp, k)
+            - vav_cooling_power(ideal_flow, vav.zone_temp, vav.supply_temp, k))
+        if (model.reheat_fitted and vav.heating_valve is not None
+                and data.hot_water_temp is not None):
+            delta = delta + model["c7"] * (
+                vav_heating_power(data.hot_water_temp, vav.supply_temp,
+                                  vav.flow, vav.heating_valve, k)
+                - vav_heating_power(data.hot_water_temp, vav.supply_temp,
+                                    ideal_flow, vav.heating_valve, k))
+        return np.where(rows, delta, 0.0) * dt_hr, METHOD_SETPOINT
+    ahu = data.ahus.get(finding.equipment)
+    if ahu is None:
+        raise _NotEstimable(f"AHU '{finding.equipment}' not in the assembled frame")
+    if rule in (2, 3):
+        valve = ahu.cooling_valve if rule == 2 else ahu.heating_valve
+        if valve is None:
+            raise _NotEstimable("no valve command to isolate closed instants")
+        rows = (window & ~np.isnan(valve) & (valve <= thresholds.valve_closed_tolerance)
+                & ~np.isnan(ahu.supply_temp) & ~np.isnan(ahu.mixed_temp)
+                & ~np.isnan(ahu.flow_sum))
+        if not rows.any():
+            raise _NotEstimable("valve never commanded closed in the finding window")
+        cooling, heating = ahu_power(ahu.mixed_temp, ahu.supply_temp,
+                                     ahu.flow_sum, k, deadband)
+        coil = model["c4"] * cooling if rule == 2 else model["c6"] * heating
+        return np.where(rows, coil, 0.0) * dt_hr, METHOD_MODEL
+    if ahu.mixed_temp_measured is None or ahu.mixed_temp_estimated is None:
+        raise _NotEstimable("need both a mixed-air sensor and an estimated mix")
+    rows = (window & ~np.isnan(ahu.mixed_temp_measured)
+            & ~np.isnan(ahu.mixed_temp_estimated)
+            & ~np.isnan(ahu.supply_temp) & ~np.isnan(ahu.flow_sum))
+    if not rows.any():
+        raise _NotEstimable("no usable instants in the finding window")
+    clg_f, htg_f = ahu_power(ahu.mixed_temp_measured, ahu.supply_temp,
+                             ahu.flow_sum, k, deadband)
+    clg_i, htg_i = ahu_power(ahu.mixed_temp_estimated, ahu.supply_temp,
+                             ahu.flow_sum, k, deadband)
+    delta = model["c4"] * (clg_f - clg_i) + model["c6"] * (htg_f - htg_i)
+    return np.where(rows, delta, 0.0) * dt_hr, METHOD_MODEL
+
+
+def _stripped(data):
+    """data without the inputs each rule's counterfactual needs."""
+    vavs = {k: dataclasses.replace(v, flow_setpoint=None, min_flow=None)
+            for k, v in data.vavs.items()}
+    ahus = {k: dataclasses.replace(a, cooling_valve=None, heating_valve=None,
+                                   mixed_temp_measured=None)
+            for k, a in data.ahus.items()}
+    return dataclasses.replace(data, vavs=vavs, ahus=ahus)
+
+
+def _outcome(delta_fn, finding, model, data):
+    try:
+        delta, method = delta_fn(finding, model, data, Thresholds())
+    except _NotEstimable as why:
+        return None, METHOD_NOT_ESTIMABLE, str(why)
+    return delta, method, ""
+
+
+@pytest.mark.parametrize("bundle", ["faulted", "impact"])
+@pytest.mark.parametrize("strip", [False, True], ids=["full", "stripped"])
+def test_view_delta_matches_masked_delta(bundle, strip, request):
+    loaded = request.getfixturevalue(f"{bundle}_loaded")
+    model = request.getfixturevalue(f"{bundle}_model")
+    data = _stripped(loaded.data) if strip else loaded.data
+    findings = list(run_all(loaded.data).findings)
+    assert findings
+    if bundle == "impact":
+        # a window under a week takes the not-estimable path before any cut
+        (inj,) = loaded.truth.injections
+        findings.append(_finding(5, inj.equipment, inj.start, inj.start + 3 * DAY))
+    for finding in findings:
+        got, got_method, got_note = _outcome(
+            lambda *a: _window_delta(*a)[1:], finding, model, data)
+        want, want_method, want_note = _outcome(masked_delta_series, finding, model, data)
+        assert (got_method, got_note) == (want_method, want_note), finding
+        if want is not None:
+            mask = data.row_mask(finding.window_start, finding.window_end)
+            assert got.tobytes() == want[mask].tobytes(), finding
 
 
 class TestEstimateImpact:

@@ -64,7 +64,7 @@ class TestReadTrends:
             rows.append(f"{format_timestamp(T0 + i * GRID)},AH1.SAT,{v}")
         p.write_text("\n".join(rows) + "\n")
         b = binding_for([("AH1", PointRole.AHU_SUPPLY_AIR_TEMP, "AH1.SAT", Unit.DEG_F)])
-        series, stats = read_trends(str(p), b)
+        series, stats = read_trends(str(p), b, GRID)
         s = series[("AH1", PointRole.AHU_SUPPLY_AIR_TEMP)]
         assert s.start == T0
         np.testing.assert_allclose(s.values, [55.2, 55.4, 55.6])
@@ -77,7 +77,7 @@ class TestReadTrends:
             rows.append(f"{format_timestamp(T0 + i * 300)},P,{v}")
         p.write_text("\n".join(rows) + "\n")
         b = binding_for([("V1", PointRole.ZONE_TEMP, "P", Unit.DEG_F)])
-        series, _ = read_trends(str(p), b)
+        series, _ = read_trends(str(p), b, GRID)
         np.testing.assert_allclose(series[("V1", PointRole.ZONE_TEMP)].values, [3.0, 9.0])
 
     def test_percent_normalized_to_fraction(self, tmp_path):
@@ -88,7 +88,7 @@ class TestReadTrends:
             f"{format_timestamp(T0 + GRID)},D,100.0\n"
         )
         b = binding_for([("AH1", PointRole.ECONOMIZER_DAMPER_POS, "D", Unit.PERCENT)])
-        series, _ = read_trends(str(p), b)
+        series, _ = read_trends(str(p), b, GRID)
         s = series[("AH1", PointRole.ECONOMIZER_DAMPER_POS)]
         np.testing.assert_allclose(s.values, [0.35, 1.0])
         assert s.unit is Unit.FRACTION
@@ -102,7 +102,7 @@ class TestReadTrends:
             f"{format_timestamp(T0 + GRID)},OCC,0\n"
         )
         b = binding_for([("V1", PointRole.OCCUPIED_CMD, "OCC", Unit.BOOL)])
-        series, _ = read_trends(str(p), b)
+        series, _ = read_trends(str(p), b, GRID)
         np.testing.assert_array_equal(series[("V1", PointRole.OCCUPIED_CMD)].values, [1.0, 0.0])
 
     def test_duplicate_timestamp_last_occurrence_wins(self, tmp_path):
@@ -110,7 +110,7 @@ class TestReadTrends:
         ts = format_timestamp(T0)
         p.write_text(f"timestamp,point,value\n{ts},P,1.0\n{ts},P,2.0\n")
         b = binding_for([("V1", PointRole.ZONE_TEMP, "P", Unit.DEG_F)])
-        series, stats = read_trends(str(p), b)
+        series, stats = read_trends(str(p), b, GRID)
         assert series[("V1", PointRole.ZONE_TEMP)].values[0] == 2.0
         assert stats.duplicates == 1
 
@@ -122,7 +122,7 @@ class TestReadTrends:
             f"{format_timestamp(T0 + 3 * GRID)},P,4.0\n"
         )
         b = binding_for([("V1", PointRole.ZONE_TEMP, "P", Unit.DEG_F)])
-        series, _ = read_trends(str(p), b)
+        series, _ = read_trends(str(p), b, GRID)
         vals = series[("V1", PointRole.ZONE_TEMP)].values
         assert len(vals) == 4
         assert np.isnan(vals[1]) and np.isnan(vals[2])
@@ -135,7 +135,7 @@ class TestReadTrends:
             f"{format_timestamp(T0)},MYSTERY,9.9\n"
         )
         b = binding_for([("V1", PointRole.ZONE_TEMP, "KNOWN", Unit.DEG_F)])
-        _, stats = read_trends(str(p), b)
+        _, stats = read_trends(str(p), b, GRID)
         assert stats.unknown_points == 1
 
     def test_lenient_skips_bad_rows(self, tmp_path):
@@ -147,7 +147,7 @@ class TestReadTrends:
             f"{format_timestamp(T0)},P,2.5\n"
         )
         b = binding_for([("V1", PointRole.ZONE_TEMP, "P", Unit.DEG_F)])
-        series, stats = read_trends(str(p), b)
+        series, stats = read_trends(str(p), b, GRID)
         assert stats.skipped == 2
         assert series[("V1", PointRole.ZONE_TEMP)].values[0] == 2.5
 
@@ -156,12 +156,12 @@ class TestReadTrends:
         p.write_text(f"timestamp,point,value\n{format_timestamp(T0)},P,oops\n")
         b = binding_for([("V1", PointRole.ZONE_TEMP, "P", Unit.DEG_F)])
         with pytest.raises(IngestError, match=":2:"):
-            read_trends(str(p), b, strict=True)
+            read_trends(str(p), b, GRID, strict=True)
 
     def test_missing_file_is_os_error(self):
         b = binding_for([("V1", PointRole.ZONE_TEMP, "P", Unit.DEG_F)])
         with pytest.raises(OSError):
-            read_trends("/nonexistent/trends.csv", b)
+            read_trends("/nonexistent/trends.csv", b, GRID)
 
 
 class TestRoundTrip:
@@ -173,7 +173,7 @@ class TestRoundTrip:
         path = tmp_path / "out.csv"
         write_trends([original], str(path))
         b = binding_for([("V1", PointRole.ZONE_TEMP, "B1.P1", Unit.DEG_F)])
-        series, _ = read_trends(str(path), b)
+        series, _ = read_trends(str(path), b, GRID)
         got = series[("V1", PointRole.ZONE_TEMP)]
         assert got.start == original.start
         # trailing gaps cannot survive (no rows to mark them), interior ones must
@@ -219,7 +219,7 @@ class TestRoundTrip:
         path = tmp_path / "v.csv"
         write_trends([original], str(path))
         b = binding_for([("AH1", PointRole.AHU_COOLING_VALVE_CMD, "VLV", Unit.FRACTION)])
-        series, _ = read_trends(str(path), b)
+        series, _ = read_trends(str(path), b, GRID)
         np.testing.assert_array_equal(
             series[("AH1", PointRole.AHU_COOLING_VALVE_CMD)].values, vals
         )
@@ -251,7 +251,7 @@ class TestReferenceYear:
 _NORMALIZED = {Unit.PERCENT: Unit.FRACTION}
 
 
-def reference_read_trends(path, binding, interval_s=900, strict=False):
+def reference_read_trends(path, binding, interval_s, strict=False):
     """Row-at-a-time reader: one parse per row, a dict of samples per point."""
     slots_by_point = {}
     for slot, point_id in binding.bindings.items():
