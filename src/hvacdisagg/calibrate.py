@@ -86,13 +86,19 @@ def fit_linear(features: np.ndarray, target: np.ndarray,
             f"features are collinear or constant: column '{names[culprit]}' "
             "adds no independent information", column=names[culprit])
 
-    # imported here so that commands which never fit skip scipy's start-up cost
-    import scipy.linalg
-
+    # Forward then back substitution through the Cholesky factor. Each step
+    # is one dot product summed in LAPACK's order (row-wise forward, then
+    # column-wise from the last unknown back), so on FMA BLAS builds the
+    # result matches LAPACK's triangular solve (dtrtrs) bit for bit.
     chol = np.linalg.cholesky(gram)
     rhs = scaled.T @ y
-    half = scipy.linalg.solve_triangular(chol, rhs, lower=True)
-    beta = scipy.linalg.solve_triangular(chol.T, half, lower=False)
+    half = np.zeros(p + 1)
+    for i in range(p + 1):
+        half[i] = (rhs[i] - chol[i, :i] @ half[:i]) / chol[i, i]
+    beta = np.zeros(p + 1)
+    for i in reversed(range(p + 1)):
+        beta[i] = (np.concatenate(([half[i]], beta[:i:-1]))
+                   @ np.concatenate(([1.0], -chol[:i:-1, i]))) / chol[i, i]
     return beta / scale
 
 

@@ -26,7 +26,7 @@ from .faults import read_findings, run_all, write_findings
 from .impact import build_report, estimate_all, format_report, prioritize, \
     write_report_csv
 from .ingest import format_timestamp, format_timestamps, read_points, \
-    read_reference_year, read_trends, write_trends
+    read_reference_year, read_trends_cached, write_trends
 from .synth import generate
 from .timeseries import TimeSeries, Unit, rmse
 
@@ -44,7 +44,8 @@ def _load_building(cfg: RunConfig, strict: bool):
     graph = load_metadata(cfg.topology_path)
     points = read_points(cfg.points_path)
     binding = bind_points(graph, points)
-    series, stats = read_trends(cfg.trends_path, binding, cfg.interval_s, strict)
+    series, stats = read_trends_cached(cfg.trends_path, binding, cfg.interval_s,
+                                       strict, cfg.output_dir)
     data = assemble(graph, binding, series)
     return graph, binding, series, stats, data
 

@@ -4,15 +4,19 @@ Trend logs are long-format CSV with header ``timestamp,point,value``;
 timestamps are ISO-8601 with a UTC offset and values are plain decimals.
 Raw samples land on the canonical grid by bucket: mean for analog points,
 last-wins for boolean ones. Percent-tagged commands are divided by 100 so
-everything downstream works in fractions.
+everything downstream works in fractions. ``read_trends_cached`` puts a
+one-file cache in front of ``read_trends``, so the commands of one run
+parse the same trend file once between them.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
+import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from itertools import repeat
 
@@ -30,6 +34,7 @@ __all__ = [
     "read_points",
     "write_points",
     "read_trends",
+    "read_trends_cached",
     "write_trends",
     "read_reference_year",
     "write_reference_year",
@@ -38,6 +43,11 @@ __all__ = [
 TREND_HEADER = ["timestamp", "point", "value"]
 POINTS_HEADER = ["point_id", "name", "unit"]
 REFERENCE_YEAR_HEADER = ["day_of_year", "oat_f"]
+
+# read_trends_cached's file under the output directory, and the version of
+# its layout; bump the version whenever what read_trends returns changes.
+TRENDS_CACHE_NAME = ".trends-cache"
+TRENDS_CACHE_FORMAT = 1
 
 
 def parse_timestamp(text: str) -> int:
@@ -74,6 +84,14 @@ class IngestStats:
 _NORMALIZED_UNIT = {Unit.PERCENT: Unit.FRACTION}
 
 
+def _slots_by_point(binding: PointBinding) -> dict:
+    """point_id -> its bound slots, both in binding order."""
+    slots_by_point: dict = {}
+    for slot, point_id in binding.bindings.items():
+        slots_by_point.setdefault(point_id, []).append(slot)
+    return slots_by_point
+
+
 def read_trends(
     path: str,
     binding: PointBinding,
@@ -86,9 +104,7 @@ def read_trends(
     are counted and dropped. Malformed rows raise in strict mode and are
     skipped (and counted) otherwise.
     """
-    slots_by_point: dict = {}
-    for slot, point_id in binding.bindings.items():
-        slots_by_point.setdefault(point_id, []).append(slot)
+    slots_by_point = _slots_by_point(binding)
 
     # one (epochs, values) column pair per bound point, in file order
     columns = {pid: (array("q"), array("d")) for pid in slots_by_point}
@@ -171,6 +187,103 @@ def read_trends(
         for slot in slots_by_point[point_id]:
             result[slot] = series
     return result, stats
+
+
+def _file_sha256(path: str) -> str:
+    # imported here: OpenSSL adds about 3.5 MB of RSS, and synth never hashes
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def read_trends_cached(
+    path: str,
+    binding: PointBinding,
+    interval_s: int,
+    strict: bool,
+    cache_dir: str,
+) -> tuple[dict, IngestStats]:
+    """read_trends, answered from cache_dir/TRENDS_CACHE_NAME when it holds
+    the result for these exact arguments.
+
+    The cache file is one JSON header line (its key, then point id, start,
+    unit and length of each series, then the IngestStats) followed by every
+    series' values as little-endian float64 bytes. The key covers the trend
+    file's sha256, interval_s, strict, everything read_trends reads of the
+    binding and TRENDS_CACHE_FORMAT. A missing, stale or damaged cache is
+    parsed over, and a cache that cannot be written is skipped; neither is
+    an error. The trend file is read for its hash on every call, so a
+    missing or unreadable one raises OSError as read_trends would.
+    """
+    slots_by_point = _slots_by_point(binding)
+    key = {
+        "format": TRENDS_CACHE_FORMAT,
+        "sha256": _file_sha256(path),
+        "interval_s": interval_s,
+        "strict": bool(strict),
+        "points": [[pid, binding.units.get(pid, Unit.DEG_F).value,
+                    [[equip, role.name] for equip, role in slots]]
+                   for pid, slots in slots_by_point.items()],
+    }
+    cache_path = os.path.join(cache_dir, TRENDS_CACHE_NAME)
+    try:
+        return _load_trends_cache(cache_path, key, slots_by_point, interval_s)
+    except (OSError, ValueError, TypeError, KeyError):
+        pass
+    # looked up as a module global, so a tracer wrapping read_trends sees
+    # every real parse
+    result, stats = read_trends(path, binding, interval_s, strict)
+    _store_trends_cache(cache_path, key, result, stats)
+    return result, stats
+
+
+def _load_trends_cache(cache_path: str, key: dict, slots_by_point: dict,
+                       interval_s: int) -> tuple[dict, IngestStats]:
+    """The cached result for key; raises when the file does not hold it."""
+    with open(cache_path, "rb") as fh:
+        header = json.loads(fh.readline())
+        if header["key"] != key:
+            raise ValueError("trend cache is stale")
+        payload = fh.read()
+    entries = header["series"]
+    if len(payload) != 8 * sum(n for _, _, _, n in entries):
+        raise ValueError("trend cache is truncated")
+    flat = np.frombuffer(payload, dtype="<f8")
+    result: dict = {}
+    pos = 0
+    for point_id, start, unit, n in entries:
+        series = TimeSeries(point_id=point_id, start=start, interval_s=interval_s,
+                            unit=Unit(unit), values=flat[pos:pos + n])
+        pos += n
+        for slot in slots_by_point[point_id]:
+            result[slot] = series
+    return result, IngestStats(**header["stats"])
+
+
+def _store_trends_cache(cache_path: str, key: dict, result: dict,
+                        stats: IngestStats) -> None:
+    """Write the cache next to its final name, then move it into place."""
+    unique = list({s.point_id: s for s in result.values()}.values())
+    header = {"key": key,
+              "series": [[s.point_id, s.start, s.unit.value, len(s)] for s in unique],
+              "stats": asdict(stats)}
+    tmp = f"{cache_path}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header).encode("utf-8") + b"\n")
+            for s in unique:
+                fh.write(s.values.astype("<f8", copy=False).tobytes())
+        os.replace(tmp, cache_path)
+    except OSError:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
 
 
 def read_points(path: str) -> list[PointInfo]:

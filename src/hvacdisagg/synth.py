@@ -653,21 +653,6 @@ def _write_truth_powers(path: str, tr: TraceSet, per_equipment: dict, sums: dict
                                for c in columns)))
 
 
-def load_truth_powers(path: str):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        columns = header[1:]
-        ts = []
-        data = [[] for _ in columns]
-        for row in reader:
-            ts.append(parse_timestamp(row[0]))
-            for i, cell in enumerate(row[1:]):
-                data[i].append(float(cell))
-    return (np.array(ts, dtype=np.int64),
-            {c: np.array(vals) for c, vals in zip(columns, data)})
-
-
 def _write_ground_truth(path: str, spec: ScenarioSpec, tr: TraceSet,
                         records, n_cooling: int, n_heating: int) -> None:
     cp = configparser.ConfigParser(interpolation=None)

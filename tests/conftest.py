@@ -6,11 +6,12 @@ metadata/points/trends path is part of what the integration tests cover,
 so the loader here is the same sequence the CLI runs.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import pytest
 
-from hvacdisagg import synth
+from hvacdisagg import ingest, synth
 from hvacdisagg.building import EquipmentGraph, PointBinding, bind_points, load_metadata
 from hvacdisagg.config import load_run_config
 from hvacdisagg.energy import BuildingData, assemble
@@ -44,6 +45,23 @@ def load_bundle(bundle: synth.ScenarioBundle) -> LoadedBundle:
         data=data,
         reference_oat=read_reference_year(bundle.reference_year_path),
     )
+
+
+@contextmanager
+def counted_parses():
+    """Collect the arguments of every real trend parse. read_trends_cached
+    calls read_trends through the module global, so this sees what a
+    benchmark tracer wrapping read_trends would."""
+    calls = []
+    real = ingest.read_trends
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "read_trends", counted)
+        yield calls
 
 
 def _generated(tmp_path_factory, name, spec):

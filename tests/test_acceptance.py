@@ -20,7 +20,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import load_bundle
+from conftest import counted_parses, load_bundle
 from hvacdisagg import synth
 from hvacdisagg.building import PointRole, bind_points, load_metadata
 from hvacdisagg.calibrate import fit_cooling_ahu, fit_model, save_model
@@ -37,6 +37,7 @@ from hvacdisagg.faults import (
 )
 from hvacdisagg.impact import annualize, fault_energy_loss
 from hvacdisagg.ingest import (
+    TRENDS_CACHE_NAME,
     format_timestamp,
     parse_timestamp,
     read_points,
@@ -269,6 +270,41 @@ def test_criterion_8c_report_order_independent(faulted_loaded, tmp_path, capsys)
     first = outputs[0]
     for other in outputs[1:]:
         assert other == first
+
+
+def test_criterion_8d_warm_trend_cache_changes_no_byte(impact_bundle, tmp_path, capsys):
+    """The README sequence plus estimate, on a fresh output directory and
+    again on the warm trend cache the first pass left: every output file
+    and every stdout byte-identical, one trend parse in all. A warm cache
+    never stands in for a missing trend file: that stays an I/O error."""
+    work = tmp_path / "bundle"
+    shutil.copytree(impact_bundle.out_dir, work)
+    conf = str(work / "run.conf")
+    cache = work / "out" / TRENDS_CACHE_NAME
+
+    def run_all_commands():
+        stdouts = []
+        for command in ("validate", "fit", "detect", "report", "estimate"):
+            assert main([command, "--config", conf]) == 0, command
+            stdouts.append(capsys.readouterr().out)
+        files = {str(p.relative_to(work)): p.read_bytes()
+                 for p in sorted(work.rglob("*")) if p.is_file() and p != cache}
+        return stdouts, files
+
+    shutil.rmtree(work / "out", ignore_errors=True)
+    with counted_parses() as parses:
+        cold = run_all_commands()
+        assert len(parses) == 1 and cache.is_file()
+        warm = run_all_commands()
+        assert len(parses) == 1
+    assert warm[0] == cold[0]
+    assert list(warm[1]) == list(cold[1])
+    for name, blob in cold[1].items():
+        assert warm[1][name] == blob, name
+
+    os.remove(work / "trends.csv")
+    assert main(["fit", "--config", conf]) == 2
+    assert capsys.readouterr().err.startswith("io error:")
 
 
 # --- criterion 9 -------------------------------------------------------

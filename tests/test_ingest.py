@@ -1,7 +1,10 @@
 import csv
+import dataclasses
+import functools
 import math
 import os
 import re
+import stat
 import tempfile
 
 import numpy as np
@@ -9,15 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import counted_parses
 from hvacdisagg.building import PointBinding, PointRole
 from hvacdisagg.errors import IngestError
 from hvacdisagg.ingest import (
     TREND_HEADER,
+    TRENDS_CACHE_NAME,
     IngestStats,
     format_timestamp,
     parse_timestamp,
     read_reference_year,
     read_trends,
+    read_trends_cached,
     write_reference_year,
     write_trends,
 )
@@ -417,6 +423,11 @@ def test_columnar_reader_matches_per_row_oracle(header, rows, strict):
     if isinstance(want, str):
         assert got == want
         return
+    assert_same_read(got, want)
+
+
+def assert_same_read(got, want):
+    """Two read_trends results agree bit for bit, slot order included."""
     (got_series, got_stats), (want_series, want_stats) = got, want
     assert got_stats == want_stats
     assert list(got_series) == list(want_series)
@@ -469,3 +480,157 @@ def test_strict_error_names_the_malformed_line(tmp_path, bad, message):
     with pytest.raises(IngestError) as want:
         reference_read_trends(str(p), ORACLE_BINDING, interval_s=GRID, strict=True)
     assert str(got.value) == str(want.value)
+
+
+# -- the trend cache in front of read_trends ----------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(
+    header=st.booleans(),
+    rows=st.lists(st.one_of(_good_row, _good_row, _good_row, _bad_row), max_size=40),
+    strict=st.booleans(),
+)
+def test_cache_hit_matches_fresh_read(header, rows, strict):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        _write_rows(path, header, rows)
+        cached = functools.partial(read_trends_cached, cache_dir=os.path.join(tmp, "out"))
+        want = _outcome(read_trends, path, strict)
+        with counted_parses() as parses:
+            miss = _outcome(cached, path, strict)
+            hit = _outcome(cached, path, strict)
+    if isinstance(want, str):
+        # a failed parse leaves nothing to cache
+        assert miss == hit == want
+        assert len(parses) == 2
+        return
+    assert len(parses) == 1
+    assert_same_read(miss, want)
+    assert_same_read(hit, want)
+
+
+CACHE_ROWS = [
+    [format_timestamp(T0), "A", "1.0"],
+    [format_timestamp(T0 + 300), "P", "50"],
+    [format_timestamp(T0 + 600), "B", "2"],
+    [format_timestamp(T0 + GRID), "A", "4.0"],
+    [format_timestamp(T0 + GRID), "U1", "9.0"],
+    [format_timestamp(T0 + 2 * GRID), "P", "75"],
+]
+
+
+@pytest.fixture
+def cache_case(tmp_path):
+    """A clean trend file, its output directory, and a primed cache."""
+    path = tmp_path / "t.csv"
+    _write_rows(path, True, CACHE_ROWS)
+    out = tmp_path / "out"
+    read_trends_cached(str(path), ORACLE_BINDING, GRID, False, str(out))
+    assert (out / TRENDS_CACHE_NAME).is_file()
+    return path, out
+
+
+def _change_byte(path):
+    data = bytearray(path.read_bytes())
+    at = data.index(b"4.0")
+    data[at] = ord("5")
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("change", ["trend byte", "interval_s", "strict",
+                                    "point dropped", "unit changed"])
+def test_cache_misses_when_its_key_changes(cache_case, change):
+    path, out = cache_case
+    binding, interval_s, strict = ORACLE_BINDING, GRID, False
+    if change == "trend byte":
+        _change_byte(path)
+    elif change == "interval_s":
+        interval_s = 2 * GRID
+    elif change == "strict":
+        strict = True
+    elif change == "point dropped":
+        binding = PointBinding(
+            bindings={slot: pid for slot, pid in ORACLE_BINDING.bindings.items()
+                      if pid != "B"},
+            unresolved=(), units=ORACLE_BINDING.units)
+    else:
+        binding = dataclasses.replace(
+            ORACLE_BINDING, units={**ORACLE_BINDING.units, "P": Unit.FRACTION})
+    want = read_trends(str(path), binding, interval_s, strict)
+    with counted_parses() as parses:
+        miss = read_trends_cached(str(path), binding, interval_s, strict, str(out))
+        hit = read_trends_cached(str(path), binding, interval_s, strict, str(out))
+    assert len(parses) == 1
+    assert_same_read(miss, want)
+    assert_same_read(hit, want)
+
+
+def _truncate(cache):
+    # one whole value short, so only the length check can tell
+    cache.write_bytes(cache.read_bytes()[:-8])
+
+
+def _empty(cache):
+    cache.write_bytes(b"")
+
+
+def _garbage(cache):
+    cache.write_bytes(bytes(range(256)) * 8)
+
+
+def _directory(cache):
+    cache.unlink()
+    cache.mkdir()
+
+
+@pytest.mark.parametrize("damage", [_truncate, _empty, _garbage, _directory],
+                         ids=["truncated", "empty", "garbage", "directory"])
+def test_damaged_cache_is_parsed_over(cache_case, damage):
+    path, out = cache_case
+    damage(out / TRENDS_CACHE_NAME)
+    want = read_trends(str(path), ORACLE_BINDING, GRID)
+    with counted_parses() as parses:
+        got = read_trends_cached(str(path), ORACLE_BINDING, GRID, False, str(out))
+    assert len(parses) == 1
+    assert_same_read(got, want)
+    assert sorted(os.listdir(out)) == [TRENDS_CACHE_NAME]  # no temp file left
+
+
+@pytest.mark.parametrize("blocked", ["read-only", "file in the way"])
+def test_unwritable_output_dir_is_not_an_error(tmp_path, blocked):
+    path = tmp_path / "t.csv"
+    _write_rows(path, True, CACHE_ROWS)
+    if blocked == "read-only":
+        out = tmp_path / "out"
+        out.mkdir()
+        out.chmod(stat.S_IRUSR | stat.S_IXUSR)
+    else:
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+    want = read_trends(str(path), ORACLE_BINDING, GRID)
+    try:
+        got = read_trends_cached(str(path), ORACLE_BINDING, GRID, False, str(out))
+    finally:
+        if blocked == "read-only":
+            out.chmod(stat.S_IRWXU)
+    assert_same_read(got, want)
+    if blocked == "read-only":
+        # a superuser may still write the cache, but never a stray temp file
+        assert set(os.listdir(out)) <= {TRENDS_CACHE_NAME}
+
+
+def test_lenient_cache_does_not_answer_a_strict_call(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_rows(path, True, CACHE_ROWS[:3] + [[format_timestamp(T0), "A", "oops"]])
+    out = str(tmp_path / "out")
+    lenient = read_trends_cached(str(path), ORACLE_BINDING, GRID, False, out)
+    assert lenient[1].skipped == 1
+    with pytest.raises(IngestError, match=f"^{re.escape(str(path))}:5: "):
+        read_trends_cached(str(path), ORACLE_BINDING, GRID, True, out)
+
+
+def test_missing_trend_file_with_warm_cache_is_os_error(cache_case):
+    path, out = cache_case
+    path.unlink()
+    with pytest.raises(OSError):
+        read_trends_cached(str(path), ORACLE_BINDING, GRID, False, str(out))

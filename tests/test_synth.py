@@ -34,7 +34,6 @@ from hvacdisagg.synth import (
     ScenarioSpec,
     generate,
     load_ground_truth,
-    load_truth_powers,
     scenario_impact,
     scenario_recovery,
 )
@@ -52,6 +51,21 @@ def _file_map(out_dir):
         with open(os.path.join(out_dir, name), "rb") as fh:
             out[name] = fh.read()
     return out
+
+
+def load_truth_powers(path):
+    """truth_powers.csv as (epochs, column name -> values)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        columns = next(reader)[1:]
+        ts = []
+        data = [[] for _ in columns]
+        for row in reader:
+            ts.append(parse_timestamp(row[0]))
+            for i, cell in enumerate(row[1:]):
+                data[i].append(float(cell))
+    return (np.array(ts, dtype=np.int64),
+            {c: np.array(vals) for c, vals in zip(columns, data)})
 
 
 def _trend_values(path):
