@@ -100,14 +100,6 @@ BUILDING_ROLES = {
     PointRole.BUILDING_HEATING_POWER,
 }
 
-# what the pipeline does when a role is not bound
-FALLBACK_PARENT_AHU_SAT = "parent-ahu-sat"
-FALLBACK_MEAN_ZONE_TEMPS = "mean-zone-temps"
-FALLBACK_OAT_DAMPER_MIX = "oat-damper-mix"
-FALLBACK_EXCLUDE_VAV = "exclude-vav"
-FALLBACK_SCHEDULE = "occupancy-schedule"
-
-
 @dataclass(frozen=True)
 class AhuNode:
     ahu_id: str
@@ -265,7 +257,7 @@ def load_metadata(path: str) -> EquipmentGraph:
                 )
                 v = VavNode(v.vav_id, ahus[0].ahu_id, v.zone, v.min_flow_cfm, v.zone_upper_limit_f)
             else:
-                warnings.append(f"VAV '{v.vav_id}' has no air handler; excluded from sums")
+                warnings.append(f"VAV '{v.vav_id}' has no air handler; left unmapped")
         elif v.ahu_id not in ahu_ids:
             raise TopologyError(f"{path}: VAV '{v.vav_id}' references unknown AHU '{v.ahu_id}'")
         fixed.append(v)
@@ -327,10 +319,9 @@ def dump_metadata(graph: EquipmentGraph, path: str) -> None:
 
 @dataclass(frozen=True)
 class PointBinding:
-    """Resolved (equipment, role) -> point_id map plus what stayed unresolved."""
+    """Resolved (equipment, role) -> point_id map."""
 
     bindings: dict
-    unresolved: tuple  # (equipment_id, role, fallback_tag)
     warnings: tuple = ()
     units: dict = field(default_factory=dict)  # point_id -> inventory Unit
 
@@ -356,15 +347,13 @@ def _rule_targets(graph: EquipmentGraph, compiled, pools: dict, point: PointInfo
     return targets
 
 
-def bind_points(graph: EquipmentGraph, point_inventory, rules=None) -> PointBinding:
+def bind_points(graph: EquipmentGraph, point_inventory) -> PointBinding:
     """Assign inventory points to (equipment, role) slots.
 
     Deterministic regardless of inventory order: points are processed sorted
     by point_id and the first claimant of a slot wins. A single point matched
     to two different targets is a configuration error, as is a unit mismatch.
     """
-    if rules is None:
-        rules = graph.bind_rules
     warnings: list[str] = []
     bindings: dict = {}
 
@@ -395,7 +384,7 @@ def bind_points(graph: EquipmentGraph, point_inventory, rules=None) -> PointBind
             )
         bindings[(graph.building_id, role)] = point_id
 
-    compiled = [(rule, rule.compiled()) for rule in rules]
+    compiled = [(rule, rule.compiled()) for rule in graph.bind_rules]
     pools = {"vav": set(graph.vav_ids()), "ahu": set(graph.ahu_ids())}
     for point in sorted(point_inventory, key=lambda p: p.point_id):
         targets = _rule_targets(graph, compiled, pools, point)
@@ -428,29 +417,10 @@ def bind_points(graph: EquipmentGraph, point_inventory, rules=None) -> PointBind
                 f"point '{point_id}' bound to both {prev.value} and {role.value} on {equip}"
             )
 
-    unresolved: list = []
-    for v in graph.vavs:
-        if not (v.vav_id, PointRole.VAV_SUPPLY_FLOW) in bindings:
-            unresolved.append((v.vav_id, PointRole.VAV_SUPPLY_FLOW, FALLBACK_EXCLUDE_VAV))
-            warnings.append(f"VAV '{v.vav_id}' has no supply flow point; excluded from sums")
-        if not (v.vav_id, PointRole.ZONE_TEMP) in bindings:
-            unresolved.append((v.vav_id, PointRole.ZONE_TEMP, FALLBACK_EXCLUDE_VAV))
-            warnings.append(f"VAV '{v.vav_id}' has no zone temp point; excluded from sums")
-        if not (v.vav_id, PointRole.VAV_SUPPLY_AIR_TEMP) in bindings:
-            unresolved.append((v.vav_id, PointRole.VAV_SUPPLY_AIR_TEMP, FALLBACK_PARENT_AHU_SAT))
-        if not (v.vav_id, PointRole.OCCUPIED_CMD) in bindings:
-            unresolved.append((v.vav_id, PointRole.OCCUPIED_CMD, FALLBACK_SCHEDULE))
-    for a in graph.ahus:
-        if not (a.ahu_id, PointRole.AHU_RETURN_AIR_TEMP) in bindings:
-            unresolved.append((a.ahu_id, PointRole.AHU_RETURN_AIR_TEMP, FALLBACK_MEAN_ZONE_TEMPS))
-        if not (a.ahu_id, PointRole.AHU_MIXED_AIR_TEMP) in bindings:
-            unresolved.append((a.ahu_id, PointRole.AHU_MIXED_AIR_TEMP, FALLBACK_OAT_DAMPER_MIX))
-
     bound_ids = set(bindings.values())
     units = {p.point_id: p.unit for p in point_inventory if p.point_id in bound_ids}
     return PointBinding(
         bindings=bindings,
-        unresolved=tuple(unresolved),
         warnings=tuple(warnings),
         units=units,
     )

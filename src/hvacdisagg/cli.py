@@ -75,10 +75,7 @@ def cmd_validate(args) -> int:
     print(f"building {graph.building_id}: "
           f"{len(graph.ahus)} AHU(s), {len(graph.vavs)} VAV(s)")
     print(f"points bound: {len(set(binding.bindings.values()))} "
-          f"({len(binding.bindings)} slots); "
-          f"unresolved slots: {len(binding.unresolved)}")
-    for equip, role, fallback in binding.unresolved:
-        print(f"  unresolved: {equip} {role.name} ({fallback})")
+          f"({len(binding.bindings)} slots)")
     print(f"trend rows: {stats.rows}, skipped: {stats.skipped}, "
           f"duplicates: {stats.duplicates}, unknown points: {stats.unknown_points}")
     print(f"frame: {data.n_rows} rows at {data.interval_s}s, "
@@ -95,7 +92,7 @@ def cmd_validate(args) -> int:
 
     for msg in stats.messages:
         print(f"note: {msg}")
-    for msg in binding.warnings + data.warnings:
+    for msg in data.warnings:
         print(f"warning: {msg}")
     for equip, role, fallback in data.fallbacks_used:
         print(f"fallback: {equip} {role.name} <- {fallback}")

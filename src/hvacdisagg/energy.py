@@ -12,15 +12,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .building import (
-    FALLBACK_MEAN_ZONE_TEMPS,
-    FALLBACK_OAT_DAMPER_MIX,
-    FALLBACK_PARENT_AHU_SAT,
-    FALLBACK_SCHEDULE,
-    EquipmentGraph,
-    PointBinding,
-    PointRole,
-)
+from .building import EquipmentGraph, PointBinding, PointRole
 from .errors import DisaggError, SeriesError
 from .timeseries import align
 
@@ -37,6 +29,7 @@ __all__ = [
     "VavData",
     "AhuData",
     "BuildingData",
+    "FALLBACKS",
     "assemble",
 ]
 
@@ -201,8 +194,8 @@ class BuildingData:
     ahus: dict
     oat: np.ndarray | None = None
     hot_water_temp: np.ndarray | None = None
-    fallbacks_used: tuple = ()
-    excluded_vavs: tuple = ()
+    fallbacks_used: tuple = ()  # (unit_id, role, FALLBACKS[role])
+    excluded_vavs: tuple = ()  # (vav_id, reason)
     warnings: tuple = ()
 
     def timestamps(self) -> np.ndarray:
@@ -311,16 +304,29 @@ def _mean_rows(arrays: list) -> np.ndarray:
     return np.mean(np.vstack(arrays), axis=0)
 
 
+# what assemble substitutes, by role, for an input with no series; it records
+# (unit_id, role, tag) in BuildingData.fallbacks_used for each one it takes
+FALLBACKS = {
+    PointRole.VAV_SUPPLY_AIR_TEMP: "parent-ahu-sat",
+    PointRole.OCCUPIED_CMD: "occupancy-schedule",
+    PointRole.AHU_RETURN_AIR_TEMP: "mean-zone-temps",
+    PointRole.AHU_MIXED_AIR_TEMP: "oat-damper-mix",
+}
+
+
 def assemble(
     graph: EquipmentGraph,
     binding: PointBinding,
     series_map: dict,
 ) -> BuildingData:
-    """Align all bound series and resolve every fallback the registry allows.
+    """Align all bound series and take the FALLBACKS for missing inputs.
 
-    Refuses to run when a required input has neither a bound point nor a
-    fallback: air handler supply temperature, the two building meters, and a
-    mixed-air story (measured, or outside air plus damper to estimate one).
+    A VAV without an air handler, a zone temperature or a supply flow is
+    excluded from the sums, with the reason. Refuses to run when a required
+    input has neither a series nor a fallback: air handler supply
+    temperature, the two building meters, and a mixed-air story (measured,
+    or outside air plus damper to estimate one); or when an air handler has
+    no usable VAV.
     """
     if not series_map:
         raise DisaggError("no trend data to assemble")
@@ -355,28 +361,32 @@ def assemble(
     warnings = list(graph.warnings) + list(binding.warnings)
     excluded: list = []
 
+    def fell_back(unit_id, role):
+        fallbacks.append((unit_id, role, FALLBACKS[role]))
+
     vavs: dict = {}
     for node in graph.vavs:
         vid = node.vav_id
         zone = col(vid, PointRole.ZONE_TEMP)
         flow = col(vid, PointRole.VAV_SUPPLY_FLOW)
-        if node.ahu_id is None or zone is None or flow is None:
-            excluded.append(vid)
+        missing = [name for name, value in (("air handler", node.ahu_id),
+                                            ("zone temp", zone), ("supply flow", flow))
+                   if value is None]
+        if missing:
+            excluded.append((vid, "no " + ", no ".join(missing)))
             continue
         supply = col(vid, PointRole.VAV_SUPPLY_AIR_TEMP)
         if supply is None:
-            parent_sat = col(node.ahu_id, PointRole.AHU_SUPPLY_AIR_TEMP)
-            if parent_sat is None:
-                excluded.append(vid)
-                warnings.append(f"VAV '{vid}': no discharge temp and no parent AHU temp; excluded")
+            supply = col(node.ahu_id, PointRole.AHU_SUPPLY_AIR_TEMP)
+            if supply is None:
+                excluded.append((vid, "no discharge temp, no parent AHU supply temp"))
                 continue
-            supply = parent_sat
-            fallbacks.append((vid, PointRole.VAV_SUPPLY_AIR_TEMP, FALLBACK_PARENT_AHU_SAT))
+            fell_back(vid, PointRole.VAV_SUPPLY_AIR_TEMP)
 
         occ = col(vid, PointRole.OCCUPIED_CMD)
         if occ is None:
             occ = schedule
-            fallbacks.append((vid, PointRole.OCCUPIED_CMD, FALLBACK_SCHEDULE))
+            fell_back(vid, PointRole.OCCUPIED_CMD)
 
         min_flow = col(vid, PointRole.VAV_MIN_FLOW)
         if min_flow is None and node.min_flow_cfm is not None:
@@ -398,9 +408,7 @@ def assemble(
             zone_upper_limit=zone_upper,
         )
 
-    for vid in excluded:
-        if not any(vid in w for w in warnings):
-            warnings.append(f"VAV '{vid}' excluded from sums (missing flow, zone temp, or AHU)")
+    warnings += [f"VAV '{vid}' excluded from sums: {reason}" for vid, reason in excluded]
 
     ahus: dict = {}
     for node in graph.ahus:
@@ -416,7 +424,7 @@ def assemble(
         ret = col(aid, PointRole.AHU_RETURN_AIR_TEMP)
         if ret is None:
             ret = _mean_rows([v.zone_temp for v in children])
-            fallbacks.append((aid, PointRole.AHU_RETURN_AIR_TEMP, FALLBACK_MEAN_ZONE_TEMPS))
+            fell_back(aid, PointRole.AHU_RETURN_AIR_TEMP)
 
         damper = col(aid, PointRole.ECONOMIZER_DAMPER_POS)
         measured_mix = col(aid, PointRole.AHU_MIXED_AIR_TEMP)
@@ -431,7 +439,7 @@ def assemble(
                     "temp plus damper to estimate one"
                 )
             mixed = estimated_mix
-            fallbacks.append((aid, PointRole.AHU_MIXED_AIR_TEMP, FALLBACK_OAT_DAMPER_MIX))
+            fell_back(aid, PointRole.AHU_MIXED_AIR_TEMP)
 
         ahus[aid] = AhuData(
             ahu_id=aid,

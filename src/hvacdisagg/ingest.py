@@ -161,7 +161,7 @@ def read_trends(
     for point_id, (epoch_col, value_col) in columns.items():
         if not epoch_col:
             continue
-        unit = binding.units.get(point_id, Unit.DEG_F)
+        unit = binding.units[point_id]
         # last occurrence of each epoch wins: first occurrence in reverse
         epochs, last = np.unique(np.frombuffer(epoch_col, dtype=np.int64)[::-1],
                                  return_index=True)
@@ -225,7 +225,7 @@ def read_trends_cached(
         "sha256": _file_sha256(path),
         "interval_s": interval_s,
         "strict": bool(strict),
-        "points": [[pid, binding.units.get(pid, Unit.DEG_F).value,
+        "points": [[pid, binding.units[pid].value,
                     [[equip, role.name] for equip, role in slots]]
                    for pid, slots in slots_by_point.items()],
     }

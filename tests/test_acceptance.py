@@ -372,3 +372,40 @@ def test_criterion_9_named_validation_errors(impact_bundle, tmp_path, capsys):
     assert "no temporal overlap" in capsys.readouterr().err
     assert main(["validate", "--config", damaged("io", unreadable)]) == 2
     assert capsys.readouterr().err.startswith("io error:")
+
+
+def test_criterion_9b_validate_reports_what_assemble_used(faulted_bundle, tmp_path, capsys):
+    """validate on a bundle where one VAV's flow point no longer matches a
+    rule (and its zone temp has a duplicate claimant) and another VAV's
+    occupancy rows are gone: the excluded VAV is reported once, every
+    fallback assemble took gets one line, and no warning prints twice."""
+    work = _copy_bundle(faulted_bundle, tmp_path, "degraded")
+    with open(work / "points.csv", newline="") as fh:
+        rows = [r if r[0] != "B1.VAV1-01.FLOW" else [r[0], "B1.VAV1-01.FLOW-OLD", r[2]]
+                for r in csv.reader(fh)]
+    rows.append(["B1.VAV1-01.ZN-T2", "B1.VAV1-01.ZN-T", "degF"])
+    with open(work / "points.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    trends = work / "trends.csv"
+    with open(trends, newline="") as fh:
+        kept = [line for line in fh if ",B1.VAV2-01.OCC," not in line]
+    with open(trends, "w", newline="") as fh:
+        fh.writelines(kept)
+
+    assert main(["validate", "--config", str(work / "run.conf")]) == 0
+    out = capsys.readouterr().out.splitlines()
+
+    graph = load_metadata(str(work / "topology.ini"))
+    binding = bind_points(graph, read_points(str(work / "points.csv")))
+    series, _ = read_trends(str(trends), binding,
+                            load_run_config(str(work / "run.conf")).interval_s)
+    data = assemble(graph, binding, series)
+    assert ("VAV2-01", PointRole.OCCUPIED_CMD, "occupancy-schedule") in data.fallbacks_used
+    assert [line for line in out if line.startswith("fallback: ")] == [
+        f"fallback: {unit} {role.name} <- {tag}" for unit, role, tag in data.fallbacks_used]
+    warnings = [line for line in out if line.startswith("warning: ")]
+    assert warnings == [f"warning: {w}" for w in data.warnings]
+    assert [w for w, n in Counter(warnings).items() if n > 1] == []
+    assert any("duplicate claimant" in w for w in warnings)
+    assert [w for w in warnings if "excluded" in w] == [
+        "warning: VAV 'VAV1-01' excluded from sums: no supply flow"]

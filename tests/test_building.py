@@ -1,13 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
 from hvacdisagg.building import (
-    FALLBACK_EXCLUDE_VAV,
-    FALLBACK_MEAN_ZONE_TEMPS,
-    FALLBACK_OAT_DAMPER_MIX,
-    FALLBACK_PARENT_AHU_SAT,
-    FALLBACK_SCHEDULE,
     BindRule,
     EquipmentGraph,
     AhuNode,
@@ -152,7 +148,7 @@ heating_meter_point = M2
         p.write_text(text)
         g = load_metadata(str(p))
         assert [(v.vav_id, v.ahu_id) for v in g.vavs] == [("VAV1", None)]
-        assert any("excluded" in w for w in g.warnings)
+        assert any("VAV1" in w and "no air handler" in w for w in g.warnings)
 
     def test_missing_file_is_io_error(self):
         with pytest.raises(OSError):
@@ -166,12 +162,12 @@ class TestBindPoints:
         assert binding.bindings[("VAV101", PointRole.ZONE_TEMP)] == "B1.VAV101.ZNT"
         assert binding.bindings[("AH1", PointRole.AHU_SUPPLY_AIR_TEMP)] == "B1.AH1.SAT"
         assert binding.bindings[("B1", PointRole.BUILDING_COOLING_POWER)] == "B1.CLGMTR"
-        # AH2 has no mixed-air sensor, VAVs have no discharge temp sensor
-        tags = {(e, r): tag for e, r, tag in binding.unresolved}
-        assert tags[("AH2", PointRole.AHU_MIXED_AIR_TEMP)] == FALLBACK_OAT_DAMPER_MIX
-        assert tags[("AH1", PointRole.AHU_RETURN_AIR_TEMP)] == FALLBACK_MEAN_ZONE_TEMPS
-        assert tags[("VAV101", PointRole.VAV_SUPPLY_AIR_TEMP)] == FALLBACK_PARENT_AHU_SAT
-        assert tags[("VAV101", PointRole.OCCUPIED_CMD)] == FALLBACK_SCHEDULE
+        # AH2 has no mixed-air sensor, VAVs have no discharge temp sensor:
+        # those slots stay empty, and what stands in for them is assemble's
+        # call (tests/test_energy.py)
+        assert ("AH2", PointRole.AHU_MIXED_AIR_TEMP) not in binding.bindings
+        assert ("VAV101", PointRole.VAV_SUPPLY_AIR_TEMP) not in binding.bindings
+        assert binding.warnings == ()
 
     def test_order_insensitive(self, topo_path):
         g = load_metadata(topo_path)
@@ -197,19 +193,20 @@ class TestBindPoints:
 
     def test_conflicting_rules_rejected(self, topo_path):
         g = load_metadata(topo_path)
-        rules = g.bind_rules + (
+        g = dataclasses.replace(g, bind_rules=g.bind_rules + (
             BindRule("B1.{id}.ZNT", "vav", PointRole.VAV_SUPPLY_AIR_TEMP),
-        )
+        ))
         with pytest.raises(BindingError, match="multiple roles"):
-            bind_points(g, inventory(), rules)
+            bind_points(g, inventory())
 
-    def test_missing_flow_marks_vav_excluded(self, topo_path):
+    def test_missing_flow_left_unbound(self, topo_path):
+        # excluding the VAV is assemble's call, made on the series it gets
         g = load_metadata(topo_path)
         inv = [p for p in inventory() if p.point_id != "B1.VAV201.SF"]
         binding = bind_points(g, inv)
-        tags = {(e, r): tag for e, r, tag in binding.unresolved}
-        assert tags[("VAV201", PointRole.VAV_SUPPLY_FLOW)] == FALLBACK_EXCLUDE_VAV
-        assert any("VAV201" in w and "excluded" in w for w in binding.warnings)
+        assert ("VAV201", PointRole.VAV_SUPPLY_FLOW) not in binding.bindings
+        assert ("VAV201", PointRole.ZONE_TEMP) in binding.bindings
+        assert binding.warnings == ()
 
     def test_duplicate_claimants_keep_first_sorted(self, topo_path):
         g = load_metadata(topo_path)

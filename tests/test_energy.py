@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,9 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvacdisagg.building import (
-    FALLBACK_MEAN_ZONE_TEMPS,
-    FALLBACK_OAT_DAMPER_MIX,
-    FALLBACK_PARENT_AHU_SAT,
     AhuNode,
     EquipmentGraph,
     PointBinding,
@@ -16,6 +13,7 @@ from hvacdisagg.building import (
     VavNode,
 )
 from hvacdisagg.energy import (
+    FALLBACKS,
     AhuData,
     BuildingData,
     VavData,
@@ -163,17 +161,33 @@ def _series_map(n=8, start=T0):
     return smap
 
 
-def _binding():
-    return PointBinding(bindings={}, unresolved=())
+def _measured_series_map(n=8, start=T0):
+    """_series_map plus a measured series for every role FALLBACKS covers,
+    each unlike what its fallback would give."""
+    smap = _series_map(n, start)
+    for vid in ("VAV11", "VAV12"):
+        smap[(vid, PointRole.VAV_SUPPLY_AIR_TEMP)] = _series("dat", np.full(n, 58.0),
+                                                            start=start)
+        smap[(vid, PointRole.OCCUPIED_CMD)] = _series("occ", np.arange(n) % 2,
+                                                     Unit.BOOL, start)
+    smap[("AH1", PointRole.AHU_RETURN_AIR_TEMP)] = _series("rat", np.full(n, 75.0),
+                                                           start=start)
+    smap[("AH1", PointRole.AHU_MIXED_AIR_TEMP)] = _series("mat", np.full(n, 70.0),
+                                                          start=start)
+    return smap
+
+
+def _binding(warnings=()):
+    return PointBinding(bindings={}, warnings=warnings)
 
 
 class TestAssemble:
     def test_fallback_chain(self):
         data = assemble(_graph(), _binding(), _series_map())
         tags = {(e, r): t for e, r, t in data.fallbacks_used}
-        assert tags[("VAV11", PointRole.VAV_SUPPLY_AIR_TEMP)] == FALLBACK_PARENT_AHU_SAT
-        assert tags[("AH1", PointRole.AHU_RETURN_AIR_TEMP)] == FALLBACK_MEAN_ZONE_TEMPS
-        assert tags[("AH1", PointRole.AHU_MIXED_AIR_TEMP)] == FALLBACK_OAT_DAMPER_MIX
+        assert tags[("VAV11", PointRole.VAV_SUPPLY_AIR_TEMP)] == "parent-ahu-sat"
+        assert tags[("AH1", PointRole.AHU_RETURN_AIR_TEMP)] == "mean-zone-temps"
+        assert tags[("AH1", PointRole.AHU_MIXED_AIR_TEMP)] == "oat-damper-mix"
         ahu = data.ahus["AH1"]
         # return = mean(72, 74) = 73; mixed = 0.5*80 + 0.5*73 = 76.5
         assert ahu.return_temp[0] == pytest.approx(73.0)
@@ -222,8 +236,70 @@ class TestAssemble:
         smap = _series_map()
         del smap[("VAV12", PointRole.VAV_SUPPLY_FLOW)]
         data = assemble(_graph(), _binding(), smap)
-        assert "VAV12" in data.excluded_vavs
+        assert data.excluded_vavs == (("VAV12", "no supply flow"),)
         np.testing.assert_allclose(data.ahus["AH1"].flow_sum, 400.0)
+
+    def test_every_role_measured_takes_no_fallback(self):
+        data = assemble(_graph(), _binding(), _measured_series_map())
+        assert data.fallbacks_used == ()
+        assert data.excluded_vavs == ()
+
+    @pytest.mark.parametrize("role", list(FALLBACKS), ids=lambda role: role.name)
+    def test_each_fallback_alone(self, role):
+        # one day from Monday 15:00, so the schedule has both states
+        graph, n, start = _graph(), 96, T0 + 86400
+        smap = _measured_series_map(n, start)
+        units = [unit for unit, r in smap if r is role]
+        for unit in units:
+            del smap[(unit, role)]
+        data = assemble(graph, _binding(), smap)
+        assert units and data.fallbacks_used == tuple(
+            (unit, role, FALLBACKS[role]) for unit in units)
+
+        schedule = occupancy_schedule(data.timestamps(), graph.occupied_start_s,
+                                      graph.occupied_end_s, graph.occupied_weekdays_only)
+        assert 0.0 < schedule.mean() < 1.0
+        field, want = {
+            PointRole.VAV_SUPPLY_AIR_TEMP: ("supply_temp", np.full(n, 55.0)),  # AH1 supply
+            PointRole.OCCUPIED_CMD: ("occupied", schedule),
+            PointRole.AHU_RETURN_AIR_TEMP: ("return_temp", np.full(n, 73.0)),  # mean of zones
+            PointRole.AHU_MIXED_AIR_TEMP: (
+                "mixed_temp", estimate_mixed_air(np.full(n, 80.0), np.full(n, 75.0),
+                                                 np.full(n, 0.5))),
+        }[role]
+        for unit in units:
+            frame = data.vavs[unit] if unit in data.vavs else data.ahus[unit]
+            np.testing.assert_array_equal(getattr(frame, field), want)
+
+    def test_exclusion_reported_beside_a_warning_naming_the_vav(self):
+        smap = _series_map()
+        del smap[("VAV12", PointRole.VAV_SUPPLY_FLOW)]
+        claimant = "ZoneTemp on VAV12: keeping 'z2', ignoring duplicate claimant 'z2b'"
+        data = assemble(_graph(), _binding((claimant,)), smap)
+        assert [w for w in data.warnings if "VAV12" in w and "excluded" in w] == [
+            "VAV 'VAV12' excluded from sums: no supply flow"]
+        assert data.warnings.count(claimant) == 1
+
+    def test_exclusion_reported_beside_a_warning_naming_a_longer_id(self):
+        graph = replace(_graph(), vavs=(VavNode("VAV1", "AH1"), VavNode("VAV10", "AH1")))
+        smap = _series_map()
+        for vid, old in (("VAV1", "VAV11"), ("VAV10", "VAV12")):
+            for role in (PointRole.ZONE_TEMP, PointRole.VAV_SUPPLY_FLOW):
+                smap[(vid, role)] = smap.pop((old, role))
+        del smap[("VAV1", PointRole.VAV_SUPPLY_FLOW)]
+        claimant = "ZoneTemp on VAV10: keeping 'z2', ignoring duplicate claimant 'z2b'"
+        data = assemble(graph, _binding((claimant,)), smap)
+        assert [w for w in data.warnings if "excluded" in w] == [
+            "VAV 'VAV1' excluded from sums: no supply flow"]
+        assert data.excluded_vavs == (("VAV1", "no supply flow"),)
+
+    def test_vav_without_air_handler_reported_once(self):
+        graph = replace(_graph(), vavs=(VavNode("VAV11", "AH1"), VavNode("VAV12", None)),
+                        warnings=("VAV 'VAV12' has no air handler; left unmapped",))
+        data = assemble(graph, _binding(), _series_map())
+        assert data.excluded_vavs == (("VAV12", "no air handler"),)
+        assert [w for w in data.warnings if "excluded" in w] == [
+            "VAV 'VAV12' excluded from sums: no air handler"]
 
     def test_disjoint_ranges_raise(self):
         smap = _series_map()

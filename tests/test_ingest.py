@@ -37,7 +37,6 @@ def binding_for(points):
     """points: list of (equip, role, point_id, unit)"""
     return PointBinding(
         bindings={(e, r): pid for e, r, pid, _ in points},
-        unresolved=(),
         units={pid: u for _, _, pid, u in points},
     )
 
@@ -311,7 +310,7 @@ def reference_read_trends(path, binding, interval_s, strict=False):
     for point_id, by_epoch in samples.items():
         if not by_epoch:
             continue
-        unit = binding.units.get(point_id, Unit.DEG_F)
+        unit = binding.units[point_id]
         epochs = np.fromiter(by_epoch.keys(), dtype=np.int64, count=len(by_epoch))
         values = np.fromiter(by_epoch.values(), dtype=float, count=len(by_epoch))
         order = np.argsort(epochs, kind="stable")
@@ -354,7 +353,6 @@ ORACLE_BINDING = PointBinding(
         ("AH2", PointRole.ECONOMIZER_DAMPER_POS): "P",
         ("V1", PointRole.OCCUPIED_CMD): "B",
     },
-    unresolved=(),
     units={"A": Unit.DEG_F, "P": Unit.PERCENT, "B": Unit.BOOL},
 )
 
@@ -552,7 +550,7 @@ def test_cache_misses_when_its_key_changes(cache_case, change):
         binding = PointBinding(
             bindings={slot: pid for slot, pid in ORACLE_BINDING.bindings.items()
                       if pid != "B"},
-            unresolved=(), units=ORACLE_BINDING.units)
+            units=ORACLE_BINDING.units)
     else:
         binding = dataclasses.replace(
             ORACLE_BINDING, units={**ORACLE_BINDING.units, "P": Unit.FRACTION})

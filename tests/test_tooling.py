@@ -8,6 +8,7 @@ instead of breaking `perfbench/run.py --trace 1`.
 import importlib
 import importlib.util
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -54,3 +55,15 @@ def test_fit_imports_neither_scipy_nor_zipfile(impact_bundle, tmp_path):
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_readme_library_example_runs(faulted_bundle, tmp_path, monkeypatch):
+    # README's library example, run as written against a copy of the
+    # bundle its quick start makes in demo/
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    shutil.copytree(faulted_bundle.out_dir, tmp_path / "demo")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert namespace["ranked"]
