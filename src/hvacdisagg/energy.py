@@ -321,8 +321,8 @@ def assemble(
 ) -> BuildingData:
     """Align all bound series and take the FALLBACKS for missing inputs.
 
-    A VAV without an air handler, a zone temperature or a supply flow is
-    excluded from the sums, with the reason. Refuses to run when a required
+    A VAV without an air handler in the graph, a zone temperature or a
+    supply flow is excluded from the sums, with the reason. Refuses to run when a required
     input has neither a series nor a fallback: air handler supply
     temperature, the two building meters, and a mixed-air story (measured,
     or outside air plus damper to estimate one); or when an air handler has
@@ -364,12 +364,20 @@ def assemble(
     def fell_back(unit_id, role):
         fallbacks.append((unit_id, role, FALLBACKS[role]))
 
+    ahu_supply = {}
+    for node in graph.ahus:
+        supply = col(node.ahu_id, PointRole.AHU_SUPPLY_AIR_TEMP)
+        if supply is None:
+            raise DisaggError(
+                f"AHU '{node.ahu_id}' has no supply air temperature point; cannot model")
+        ahu_supply[node.ahu_id] = supply
+
     vavs: dict = {}
     for node in graph.vavs:
         vid = node.vav_id
         zone = col(vid, PointRole.ZONE_TEMP)
         flow = col(vid, PointRole.VAV_SUPPLY_FLOW)
-        missing = [name for name, value in (("air handler", node.ahu_id),
+        missing = [name for name, value in (("air handler", ahu_supply.get(node.ahu_id)),
                                             ("zone temp", zone), ("supply flow", flow))
                    if value is None]
         if missing:
@@ -377,10 +385,7 @@ def assemble(
             continue
         supply = col(vid, PointRole.VAV_SUPPLY_AIR_TEMP)
         if supply is None:
-            supply = col(node.ahu_id, PointRole.AHU_SUPPLY_AIR_TEMP)
-            if supply is None:
-                excluded.append((vid, "no discharge temp, no parent AHU supply temp"))
-                continue
+            supply = ahu_supply[node.ahu_id]
             fell_back(vid, PointRole.VAV_SUPPLY_AIR_TEMP)
 
         occ = col(vid, PointRole.OCCUPIED_CMD)
@@ -413,9 +418,6 @@ def assemble(
     ahus: dict = {}
     for node in graph.ahus:
         aid = node.ahu_id
-        supply = col(aid, PointRole.AHU_SUPPLY_AIR_TEMP)
-        if supply is None:
-            raise DisaggError(f"AHU '{aid}' has no supply air temperature point; cannot model")
         children = [v for v in vavs.values() if v.ahu_id == aid]
         if not children:
             raise DisaggError(f"AHU flow unknown: '{aid}' has no child VAVs with flow data")
@@ -443,7 +445,7 @@ def assemble(
 
         ahus[aid] = AhuData(
             ahu_id=aid,
-            supply_temp=supply,
+            supply_temp=ahu_supply[aid],
             return_temp=ret,
             flow_sum=flow_sum,
             mixed_temp=mixed,

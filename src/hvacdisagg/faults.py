@@ -13,18 +13,26 @@ ordinary trend data:
                          minimum even with the zone below its upper limit
  5. damper stuck         supply flow ignores its own setpoint
 
-Each rule screens one piece of equipment over whatever frame it is given
-and returns a verdict. run_all slides a persistence-length window across the
-whole frame a day at a time and hands every rule each window as a view of
-the frame's rows (BuildingData.window), so a fault only surfaces when its
-signature holds for the configured number of consecutive days, and short
-excursions stay quiet.
+run_all slides a persistence-length window across the whole frame a day at
+a time, so a fault only surfaces when its signature holds for the configured
+number of consecutive days, and short excursions stay quiet. A rule's row
+masks (usable rows, valve closed, unoccupied below the zone limit, flow over
+the minimum, reference clear of the percentage floor) depend on the row
+alone, so each rule prepares each unit once over the whole frame: it decides
+the reasons no window can change (a missing sensor, valve trend, setpoint or
+min-flow config) and builds its masks, their running counts and the usable
+rows' values. A window is then a row range [i0, i1): counts come from
+differences of running counts, and each statistic is taken over a contiguous
+slice of the usable rows, the same values in the same order a masked copy
+of the window would give. Each rule_* function is the one-window case of
+its screen.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +45,7 @@ from .errors import (
     IngestError,
 )
 from .ingest import format_timestamp, parse_timestamp
-from .timeseries import mpe, pearson, rmspe
+from .timeseries import mpe_of, pearson, percent_errors, rmspe_of
 
 __all__ = [
     "Thresholds",
@@ -168,90 +176,189 @@ def _vav(data: BuildingData, vav_id: str):
         raise FaultRuleError(f"unknown VAV '{vav_id}'") from None
 
 
-def _covered(valid: np.ndarray, floor: float):
-    """Coverage of usable rows in the frame, or a reason it falls short."""
-    if len(valid) == 0:
-        return None, "window holds no rows"
-    frac = int(valid.sum()) / len(valid)
-    if frac < floor:
-        return None, f"only {frac:.0%} of the window is usable (need {floor:.0%})"
-    return frac, None
+def _prefix(mask: np.ndarray) -> list:
+    """Running count of a row mask: entry i is the number of set rows before
+    row i. A list, because judges read it one window at a time."""
+    return [0, *np.cumsum(mask).tolist()]
+
+
+def _always(res: RuleResult):
+    """A judge for a verdict no window can change."""
+    return lambda i0, i1: res
+
+
+def _coverage(valid: np.ndarray, floor: float):
+    """Prepare the usable-row check of any row range [i0, i1).
+
+    The returned function gives the inconclusive verdict of a range that
+    falls short of floor (None when it does not) and where the range's
+    valid rows start and stop among valid's set rows.
+    """
+    count = _prefix(valid)
+
+    def covered(i0: int, i1: int):
+        if i1 <= i0:
+            return RuleResult(INCONCLUSIVE, detail="window holds no rows"), 0, 0
+        a, b = count[i0], count[i1]
+        frac = (b - a) / (i1 - i0)
+        if frac < floor:
+            return RuleResult(INCONCLUSIVE, detail=f"only {frac:.0%} of the window is "
+                                                   f"usable (need {floor:.0%})"), a, b
+        return None, a, b
+
+    return covered
+
+
+def _economizer_screen(data: BuildingData, ahu_id: str, th: Thresholds):
+    ahu = _ahu(data, ahu_id)
+    if ahu.mixed_temp_measured is None:
+        return _always(RuleResult(INCONCLUSIVE, detail="no mixed-air temperature sensor"))
+    if ahu.mixed_temp_estimated is None:
+        return _always(RuleResult(
+            INCONCLUSIVE,
+            detail="no outside-air temp and damper command to estimate the mix"))
+    measured = ahu.mixed_temp_measured
+    estimated = ahu.mixed_temp_estimated
+    valid = ~np.isnan(measured) & ~np.isnan(estimated) & ~np.isnan(ahu.damper)
+    covered = _coverage(valid, th.min_coverage)
+    damper, measured, estimated = ahu.damper[valid], measured[valid], estimated[valid]
+
+    def judge(i0: int, i1: int) -> RuleResult:
+        short, a, b = covered(i0, i1)
+        if short:
+            return short
+        d = damper[a:b]
+        travel = float(d.max() - d.min())
+        if travel < th.damper_range_min:
+            return RuleResult(
+                INCONCLUSIVE,
+                detail=f"damper travelled only {travel:.2f} of its range; "
+                       "correlation says nothing when the command barely moves")
+        try:
+            corr = pearson(measured[a:b], estimated[a:b])
+        except DegenerateSeriesError:
+            return RuleResult(INCONCLUSIVE, detail="flatlined sensor")
+        if corr < th.correlation_min:
+            return RuleResult(FINDING, corr,
+                              f"mixed-air correlation {corr:.2f} < {th.correlation_min}")
+        return RuleResult(OK, corr)
+
+    return judge
+
+
+def _valve_leak_screen(data: BuildingData, ahu_id: str, th: Thresholds, *, heating: bool):
+    ahu = _ahu(data, ahu_id)
+    valve = ahu.heating_valve if heating else ahu.cooling_valve
+    side = "heating" if heating else "cooling"
+    if valve is None:
+        return _always(RuleResult(INCONCLUSIVE, detail=f"no {side} valve command trend"))
+    valid = ~np.isnan(valve) & ~np.isnan(ahu.supply_temp) & ~np.isnan(ahu.mixed_temp)
+    covered = _coverage(valid, th.min_coverage)
+    closed = valid & (valve <= th.valve_closed_tolerance)
+    n_closed = _prefix(closed)
+    ok, errors = percent_errors(ahu.supply_temp[closed], ahu.mixed_temp[closed], _TEMP_EPS_F)
+    n_ok = _prefix(ok)
+
+    def judge(i0: int, i1: int) -> RuleResult:
+        short, _, _ = covered(i0, i1)
+        if short:
+            return short
+        c0, c1 = n_closed[i0], n_closed[i1]
+        if c0 == c1:
+            return RuleResult(INCONCLUSIVE,
+                              detail=f"{side} valve never commanded closed in window")
+        try:
+            bias = mpe_of(errors[n_ok[c0]:n_ok[c1]], c1 - c0, _TEMP_EPS_F)
+        except DegenerateSeriesError:
+            return RuleResult(INCONCLUSIVE, detail="mixed-air temperature near zero; "
+                                                   "percentage bias undefined")
+        if heating:
+            if bias > th.heating_mpe_pct:
+                return RuleResult(FINDING, bias,
+                                  f"supply runs {bias:+.1f}% above mixed air with the "
+                                  "heating valve shut")
+        else:
+            if bias < th.cooling_mpe_pct:
+                return RuleResult(FINDING, bias,
+                                  f"supply runs {bias:+.1f}% below mixed air with the "
+                                  "cooling valve shut")
+        return RuleResult(OK, bias)
+
+    return judge
+
+
+def _config_screen(data: BuildingData, vav_id: str, th: Thresholds):
+    vav = _vav(data, vav_id)
+    if vav.min_flow is None:
+        raise FaultRuleError(f"{vav_id}: VAV missing min-flow config")
+    valid = (~np.isnan(vav.flow) & ~np.isnan(vav.zone_temp)
+             & ~np.isnan(vav.occupied) & ~np.isnan(vav.min_flow))
+    covered = _coverage(valid, th.min_coverage)
+    eligible = valid & (vav.occupied <= 0.0)
+    if vav.zone_upper_limit is not None:
+        eligible &= vav.zone_temp < vav.zone_upper_limit
+    n_eligible = _prefix(eligible)
+    n_over = _prefix(eligible & (vav.flow > th.occupied_flow_slack * vav.min_flow))
+
+    def judge(i0: int, i1: int) -> RuleResult:
+        short, _, _ = covered(i0, i1)
+        if short:
+            return short
+        n = n_eligible[i1] - n_eligible[i0]
+        if n == 0:
+            return RuleResult(INCONCLUSIVE,
+                              detail="no unoccupied instants below the zone limit")
+        frac = (n_over[i1] - n_over[i0]) / n
+        if frac > th.config_violation_fraction:
+            return RuleResult(FINDING, frac,
+                              f"{frac:.0%} of unoccupied instants exceed "
+                              f"{th.occupied_flow_slack:g}x the configured minimum")
+        return RuleResult(OK, frac)
+
+    return judge
+
+
+def _damper_screen(data: BuildingData, vav_id: str, th: Thresholds):
+    vav = _vav(data, vav_id)
+    if vav.flow_setpoint is None:
+        return _always(RuleResult(INCONCLUSIVE, detail="no flow setpoint trend"))
+    valid = ~np.isnan(vav.flow) & ~np.isnan(vav.flow_setpoint)
+    covered = _coverage(valid, th.min_coverage)
+    ok, errors = percent_errors(vav.flow[valid], vav.flow_setpoint[valid], _FLOW_EPS_CFM)
+    n_ok = _prefix(ok)
+
+    def judge(i0: int, i1: int) -> RuleResult:
+        short, a, b = covered(i0, i1)
+        if short:
+            return short
+        try:
+            err = rmspe_of(errors[n_ok[a]:n_ok[b]], b - a, _FLOW_EPS_CFM)
+        except DegenerateSeriesError:
+            return RuleResult(INCONCLUSIVE,
+                              detail="flow setpoint sits at zero through the window")
+        if err > th.flow_rmspe_pct:
+            return RuleResult(FINDING, err,
+                              f"flow misses setpoint by {err:.0f}% RMS")
+        return RuleResult(OK, err)
+
+    return judge
 
 
 def rule_economizer_stuck(data: BuildingData, ahu_id: str, th: Thresholds) -> RuleResult:
     """Correlate the measured mixed-air temperature with the one the damper
     command implies. A working economizer keeps the two moving together; a
     stuck damper decouples them."""
-    ahu = _ahu(data, ahu_id)
-    if ahu.mixed_temp_measured is None:
-        return RuleResult(INCONCLUSIVE, detail="no mixed-air temperature sensor")
-    if ahu.mixed_temp_estimated is None:
-        return RuleResult(
-            INCONCLUSIVE,
-            detail="no outside-air temp and damper command to estimate the mix")
-    measured = ahu.mixed_temp_measured
-    estimated = ahu.mixed_temp_estimated
-    valid = ~np.isnan(measured) & ~np.isnan(estimated) & ~np.isnan(ahu.damper)
-    _, short = _covered(valid, th.min_coverage)
-    if short:
-        return RuleResult(INCONCLUSIVE, detail=short)
-    d = ahu.damper[valid]
-    travel = float(d.max() - d.min())
-    if travel < th.damper_range_min:
-        return RuleResult(
-            INCONCLUSIVE,
-            detail=f"damper travelled only {travel:.2f} of its range; "
-                   "correlation says nothing when the command barely moves")
-    try:
-        corr = pearson(measured[valid], estimated[valid])
-    except DegenerateSeriesError:
-        return RuleResult(INCONCLUSIVE, detail="flatlined sensor")
-    if corr < th.correlation_min:
-        return RuleResult(FINDING, corr,
-                          f"mixed-air correlation {corr:.2f} < {th.correlation_min}")
-    return RuleResult(OK, corr)
-
-
-def _valve_leak(data, ahu_id, th, *, heating: bool):
-    ahu = _ahu(data, ahu_id)
-    valve = ahu.heating_valve if heating else ahu.cooling_valve
-    side = "heating" if heating else "cooling"
-    if valve is None:
-        return RuleResult(INCONCLUSIVE, detail=f"no {side} valve command trend")
-    valid = ~np.isnan(valve) & ~np.isnan(ahu.supply_temp) & ~np.isnan(ahu.mixed_temp)
-    _, short = _covered(valid, th.min_coverage)
-    if short:
-        return RuleResult(INCONCLUSIVE, detail=short)
-    closed = valid & (valve <= th.valve_closed_tolerance)
-    if not closed.any():
-        return RuleResult(INCONCLUSIVE,
-                          detail=f"{side} valve never commanded closed in window")
-    try:
-        bias = mpe(ahu.supply_temp[closed], ahu.mixed_temp[closed], eps=_TEMP_EPS_F)
-    except DegenerateSeriesError:
-        return RuleResult(INCONCLUSIVE, detail="mixed-air temperature near zero; "
-                                               "percentage bias undefined")
-    if heating:
-        if bias > th.heating_mpe_pct:
-            return RuleResult(FINDING, bias,
-                              f"supply runs {bias:+.1f}% above mixed air with the "
-                              "heating valve shut")
-    else:
-        if bias < th.cooling_mpe_pct:
-            return RuleResult(FINDING, bias,
-                              f"supply runs {bias:+.1f}% below mixed air with the "
-                              "cooling valve shut")
-    return RuleResult(OK, bias)
+    return _economizer_screen(data, ahu_id, th)(0, data.n_rows)
 
 
 def rule_cooling_valve_leak(data: BuildingData, ahu_id: str, th: Thresholds) -> RuleResult:
     """Supply air biased cold across the instants the cooling valve is shut."""
-    return _valve_leak(data, ahu_id, th, heating=False)
+    return _valve_leak_screen(data, ahu_id, th, heating=False)(0, data.n_rows)
 
 
 def rule_heating_valve_leak(data: BuildingData, ahu_id: str, th: Thresholds) -> RuleResult:
     """Supply air biased warm across the instants the heating valve is shut."""
-    return _valve_leak(data, ahu_id, th, heating=True)
+    return _valve_leak_screen(data, ahu_id, th, heating=True)(0, data.n_rows)
 
 
 def rule_config_error(data: BuildingData, vav_id: str, th: Thresholds) -> RuleResult:
@@ -261,68 +368,35 @@ def rule_config_error(data: BuildingData, vav_id: str, th: Thresholds) -> RuleRe
     legitimately drives flow, a cool one does not. A VAV with no upper limit
     configured is screened on occupancy alone.
     """
-    vav = _vav(data, vav_id)
-    if vav.min_flow is None:
-        raise FaultRuleError(f"{vav_id}: VAV missing min-flow config")
-    valid = (~np.isnan(vav.flow) & ~np.isnan(vav.zone_temp)
-             & ~np.isnan(vav.occupied) & ~np.isnan(vav.min_flow))
-    _, short = _covered(valid, th.min_coverage)
-    if short:
-        return RuleResult(INCONCLUSIVE, detail=short)
-    eligible = valid & (vav.occupied <= 0.0)
-    if vav.zone_upper_limit is not None:
-        eligible &= vav.zone_temp < vav.zone_upper_limit
-    if not eligible.any():
-        return RuleResult(INCONCLUSIVE,
-                          detail="no unoccupied instants below the zone limit")
-    over = vav.flow > th.occupied_flow_slack * vav.min_flow
-    frac = float(np.mean(over[eligible]))
-    if frac > th.config_violation_fraction:
-        return RuleResult(FINDING, frac,
-                          f"{frac:.0%} of unoccupied instants exceed "
-                          f"{th.occupied_flow_slack:g}x the configured minimum")
-    return RuleResult(OK, frac)
+    return _config_screen(data, vav_id, th)(0, data.n_rows)
 
 
 def rule_damper_stuck(data: BuildingData, vav_id: str, th: Thresholds) -> RuleResult:
     """Flow that no longer follows its own setpoint."""
-    vav = _vav(data, vav_id)
-    if vav.flow_setpoint is None:
-        return RuleResult(INCONCLUSIVE, detail="no flow setpoint trend")
-    valid = ~np.isnan(vav.flow) & ~np.isnan(vav.flow_setpoint)
-    _, short = _covered(valid, th.min_coverage)
-    if short:
-        return RuleResult(INCONCLUSIVE, detail=short)
-    try:
-        err = rmspe(vav.flow[valid], vav.flow_setpoint[valid], eps=_FLOW_EPS_CFM)
-    except DegenerateSeriesError:
-        return RuleResult(INCONCLUSIVE,
-                          detail="flow setpoint sits at zero through the window")
-    if err > th.flow_rmspe_pct:
-        return RuleResult(FINDING, err,
-                          f"flow misses setpoint by {err:.0f}% RMS")
-    return RuleResult(OK, err)
+    return _damper_screen(data, vav_id, th)(0, data.n_rows)
 
 
-# rule id -> (evaluator, equipment kind, threshold picker, worse-of pair)
+# rule id -> (screen, equipment kind, threshold picker, worse-of pair); a
+# screen prepares one unit over the whole frame and returns the judge of any
+# row range [i0, i1)
 _RULES = {
-    1: (rule_economizer_stuck, "ahu", lambda t: t.correlation_min, min),
-    2: (rule_cooling_valve_leak, "ahu", lambda t: t.cooling_mpe_pct, min),
-    3: (rule_heating_valve_leak, "ahu", lambda t: t.heating_mpe_pct, max),
-    4: (rule_config_error, "vav", lambda t: t.config_violation_fraction, max),
-    5: (rule_damper_stuck, "vav", lambda t: t.flow_rmspe_pct, max),
+    1: (_economizer_screen, "ahu", lambda t: t.correlation_min, min),
+    2: (partial(_valve_leak_screen, heating=False), "ahu", lambda t: t.cooling_mpe_pct, min),
+    3: (partial(_valve_leak_screen, heating=True), "ahu", lambda t: t.heating_mpe_pct, max),
+    4: (_config_screen, "vav", lambda t: t.config_violation_fraction, max),
+    5: (_damper_screen, "vav", lambda t: t.flow_rmspe_pct, max),
 }
 
 
 def run_all(data: BuildingData, th: Thresholds | None = None) -> DetectionResult:
     """Evaluate every rule against every matching piece of equipment.
 
-    The persistence window slides across the frame in one-day steps, and
-    every rule judges every unit on one view of each window. A
-    (rule, equipment) pair that violates in any window yields exactly one
-    finding spanning the union of its violating windows, carrying the worst
-    statistic seen. Rule errors on one unit degrade to an inconclusive note
-    rather than aborting the sweep.
+    The persistence window slides across the frame in one-day steps. Each
+    (rule, equipment) pair is prepared once and judges every window as a row
+    range. A pair that violates in any window yields exactly one finding
+    spanning the union of its violating windows, carrying the worst statistic
+    seen. Rule errors on one unit degrade to an inconclusive note rather than
+    aborting the sweep.
     """
     if th is None:
         th = Thresholds()
@@ -336,44 +410,42 @@ def run_all(data: BuildingData, th: Thresholds | None = None) -> DetectionResult
                       f"{th.min_persistence_days}-day persistence floor; "
                       "no detection run",))
 
-    hits = {(rule_id, unit): [] for rule_id, (_, kind, _, _) in sorted(_RULES.items())
-            for unit in sorted(data.ahus if kind == "ahu" else data.vavs)}
-    first_reason = {}
-    for s in range(data.start, data.end - persist + 1, day):
-        view = data.window(s, s + persist)
-        for rule_id, unit in hits:
-            func = _RULES[rule_id][0]
-            try:
-                res = func(view, unit, th)
-            except DisaggError as exc:
-                res = RuleResult(INCONCLUSIVE, detail=str(exc))
-            if res.verdict == FINDING:
-                hits[rule_id, unit].append((s, s + persist, res.statistic, res.detail))
-            elif res.verdict == INCONCLUSIVE:
-                first_reason.setdefault((rule_id, unit), res.detail)
-
+    starts = np.arange(data.start, data.end - persist + 1, day, dtype=np.int64)
+    ts = data.timestamps()
+    windows = list(zip(starts.tolist(), (starts + persist).tolist(),
+                       np.searchsorted(ts, starts).tolist(),
+                       np.searchsorted(ts, starts + persist).tolist()))
     findings = []
     notes = []
-    for (rule_id, unit), unit_hits in hits.items():
-        _, _, pick, worse = _RULES[rule_id]
-        if unit_hits:
-            stat = worse(h[2] for h in unit_hits)
-            detail = next(h[3] for h in unit_hits if h[2] == stat)
-            findings.append(FaultFinding(
-                rule=rule_id,
-                rule_name=RULE_NAMES[rule_id],
-                equipment=unit,
-                window_start=min(h[0] for h in unit_hits),
-                window_end=max(h[1] for h in unit_hits),
-                statistic=stat,
-                threshold=pick(th),
-                detail=detail,
-            ))
-        elif (rule_id, unit) in first_reason:
-            notes.append(InconclusiveNote(rule_id, unit, first_reason[rule_id, unit]))
+    for rule_id, (screen, kind, pick, worse) in sorted(_RULES.items()):
+        for unit in sorted(data.ahus if kind == "ahu" else data.vavs):
+            try:
+                judge = screen(data, unit, th)
+            except DisaggError as exc:
+                judge = _always(RuleResult(INCONCLUSIVE, detail=str(exc)))
+            hits = []
+            reason = None
+            for s, e, i0, i1 in windows:
+                res = judge(i0, i1)
+                if res.verdict == FINDING:
+                    hits.append((s, e, res.statistic, res.detail))
+                elif res.verdict == INCONCLUSIVE and reason is None:
+                    reason = res.detail
+            if hits:
+                stat = worse(h[2] for h in hits)
+                findings.append(FaultFinding(
+                    rule=rule_id,
+                    rule_name=RULE_NAMES[rule_id],
+                    equipment=unit,
+                    window_start=hits[0][0],
+                    window_end=hits[-1][1],
+                    statistic=stat,
+                    threshold=pick(th),
+                    detail=next(h[3] for h in hits if h[2] == stat),
+                ))
+            elif reason is not None:
+                notes.append(InconclusiveNote(rule_id, unit, reason))
 
-    findings.sort(key=lambda f: (f.rule, f.equipment))
-    notes.sort(key=lambda n: (n.rule, n.equipment))
     return DetectionResult(findings=tuple(findings), inconclusive=tuple(notes),
                            warnings=())
 

@@ -25,6 +25,9 @@ __all__ = [
     "rmse",
     "rmspe",
     "mpe",
+    "percent_errors",
+    "rmspe_of",
+    "mpe_of",
     "pearson",
 ]
 
@@ -223,15 +226,40 @@ def rmse(a, b) -> float:
     return float(np.sqrt(np.mean((x - y) ** 2)))
 
 
-def _percent_base(measured, reference, eps: float, what: str):
-    """Complete rows with |reference| >= eps; refuses a mostly near-zero reference."""
-    m, r = _paired(measured, reference, what)
-    ok = np.abs(r) >= eps
-    if ok.sum() * 2 < len(r):
+def _mean(x) -> np.float64:
+    """np.mean of a 1-D float array: the same pairwise sum and division, so
+    the same bits, without its per-call overhead, which dominates on the
+    short slices detection judges by the thousand."""
+    return np.add.reduce(x) / len(x)
+
+
+def percent_errors(measured, reference, eps: float):
+    """The per-row base of rmspe and mpe over complete rows: the mask of rows
+    whose |reference| >= eps, and the relative error (m - r) / r on exactly
+    those rows, in row order."""
+    ok = np.abs(reference) >= eps
+    return ok, (measured[ok] - reference[ok]) / reference[ok]
+
+
+def _check_base(n_ok: int, n_rows: int, eps: float, what: str) -> None:
+    """Refuse a mostly near-zero reference."""
+    if n_ok * 2 < n_rows:
         raise DegenerateSeriesError(
-            f"{what}: reference degenerate, {len(r) - int(ok.sum())} of {len(r)} rows below eps={eps}"
+            f"{what}: reference degenerate, {n_rows - n_ok} of {n_rows} rows below eps={eps}"
         )
-    return m[ok], r[ok]
+
+
+def rmspe_of(errors, n_rows: int, eps: float) -> float:
+    """rmspe from percent_errors' relative errors over n_rows complete rows."""
+    _check_base(len(errors), n_rows, eps, "rmspe")
+    pct = errors * 100.0
+    return float(np.sqrt(_mean(pct**2)))
+
+
+def mpe_of(errors, n_rows: int, eps: float) -> float:
+    """mpe from percent_errors' relative errors over n_rows complete rows."""
+    _check_base(len(errors), n_rows, eps, "mpe")
+    return float(_mean(errors) * 100.0)
 
 
 def rmspe(measured, reference, eps: float = 1e-9) -> float:
@@ -242,15 +270,14 @@ def rmspe(measured, reference, eps: float = 1e-9) -> float:
     flows, 0.5 degF for temperatures). More than half the rows excluded means
     the reference is too close to zero to be a meaningful base.
     """
-    m, r = _percent_base(measured, reference, eps, "rmspe")
-    pct = (m - r) / r * 100.0
-    return float(np.sqrt(np.mean(pct**2)))
+    m, r = _paired(measured, reference, "rmspe")
+    return rmspe_of(percent_errors(m, r, eps)[1], len(r), eps)
 
 
 def mpe(measured, reference, eps: float = 1e-9) -> float:
     """Signed mean percentage error; sign tells which way measured is biased."""
-    m, r = _percent_base(measured, reference, eps, "mpe")
-    return float(np.mean((m - r) / r) * 100.0)
+    m, r = _paired(measured, reference, "mpe")
+    return mpe_of(percent_errors(m, r, eps)[1], len(r), eps)
 
 
 def pearson(a, b) -> float:
@@ -262,8 +289,8 @@ def pearson(a, b) -> float:
     x, y = _paired(a, b, "pearson")
     if len(x) < 2:
         raise DegenerateSeriesError("pearson: need at least 2 complete rows")
-    dx = x - x.mean()
-    dy = y - y.mean()
+    dx = x - _mean(x)
+    dy = y - _mean(y)
     sx = float(np.sqrt(np.sum(dx**2)))
     sy = float(np.sqrt(np.sum(dy**2)))
     if sx == 0.0 or sy == 0.0:

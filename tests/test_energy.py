@@ -301,6 +301,25 @@ class TestAssemble:
         assert [w for w in data.warnings if "excluded" in w] == [
             "VAV 'VAV12' excluded from sums: no air handler"]
 
+    def test_vav_naming_an_unknown_air_handler_excluded(self):
+        graph = replace(_graph(), vavs=(VavNode("VAV11", "AH1"), VavNode("VAV12", "AH9")))
+        data = assemble(graph, _binding(), _series_map())
+        assert data.excluded_vavs == (("VAV12", "no air handler"),)
+        assert list(data.vavs) == ["VAV11"]
+
+    def test_supply_temp_refusal_comes_before_a_childless_air_handler(self):
+        graph = replace(_graph(), ahus=(AhuNode("AH0"), AhuNode("AH1")))
+        smap = _series_map()
+        smap[("AH0", PointRole.AHU_SUPPLY_AIR_TEMP)] = smap[("AH1", PointRole.AHU_SUPPLY_AIR_TEMP)]
+        del smap[("AH1", PointRole.AHU_SUPPLY_AIR_TEMP)]
+        with pytest.raises(DisaggError, match="'AH1' has no supply air temperature"):
+            assemble(graph, _binding(), smap)
+
+    def test_graph_without_air_handlers_has_no_usable_vavs(self):
+        graph = replace(_graph(), ahus=())
+        with pytest.raises(DisaggError, match="no usable VAVs"):
+            assemble(graph, _binding(), _series_map())
+
     def test_disjoint_ranges_raise(self):
         smap = _series_map()
         smap[("B1", PointRole.OUTSIDE_AIR_TEMP)] = _series(

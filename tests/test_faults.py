@@ -11,12 +11,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvacdisagg.building import AhuNode, EquipmentGraph, VavNode
 from hvacdisagg.energy import AhuData, BuildingData, VavData
-from hvacdisagg.errors import ConfigError, DisaggError, FaultRuleError, IngestError
+from hvacdisagg.errors import (
+    ConfigError,
+    DegenerateSeriesError,
+    DisaggError,
+    FaultRuleError,
+    IngestError,
+)
 from hvacdisagg.faults import (
+    _FLOW_EPS_CFM,
     _RULES,
+    _TEMP_EPS_F,
     FINDING,
     INCONCLUSIVE,
     OK,
@@ -35,6 +45,7 @@ from hvacdisagg.faults import (
     run_all,
     write_findings,
 )
+from hvacdisagg.timeseries import mpe, pearson, rmspe
 
 T0 = 1_767_571_200  # 2026-01-05T00:00:00Z
 GRID = 900
@@ -360,18 +371,162 @@ def _masked(data, start, end):
                ahus={k: cut(a) for k, a in data.ahus.items()})
 
 
+# Reference rule bodies: each judges the one window it is handed as a
+# frame, with boolean masks over that frame and the whole-series timeseries
+# statistics. run_all must agree with them window for window.
+
+def _ref_ahu(data, ahu_id):
+    try:
+        return data.ahus[ahu_id]
+    except KeyError:
+        raise FaultRuleError(f"unknown AHU '{ahu_id}'") from None
+
+
+def _ref_vav(data, vav_id):
+    try:
+        return data.vavs[vav_id]
+    except KeyError:
+        raise FaultRuleError(f"unknown VAV '{vav_id}'") from None
+
+
+def _ref_covered(valid, floor):
+    if len(valid) == 0:
+        return None, "window holds no rows"
+    frac = int(valid.sum()) / len(valid)
+    if frac < floor:
+        return None, f"only {frac:.0%} of the window is usable (need {floor:.0%})"
+    return frac, None
+
+
+def _ref_economizer_stuck(data, ahu_id, th):
+    ahu = _ref_ahu(data, ahu_id)
+    if ahu.mixed_temp_measured is None:
+        return RuleResult(INCONCLUSIVE, detail="no mixed-air temperature sensor")
+    if ahu.mixed_temp_estimated is None:
+        return RuleResult(
+            INCONCLUSIVE,
+            detail="no outside-air temp and damper command to estimate the mix")
+    measured = ahu.mixed_temp_measured
+    estimated = ahu.mixed_temp_estimated
+    valid = ~np.isnan(measured) & ~np.isnan(estimated) & ~np.isnan(ahu.damper)
+    _, short = _ref_covered(valid, th.min_coverage)
+    if short:
+        return RuleResult(INCONCLUSIVE, detail=short)
+    d = ahu.damper[valid]
+    travel = float(d.max() - d.min())
+    if travel < th.damper_range_min:
+        return RuleResult(
+            INCONCLUSIVE,
+            detail=f"damper travelled only {travel:.2f} of its range; "
+                   "correlation says nothing when the command barely moves")
+    try:
+        corr = pearson(measured[valid], estimated[valid])
+    except DegenerateSeriesError:
+        return RuleResult(INCONCLUSIVE, detail="flatlined sensor")
+    if corr < th.correlation_min:
+        return RuleResult(FINDING, corr,
+                          f"mixed-air correlation {corr:.2f} < {th.correlation_min}")
+    return RuleResult(OK, corr)
+
+
+def _ref_valve_leak(data, ahu_id, th, *, heating):
+    ahu = _ref_ahu(data, ahu_id)
+    valve = ahu.heating_valve if heating else ahu.cooling_valve
+    side = "heating" if heating else "cooling"
+    if valve is None:
+        return RuleResult(INCONCLUSIVE, detail=f"no {side} valve command trend")
+    valid = ~np.isnan(valve) & ~np.isnan(ahu.supply_temp) & ~np.isnan(ahu.mixed_temp)
+    _, short = _ref_covered(valid, th.min_coverage)
+    if short:
+        return RuleResult(INCONCLUSIVE, detail=short)
+    closed = valid & (valve <= th.valve_closed_tolerance)
+    if not closed.any():
+        return RuleResult(INCONCLUSIVE,
+                          detail=f"{side} valve never commanded closed in window")
+    try:
+        bias = mpe(ahu.supply_temp[closed], ahu.mixed_temp[closed], eps=_TEMP_EPS_F)
+    except DegenerateSeriesError:
+        return RuleResult(INCONCLUSIVE, detail="mixed-air temperature near zero; "
+                                               "percentage bias undefined")
+    if heating:
+        if bias > th.heating_mpe_pct:
+            return RuleResult(FINDING, bias,
+                              f"supply runs {bias:+.1f}% above mixed air with the "
+                              "heating valve shut")
+    else:
+        if bias < th.cooling_mpe_pct:
+            return RuleResult(FINDING, bias,
+                              f"supply runs {bias:+.1f}% below mixed air with the "
+                              "cooling valve shut")
+    return RuleResult(OK, bias)
+
+
+def _ref_config_error(data, vav_id, th):
+    vav = _ref_vav(data, vav_id)
+    if vav.min_flow is None:
+        raise FaultRuleError(f"{vav_id}: VAV missing min-flow config")
+    valid = (~np.isnan(vav.flow) & ~np.isnan(vav.zone_temp)
+             & ~np.isnan(vav.occupied) & ~np.isnan(vav.min_flow))
+    _, short = _ref_covered(valid, th.min_coverage)
+    if short:
+        return RuleResult(INCONCLUSIVE, detail=short)
+    eligible = valid & (vav.occupied <= 0.0)
+    if vav.zone_upper_limit is not None:
+        eligible &= vav.zone_temp < vav.zone_upper_limit
+    if not eligible.any():
+        return RuleResult(INCONCLUSIVE,
+                          detail="no unoccupied instants below the zone limit")
+    over = vav.flow > th.occupied_flow_slack * vav.min_flow
+    frac = float(np.mean(over[eligible]))
+    if frac > th.config_violation_fraction:
+        return RuleResult(FINDING, frac,
+                          f"{frac:.0%} of unoccupied instants exceed "
+                          f"{th.occupied_flow_slack:g}x the configured minimum")
+    return RuleResult(OK, frac)
+
+
+def _ref_damper_stuck(data, vav_id, th):
+    vav = _ref_vav(data, vav_id)
+    if vav.flow_setpoint is None:
+        return RuleResult(INCONCLUSIVE, detail="no flow setpoint trend")
+    valid = ~np.isnan(vav.flow) & ~np.isnan(vav.flow_setpoint)
+    _, short = _ref_covered(valid, th.min_coverage)
+    if short:
+        return RuleResult(INCONCLUSIVE, detail=short)
+    try:
+        err = rmspe(vav.flow[valid], vav.flow_setpoint[valid], eps=_FLOW_EPS_CFM)
+    except DegenerateSeriesError:
+        return RuleResult(INCONCLUSIVE,
+                          detail="flow setpoint sits at zero through the window")
+    if err > th.flow_rmspe_pct:
+        return RuleResult(FINDING, err,
+                          f"flow misses setpoint by {err:.0f}% RMS")
+    return RuleResult(OK, err)
+
+
+reference_rules = {
+    1: _ref_economizer_stuck,
+    2: lambda data, unit, th: _ref_valve_leak(data, unit, th, heating=False),
+    3: lambda data, unit, th: _ref_valve_leak(data, unit, th, heating=True),
+    4: _ref_config_error,
+    5: _ref_damper_stuck,
+}
+
+
 def reference_run_all(data, th=TH):
-    """The rule-major sweep run_all replaced: each (rule, unit) walks every
-    window, judged on a masked copy of the frame."""
+    """A rule-major sweep: each (rule, unit) walks every window, judged by
+    reference_rules on a masked copy of the frame."""
     day, persist = 86400, th.min_persistence_days * 86400
     starts = range(data.start, data.end - persist + 1, day)
+    windows = {s: _masked(data, s, s + persist) for s in starts}
     findings, notes = [], []
-    for rule_id, (func, kind, pick, worse) in sorted(_RULES.items()):
+    for rule_id, (_, kind, pick, worse) in sorted(_RULES.items()):
+        func = reference_rules[rule_id]
         for unit in sorted(data.ahus if kind == "ahu" else data.vavs):
             hits, reason = [], None
             for s in starts:
                 try:
-                    res = func(_masked(data, s, s + persist), unit, th)
+                    res = func(windows[s], unit, th)
                 except DisaggError as exc:
                     res = RuleResult(INCONCLUSIVE, detail=str(exc))
                 if res.verdict == FINDING:
@@ -435,6 +590,118 @@ class TestSweepOracle:
 
     def test_healthy_bundle(self, healthy_loaded):
         assert run_all(healthy_loaded.data) == reference_run_all(healthy_loaded.data)
+
+
+def _random_frame(grid, days, seed, clg_closed, htg_closed, near_zero, parked, flatlined):
+    """A frame whose inputs change day by day: NaN runs in every input, leaks,
+    pinned overnight flow and flow off setpoint that come and go, and
+    mixed-air temperatures and flow setpoints that straddle the percentage
+    floors. Any optional input may be missing."""
+    data = _frame(days=days, seed=seed, grid=grid)
+    n = data.n_rows
+    rng = np.random.default_rng(seed)
+    day = np.arange(n) * grid // 86400
+
+    def per_day(values):
+        return np.asarray(values)[day]
+
+    def gappy(x):
+        x = np.array(x, dtype=float)
+        for _ in range(rng.integers(0, 4)):
+            i = rng.integers(0, n)
+            x[i:i + rng.integers(1, max(2, n // 4))] = np.nan
+        return x
+
+    def maybe(x):
+        return None if rng.random() < 0.1 else x
+
+    ahu = data.ahus["A1"]
+    cold = per_day(rng.random(days + 1) < near_zero)
+    mixed = np.where(cold, rng.uniform(-1.0, 1.0, n), ahu.mixed_temp)
+    estimated = mixed.copy()
+    damper = ahu.damper
+    if parked:
+        damper = np.full(n, 0.5)
+    stuck = per_day(rng.random(days + 1) < 0.5)
+    measured = np.where(stuck, 61.0 + rng.normal(0, 0.05, n), mixed)
+    if flatlined:
+        measured = np.full(n, 61.0)
+    offset = per_day(rng.uniform(-0.25, 0.25, days + 1))
+    ahu.supply_temp = gappy(mixed * (1.0 + offset))
+    ahu.mixed_temp = gappy(mixed)
+    ahu.mixed_temp_measured = maybe(gappy(measured))
+    ahu.mixed_temp_estimated = maybe(gappy(estimated))
+    ahu.damper = gappy(damper)
+    ahu.cooling_valve = maybe(gappy(np.where(rng.random(n) < clg_closed, 0.0, 0.6)))
+    ahu.heating_valve = maybe(gappy(np.where(rng.random(n) < htg_closed, 0.005, 0.3)))
+
+    for vav in data.vavs.values():
+        low = per_day(rng.random(days + 1) < near_zero)
+        setpoint = np.where(low, rng.uniform(0.0, 2.0, n), vav.flow_setpoint)
+        flow = setpoint * per_day(rng.uniform(0.6, 1.4, days + 1))
+        pinned = per_day(rng.random(days + 1) < 0.5) & (vav.occupied <= 0.0)
+        vav.flow = gappy(np.where(pinned, 300.0, flow))
+        vav.flow_setpoint = maybe(gappy(setpoint))
+        warm = per_day(rng.random(days + 1) < 0.3)
+        vav.zone_temp = gappy(np.where(warm, 77.5, vav.zone_temp))
+        vav.occupied = gappy(vav.occupied)
+        vav.min_flow = maybe(gappy(vav.min_flow))
+        vav.zone_upper_limit = maybe(gappy(vav.zone_upper_limit))
+    return data
+
+
+class TestSweepProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(grid=st.sampled_from([420, 900, 3600, 21600]),
+           days=st.integers(7, 30),
+           seed=st.integers(0, 2**32 - 1),
+           clg_closed=st.floats(0.0, 1.0),
+           htg_closed=st.floats(0.0, 1.0),
+           near_zero=st.floats(0.0, 1.0),
+           parked=st.booleans(),
+           flatlined=st.booleans(),
+           persistence=st.integers(1, 10),
+           coverage=st.floats(0.1, 1.0))
+    def test_sweep_matches_reference(self, grid, days, seed, clg_closed, htg_closed,
+                                     near_zero, parked, flatlined, persistence, coverage):
+        data = _random_frame(grid, days, seed, clg_closed, htg_closed, near_zero,
+                             parked, flatlined)
+        th = Thresholds(min_persistence_days=persistence, min_coverage=coverage)
+        result = run_all(data, th)
+        if data.end - data.start < persistence * 86400:
+            assert result.warnings and not result.findings and not result.inconclusive
+        else:
+            assert result == reference_run_all(data, th)
+
+    def test_generator_reaches_every_reason(self):
+        """The generated frames do reach the degenerate-base, parked-damper
+        and flatlined-sensor reasons the property is meant to cover."""
+        reasons = set()
+        for seed, (near_zero, parked, flatlined) in enumerate(
+                [(0.9, False, False), (0.0, True, False), (0.0, False, True)]):
+            data = _random_frame(900, 14, seed, 0.5, 0.5, near_zero, parked, flatlined)
+            th = Thresholds(min_persistence_days=3, min_coverage=0.1)
+            for rule_id, func in reference_rules.items():
+                unit = "A1" if _RULES[rule_id][1] == "ahu" else "V1"
+                for s in range(data.start, data.end - 3 * 86400 + 1, 86400):
+                    try:
+                        reasons.add(func(_masked(data, s, s + 3 * 86400), unit, th).detail)
+                    except DisaggError:
+                        pass
+        assert {"mixed-air temperature near zero; percentage bias undefined",
+                "flow setpoint sits at zero through the window",
+                "flatlined sensor"} <= reasons
+        assert any("barely moves" in r for r in reasons)
+
+    def test_sweep_never_cuts_a_window_view(self, monkeypatch):
+        data = _random_frame(900, 30, 11, 0.5, 0.5, 0.2, False, False)
+        expected = reference_run_all(data)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_all cut a per-window view")
+
+        monkeypatch.setattr(BuildingData, "window", refuse)
+        assert run_all(data) == expected
 
 
 class TestSweepNotes:
