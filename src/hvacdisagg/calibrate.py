@@ -351,8 +351,8 @@ def save_model(model: CalibratedModel, path: str) -> None:
     cp = configparser.ConfigParser(interpolation=None)
     cp["model"] = {
         "format": str(MODEL_FORMAT),
-        "air_power_k": _format_float(model.constants.air_power_k),
-        "mode_deadband_f": _format_float(model.constants.mode_deadband_f),
+        **{f.name: _format_float(getattr(model.constants, f.name))
+           for f in dataclasses.fields(PhysicalConstants)},
         "interval_s": str(model.interval_s),
         "train_start": format_timestamp(model.train_window[0]),
         "train_end": format_timestamp(model.train_window[1]),
@@ -427,10 +427,8 @@ def load_model(path: str) -> CalibratedModel:
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"bad model file: {exc}") from exc
 
-    constants = PhysicalConstants(
-        air_power_k=cp["model"].getfloat("air_power_k"),
-        mode_deadband_f=cp["model"].getfloat("mode_deadband_f"),
-    )
+    constants = PhysicalConstants(**{f.name: cp["model"].getfloat(f.name)
+                                     for f in dataclasses.fields(PhysicalConstants)})
     train_window = (parse_timestamp(cp["model"]["train_start"]),
                     parse_timestamp(cp["model"]["train_end"]))
     test_window = None

@@ -93,10 +93,9 @@ def load_run_config(path: str) -> RunConfig:
 
     const_sec = _section(cp, "constants", path)
     try:
-        constants = PhysicalConstants(
-            air_power_k=float(_get(const_sec, "air_power_k", path)),
-            mode_deadband_f=float(_get(const_sec, "mode_deadband_f", path)),
-        )
+        constants = PhysicalConstants(**{
+            f.name: float(_get(const_sec, f.name, path))
+            for f in dataclasses.fields(PhysicalConstants)})
         interval_s = int(_get(const_sec, "interval_s", path))
     except ValueError as exc:
         raise ConfigError(f"{path}: constants: {exc}") from exc

@@ -24,8 +24,7 @@ min-flow config) and builds its masks, their running counts and the usable
 rows' values. A window is then a row range [i0, i1): counts come from
 differences of running counts, and each statistic is taken over a contiguous
 slice of the usable rows, the same values in the same order a masked copy
-of the window would give. Each rule_* function is the one-window case of
-its screen.
+of the window would give.
 """
 
 from __future__ import annotations
@@ -57,11 +56,6 @@ __all__ = [
     "OK",
     "INCONCLUSIVE",
     "RULE_NAMES",
-    "rule_economizer_stuck",
-    "rule_cooling_valve_leak",
-    "rule_heating_valve_leak",
-    "rule_config_error",
-    "rule_damper_stuck",
     "run_all",
     "write_findings",
     "read_findings",
@@ -210,6 +204,9 @@ def _coverage(valid: np.ndarray, floor: float):
 
 
 def _economizer_screen(data: BuildingData, ahu_id: str, th: Thresholds):
+    """Correlate the measured mixed-air temperature with the one the damper
+    command implies. A working economizer keeps the two moving together; a
+    stuck damper decouples them."""
     ahu = _ahu(data, ahu_id)
     if ahu.mixed_temp_measured is None:
         return _always(RuleResult(INCONCLUSIVE, detail="no mixed-air temperature sensor"))
@@ -247,6 +244,8 @@ def _economizer_screen(data: BuildingData, ahu_id: str, th: Thresholds):
 
 
 def _valve_leak_screen(data: BuildingData, ahu_id: str, th: Thresholds, *, heating: bool):
+    """Supply air biased cold (warm) across the instants the cooling
+    (heating) valve is shut."""
     ahu = _ahu(data, ahu_id)
     valve = ahu.heating_valve if heating else ahu.cooling_valve
     side = "heating" if heating else "cooling"
@@ -288,6 +287,12 @@ def _valve_leak_screen(data: BuildingData, ahu_id: str, th: Thresholds, *, heati
 
 
 def _config_screen(data: BuildingData, vav_id: str, th: Thresholds):
+    """Unoccupied flow pinned above the configured minimum.
+
+    Only instants where the zone is below its upper limit count: a warm zone
+    legitimately drives flow, a cool one does not. A VAV with no upper limit
+    configured is screened on occupancy alone.
+    """
     vav = _vav(data, vav_id)
     if vav.min_flow is None:
         raise FaultRuleError(f"{vav_id}: VAV missing min-flow config")
@@ -319,6 +324,7 @@ def _config_screen(data: BuildingData, vav_id: str, th: Thresholds):
 
 
 def _damper_screen(data: BuildingData, vav_id: str, th: Thresholds):
+    """Flow that no longer follows its own setpoint."""
     vav = _vav(data, vav_id)
     if vav.flow_setpoint is None:
         return _always(RuleResult(INCONCLUSIVE, detail="no flow setpoint trend"))
@@ -342,38 +348,6 @@ def _damper_screen(data: BuildingData, vav_id: str, th: Thresholds):
         return RuleResult(OK, err)
 
     return judge
-
-
-def rule_economizer_stuck(data: BuildingData, ahu_id: str, th: Thresholds) -> RuleResult:
-    """Correlate the measured mixed-air temperature with the one the damper
-    command implies. A working economizer keeps the two moving together; a
-    stuck damper decouples them."""
-    return _economizer_screen(data, ahu_id, th)(0, data.n_rows)
-
-
-def rule_cooling_valve_leak(data: BuildingData, ahu_id: str, th: Thresholds) -> RuleResult:
-    """Supply air biased cold across the instants the cooling valve is shut."""
-    return _valve_leak_screen(data, ahu_id, th, heating=False)(0, data.n_rows)
-
-
-def rule_heating_valve_leak(data: BuildingData, ahu_id: str, th: Thresholds) -> RuleResult:
-    """Supply air biased warm across the instants the heating valve is shut."""
-    return _valve_leak_screen(data, ahu_id, th, heating=True)(0, data.n_rows)
-
-
-def rule_config_error(data: BuildingData, vav_id: str, th: Thresholds) -> RuleResult:
-    """Unoccupied flow pinned above the configured minimum.
-
-    Only instants where the zone is below its upper limit count: a warm zone
-    legitimately drives flow, a cool one does not. A VAV with no upper limit
-    configured is screened on occupancy alone.
-    """
-    return _config_screen(data, vav_id, th)(0, data.n_rows)
-
-
-def rule_damper_stuck(data: BuildingData, vav_id: str, th: Thresholds) -> RuleResult:
-    """Flow that no longer follows its own setpoint."""
-    return _damper_screen(data, vav_id, th)(0, data.n_rows)
 
 
 # rule id -> (screen, equipment kind, threshold picker, worse-of pair); a
@@ -404,9 +378,11 @@ def run_all(data: BuildingData, th: Thresholds | None = None) -> DetectionResult
     persist = th.min_persistence_days * day
     span = data.end - data.start
     if span < persist:
+        # tenths of a day rounded down, so a span just under the floor never
+        # prints as the floor itself
         return DetectionResult(
             findings=(), inconclusive=(),
-            warnings=(f"frame covers {span / day:.1f} days, below the "
+            warnings=(f"frame covers {span * 10 // day / 10:.1f} days, below the "
                       f"{th.min_persistence_days}-day persistence floor; "
                       "no detection run",))
 

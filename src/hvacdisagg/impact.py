@@ -33,7 +33,6 @@ __all__ = [
     "METHOD_SETPOINT",
     "METHOD_MODEL",
     "METHOD_NOT_ESTIMABLE",
-    "fault_energy_loss",
     "annualize",
     "estimate_impact",
     "estimate_all",
@@ -174,17 +173,6 @@ def _window_delta(finding: FaultFinding, model: CalibratedModel,
         raise _NotEstimable(f"finding window is shorter than {MIN_WINDOW_DAYS} days")
     view = data.window(finding.window_start, finding.window_end)
     return (view, *_delta_series(finding, model, view, thresholds))
-
-
-def fault_energy_loss(finding: FaultFinding, model: CalibratedModel,
-                      data: BuildingData) -> float | None:
-    """Observed waste over the finding window in MMBTU, or None when the
-    counterfactual cannot be built or the window is shorter than a week."""
-    try:
-        _, delta, _ = _window_delta(finding, model, data, Thresholds())
-    except _NotEstimable:
-        return None
-    return max(0.0, float(delta.sum()))
 
 
 def annualize(daily_losses, daily_oat, reference_year_oat) -> AnnualResult:

@@ -5,7 +5,8 @@ smooth zone, flow, and air-temperature signals, then computes the meter
 series exactly from those signals with chosen coefficients. Recovery of
 the coefficients by the fitting pipeline therefore has a well-defined
 answer. Faults are injected at the actuator or sensor level and every
-downstream signal is re-derived, so faulty bundles stay self-consistent.
+downstream signal is derived from the faulty values, so faulty bundles stay
+self-consistent.
 
 The one subtle piece is joint exactness of the VAV-side and AHU-side
 cooling balances against a single meter. With the return-air temperature
@@ -56,7 +57,6 @@ FAULT_TYPES = (
 )
 
 _AHU_FAULTS = {FAULT_ECONOMIZER, FAULT_COOLING_LEAK, FAULT_HEATING_LEAK}
-_VAV_FAULTS = {FAULT_CONFIG, FAULT_DAMPER}
 
 _K = DEFAULT_CONSTANTS.air_power_k
 
@@ -145,9 +145,33 @@ class ScenarioSpec:
                 raise ScenarioError("noise level must be in [0, 0.2)")
         if self.min_flow_cfm <= 0.0:
             raise ScenarioError("min flow must be positive")
+        vavs = {v for a in range(self.n_ahus) for v in self.vav_ids(a)}
+        faulty = set()
         for inj in self.faults:
             if inj.fault not in FAULT_TYPES:
                 raise ScenarioError(f"unknown fault type '{inj.fault}'")
+            if inj.fault in _AHU_FAULTS:
+                if inj.equipment not in self.ahu_ids():
+                    raise ScenarioError(
+                        f"{inj.fault}: '{inj.equipment}' is not an AHU in this scenario")
+            elif inj.equipment not in vavs:
+                raise ScenarioError(
+                    f"{inj.fault}: '{inj.equipment}' is not a VAV in this scenario")
+            start = self.start_epoch
+            if inj.duration_s <= 0 or inj.start < start or \
+                    inj.start + inj.duration_s > start + self.n_rows * self.interval_s:
+                raise ScenarioError(
+                    f"{inj.fault} on {inj.equipment}: injection window outside the scenario range")
+            if inj.equipment in faulty:
+                raise ScenarioError(f"'{inj.equipment}' already has an injected fault")
+            faulty.add(inj.equipment)
+            if inj.fault == FAULT_ECONOMIZER and not 0.0 <= inj.magnitude <= 1.0:
+                raise ScenarioError("economizer stuck position must be a fraction")
+            if inj.fault == FAULT_CONFIG and inj.magnitude <= 1.0:
+                raise ScenarioError(
+                    "config error magnitude is a multiple of min flow, must exceed 1")
+            if inj.fault == FAULT_DAMPER and inj.magnitude <= -self.min_flow_cfm:
+                raise ScenarioError("stuck damper offset would drive the flow negative")
 
     @property
     def start_epoch(self) -> int:
@@ -176,9 +200,8 @@ class ScenarioSpec:
 
 @dataclass
 class TraceSet:
-    """Complete signal state for one scenario; derived parts are rebuilt
-    from the base schedules plus the injection list, so injections can be
-    applied one at a time without edits compounding."""
+    """Complete signal state for one scenario: the base schedules, and the
+    parts _derive_physics builds from them and the spec's injections."""
 
     spec: ScenarioSpec
     start: int
@@ -198,7 +221,6 @@ class TraceSet:
     reheat_valve: dict
     sat_setpoint: dict
     night_mixed_target: dict
-    injections: list = field(default_factory=list)
     # derived by _derive_physics
     flow_sp: dict = field(default_factory=dict)
     flow: dict = field(default_factory=dict)
@@ -210,16 +232,9 @@ class TraceSet:
     damper_cmd: dict = field(default_factory=dict)
     clg_valve: dict = field(default_factory=dict)
     htg_valve: dict = field(default_factory=dict)
-    vav_cooling: dict = field(default_factory=dict)
 
     def window_rows(self, inj: FaultInjection) -> np.ndarray:
         return (self.ts >= inj.start) & (self.ts < inj.start + inj.duration_s)
-
-
-@dataclass(frozen=True)
-class WasteRecord:
-    injection: FaultInjection
-    waste_mmbtu: float
 
 
 @dataclass(frozen=True)
@@ -322,13 +337,13 @@ def _leak_rows(tr: TraceSet, inj: FaultInjection) -> np.ndarray:
 
 
 def _derive_physics(tr: TraceSet) -> None:
-    """Rebuild all derived signals from base schedules plus injections."""
+    """Build all derived signals from base schedules plus injections."""
     spec = tr.spec
     alpha, beta_each = spec.alpha, spec.beta / spec.n_ahus
 
     flow_sp = {v: arr.copy() for v, arr in tr.flow_sp_base.items()}
     flow = {v: arr.copy() for v, arr in flow_sp.items()}
-    for inj in tr.injections:
+    for inj in spec.faults:
         if inj.fault == FAULT_CONFIG:
             rows = tr.window_rows(inj) & (tr.occupied <= 0.0)
             bad = inj.magnitude * spec.min_flow_cfm
@@ -344,9 +359,8 @@ def _derive_physics(tr: TraceSet) -> None:
     damper_cmd: dict = {}
     flow_sum: dict = {}
     return_temp: dict = {}
-    vav_cooling: dict = {}
 
-    stuck = {inj.equipment: inj for inj in tr.injections if inj.fault == FAULT_ECONOMIZER}
+    stuck = {inj.equipment: inj for inj in spec.faults if inj.fault == FAULT_ECONOMIZER}
 
     for ahu in tr.ahu_ids:
         kids = tr.children[ahu]
@@ -394,15 +408,12 @@ def _derive_physics(tr: TraceSet) -> None:
         sat_actual[ahu] = np.where(tr.econ_band, t_ma, sat_actual[ahu])
 
         # leaks shift the actual discharge temperature on the closed-valve band
-        for inj in tr.injections:
+        for inj in spec.faults:
             if inj.equipment != ahu or inj.fault not in (FAULT_COOLING_LEAK, FAULT_HEATING_LEAK):
                 continue
             rows = _leak_rows(tr, inj)
             shift = -inj.magnitude if inj.fault == FAULT_COOLING_LEAK else inj.magnitude
             sat_actual[ahu] = np.where(rows, sat_actual[ahu] + shift, sat_actual[ahu])
-
-        for v in kids:
-            vav_cooling[v] = vav_cooling_power(flow[v], tr.zone_temp[v], sat_actual[ahu], _K)
 
     # feedforward coil commands from the discharge setpoint; forced shut
     # through the economizer band
@@ -417,7 +428,7 @@ def _derive_physics(tr: TraceSet) -> None:
         clg_valve[ahu] = clg
         htg_valve[ahu] = htg
 
-    for inj in tr.injections:
+    for inj in spec.faults:
         if inj.fault in (FAULT_COOLING_LEAK, FAULT_HEATING_LEAK):
             rows = _leak_rows(tr, inj)
             valve = clg_valve if inj.fault == FAULT_COOLING_LEAK else htg_valve
@@ -429,7 +440,7 @@ def _derive_physics(tr: TraceSet) -> None:
     tr.flow_sp, tr.flow, tr.flow_sum = flow_sp, flow, flow_sum
     tr.return_temp, tr.sat_actual = return_temp, sat_actual
     tr.mixed_healthy, tr.mixed_actual, tr.damper_cmd = mixed_healthy, mixed_actual, damper_cmd
-    tr.clg_valve, tr.htg_valve, tr.vav_cooling = clg_valve, htg_valve, vav_cooling
+    tr.clg_valve, tr.htg_valve = clg_valve, htg_valve
 
 
 def _waste(tr: TraceSet, inj: FaultInjection) -> float:
@@ -458,33 +469,6 @@ def _waste(tr: TraceSet, inj: FaultInjection) -> float:
     effort_act = _K * qsum * np.abs(tr.mixed_actual[ahu] - sp) / _MMBTU
     effort_healthy = _K * qsum * np.abs(tr.mixed_healthy[ahu] - sp) / _MMBTU
     return float(np.sum(np.maximum(effort_act - effort_healthy, 0.0)[win]) * dt_hr)
-
-
-def inject_fault(tr: TraceSet, inj: FaultInjection) -> WasteRecord:
-    """Register one fault, re-derive downstream signals, record its waste."""
-    if inj.fault not in FAULT_TYPES:
-        raise ScenarioError(f"unknown fault type '{inj.fault}'")
-    if inj.fault in _AHU_FAULTS:
-        if inj.equipment not in tr.ahu_ids:
-            raise ScenarioError(f"{inj.fault}: '{inj.equipment}' is not an AHU in this scenario")
-    else:
-        if inj.equipment not in tr.parent:
-            raise ScenarioError(f"{inj.fault}: '{inj.equipment}' is not a VAV in this scenario")
-    end = tr.start + tr.n * tr.spec.interval_s
-    if inj.duration_s <= 0 or inj.start < tr.start or inj.start + inj.duration_s > end:
-        raise ScenarioError(
-            f"{inj.fault} on {inj.equipment}: injection window outside the scenario range")
-    if any(prev.equipment == inj.equipment for prev in tr.injections):
-        raise ScenarioError(f"'{inj.equipment}' already has an injected fault")
-    if inj.fault == FAULT_ECONOMIZER and not 0.0 <= inj.magnitude <= 1.0:
-        raise ScenarioError("economizer stuck position must be a fraction")
-    if inj.fault == FAULT_CONFIG and inj.magnitude <= 1.0:
-        raise ScenarioError("config error magnitude is a multiple of min flow, must exceed 1")
-    if inj.fault == FAULT_DAMPER and inj.magnitude <= -tr.spec.min_flow_cfm:
-        raise ScenarioError("stuck damper offset would drive the flow negative")
-    tr.injections.append(inj)
-    _derive_physics(tr)
-    return WasteRecord(injection=inj, waste_mmbtu=_waste(tr, inj))
 
 
 # ----------------------------------------------------------------------
@@ -654,7 +638,7 @@ def _write_truth_powers(path: str, tr: TraceSet, per_equipment: dict, sums: dict
 
 
 def _write_ground_truth(path: str, spec: ScenarioSpec, tr: TraceSet,
-                        records, n_cooling: int, n_heating: int) -> None:
+                        wastes, n_cooling: int, n_heating: int) -> None:
     cp = configparser.ConfigParser(interpolation=None)
     cp["generator"] = {"rng": RNG_NAME, "seed": str(spec.seed)}
     cp["scenario"] = {
@@ -675,78 +659,17 @@ def _write_ground_truth(path: str, spec: ScenarioSpec, tr: TraceSet,
         "n_cooling_rows": str(n_cooling),
         "n_heating_rows": str(n_heating),
     }
-    for i, rec in enumerate(records, start=1):
-        inj = rec.injection
+    for i, (inj, waste) in enumerate(zip(spec.faults, wastes), start=1):
         cp[f"injection {i}"] = {
             "fault": inj.fault,
             "equipment": inj.equipment,
             "start": format_timestamp(inj.start),
             "end": format_timestamp(inj.start + inj.duration_s),
             "magnitude": repr(float(inj.magnitude)),
-            "waste_mmbtu": repr(rec.waste_mmbtu),
+            "waste_mmbtu": repr(waste),
         }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         cp.write(fh)
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    seed: int
-    rng: str
-    start: int
-    interval_s: int
-    duration_days: int
-    n_ahus: int
-    n_vavs_per_ahu: int
-    coefficients: dict
-    alpha: float
-    beta: float
-    n_rows: int
-    n_cooling_rows: int
-    n_heating_rows: int
-    injections: tuple
-
-
-@dataclass(frozen=True)
-class InjectionRecord:
-    fault: str
-    equipment: str
-    start: int
-    end: int
-    magnitude: float
-    waste_mmbtu: float
-
-
-def load_ground_truth(path: str) -> GroundTruth:
-    cp = configparser.ConfigParser(interpolation=None)
-    with open(path, encoding="utf-8") as fh:
-        cp.read_file(fh, source=path)
-    injections = []
-    for section in cp.sections():
-        if not section.startswith("injection "):
-            continue
-        s = cp[section]
-        injections.append(InjectionRecord(
-            fault=s["fault"], equipment=s["equipment"],
-            start=parse_timestamp(s["start"]), end=parse_timestamp(s["end"]),
-            magnitude=s.getfloat("magnitude"),
-            waste_mmbtu=s.getfloat("waste_mmbtu")))
-    return GroundTruth(
-        seed=cp["generator"].getint("seed"),
-        rng=cp["generator"]["rng"],
-        start=parse_timestamp(cp["scenario"]["start"]),
-        interval_s=cp["scenario"].getint("interval_s"),
-        duration_days=cp["scenario"].getint("duration_days"),
-        n_ahus=cp["scenario"].getint("n_ahus"),
-        n_vavs_per_ahu=cp["scenario"].getint("n_vavs_per_ahu"),
-        coefficients={f"c{i}": cp["coefficients"].getfloat(f"c{i}") for i in range(1, 9)},
-        alpha=cp["economizer split"].getfloat("alpha"),
-        beta=cp["economizer split"].getfloat("beta"),
-        n_rows=cp["rows"].getint("n_rows"),
-        n_cooling_rows=cp["rows"].getint("n_cooling_rows"),
-        n_heating_rows=cp["rows"].getint("n_heating_rows"),
-        injections=tuple(injections),
-    )
 
 
 def _write_run_config(path: str, spec: ScenarioSpec) -> None:
@@ -778,11 +701,9 @@ def generate(spec: ScenarioSpec, out_dir: str) -> ScenarioBundle:
     rng = np.random.default_rng(spec.seed)
     tr = _build_base(spec, rng)
     _derive_physics(tr)
-    for inj in spec.faults:
-        inject_fault(tr, inj)
-    # waste integrals only once every injection is in, so faults that share
+    # every injection is in before any waste integral, so faults that share
     # an AHU see each other's effect on flows and temperatures
-    records = [WasteRecord(inj, _waste(tr, inj)) for inj in tr.injections]
+    wastes = [_waste(tr, inj) for inj in spec.faults]
 
     signals = _written_signals(tr, rng)
     written = {pid: values for pid, _, values in signals}
@@ -818,7 +739,7 @@ def generate(spec: ScenarioSpec, out_dir: str) -> ScenarioBundle:
     write_trends(series, bundle.trends_path)
 
     write_reference_year(_reference_year(spec), bundle.reference_year_path)
-    _write_ground_truth(bundle.ground_truth_path, spec, tr, records, n_cooling, n_heating)
+    _write_ground_truth(bundle.ground_truth_path, spec, tr, wastes, n_cooling, n_heating)
     _write_truth_powers(bundle.truth_powers_path, tr, per_equipment, sums,
                         cooling_meter, heating_meter)
     _write_run_config(bundle.run_config_path, spec)

@@ -3,9 +3,11 @@
 Bundles are generated once per session; the generator is deterministic so
 every test sees identical files. Loading a bundle through the full
 metadata/points/trends path is part of what the integration tests cover,
-so the loader here is the same sequence the CLI runs.
+so the loader here is the same sequence the CLI runs. The ground-truth
+file a bundle carries is read only by tests, so its reader lives here.
 """
 
+import configparser
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -15,13 +17,74 @@ from hvacdisagg import ingest, synth
 from hvacdisagg.building import EquipmentGraph, PointBinding, bind_points, load_metadata
 from hvacdisagg.config import load_run_config
 from hvacdisagg.energy import BuildingData, assemble
-from hvacdisagg.ingest import read_points, read_reference_year, read_trends
+from hvacdisagg.ingest import parse_timestamp, read_points, read_reference_year, read_trends
+
+
+@dataclass(frozen=True)
+class InjectionRecord:
+    fault: str
+    equipment: str
+    start: int
+    end: int
+    magnitude: float
+    waste_mmbtu: float
+
+
+@dataclass(frozen=True)
+class GroundTruth:
+    seed: int
+    rng: str
+    start: int
+    interval_s: int
+    duration_days: int
+    n_ahus: int
+    n_vavs_per_ahu: int
+    coefficients: dict
+    alpha: float
+    beta: float
+    n_rows: int
+    n_cooling_rows: int
+    n_heating_rows: int
+    injections: tuple
+
+
+def load_ground_truth(path: str) -> GroundTruth:
+    """A bundle's ground_truth.ini as the generator wrote it."""
+    cp = configparser.ConfigParser(interpolation=None)
+    with open(path, encoding="utf-8") as fh:
+        cp.read_file(fh, source=path)
+    injections = []
+    for section in cp.sections():
+        if not section.startswith("injection "):
+            continue
+        s = cp[section]
+        injections.append(InjectionRecord(
+            fault=s["fault"], equipment=s["equipment"],
+            start=parse_timestamp(s["start"]), end=parse_timestamp(s["end"]),
+            magnitude=s.getfloat("magnitude"),
+            waste_mmbtu=s.getfloat("waste_mmbtu")))
+    return GroundTruth(
+        seed=cp["generator"].getint("seed"),
+        rng=cp["generator"]["rng"],
+        start=parse_timestamp(cp["scenario"]["start"]),
+        interval_s=cp["scenario"].getint("interval_s"),
+        duration_days=cp["scenario"].getint("duration_days"),
+        n_ahus=cp["scenario"].getint("n_ahus"),
+        n_vavs_per_ahu=cp["scenario"].getint("n_vavs_per_ahu"),
+        coefficients={f"c{i}": cp["coefficients"].getfloat(f"c{i}") for i in range(1, 9)},
+        alpha=cp["economizer split"].getfloat("alpha"),
+        beta=cp["economizer split"].getfloat("beta"),
+        n_rows=cp["rows"].getint("n_rows"),
+        n_cooling_rows=cp["rows"].getint("n_cooling_rows"),
+        n_heating_rows=cp["rows"].getint("n_heating_rows"),
+        injections=tuple(injections),
+    )
 
 
 @dataclass
 class LoadedBundle:
     bundle: synth.ScenarioBundle
-    truth: synth.GroundTruth
+    truth: GroundTruth
     graph: EquipmentGraph
     binding: PointBinding
     series: dict
@@ -38,7 +101,7 @@ def load_bundle(bundle: synth.ScenarioBundle) -> LoadedBundle:
     data = assemble(graph, binding, series)
     return LoadedBundle(
         bundle=bundle,
-        truth=synth.load_ground_truth(bundle.ground_truth_path),
+        truth=load_ground_truth(bundle.ground_truth_path),
         graph=graph,
         binding=binding,
         series=series,

@@ -35,7 +35,7 @@ from hvacdisagg.faults import (
     run_all,
     write_findings,
 )
-from hvacdisagg.impact import annualize, fault_energy_loss
+from hvacdisagg.impact import METHOD_SETPOINT, annualize, estimate_impact
 from hvacdisagg.ingest import (
     TRENDS_CACHE_NAME,
     format_timestamp,
@@ -213,8 +213,9 @@ def test_criterion_7_impact_accuracy(impact_loaded):
     finding = FaultFinding(rule=5, rule_name=RULE_NAMES[5],
                            equipment=inj.equipment, window_start=inj.start,
                            window_end=inj.end, statistic=0.0, threshold=0.0)
-    loss = fault_energy_loss(finding, model, impact_loaded.data)
-    assert loss == pytest.approx(DAMPER_LOSS_ANALYTIC, rel=0.10)
+    est = estimate_impact(finding, model, impact_loaded.data, impact_loaded.reference_oat)
+    assert est.method == METHOD_SETPOINT
+    assert est.observed_mmbtu == pytest.approx(DAMPER_LOSS_ANALYTIC, rel=0.10)
 
     oat = np.linspace(35.0, 70.0, 28)
     losses = 0.1 * oat - 4.0

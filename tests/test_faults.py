@@ -8,10 +8,11 @@ behaviour of run_all is checked with violations of known duration.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hvacdisagg.building import AhuNode, EquipmentGraph, VavNode
@@ -37,11 +38,6 @@ from hvacdisagg.faults import (
     RuleResult,
     Thresholds,
     read_findings,
-    rule_config_error,
-    rule_cooling_valve_leak,
-    rule_damper_stuck,
-    rule_economizer_stuck,
-    rule_heating_valve_leak,
     run_all,
     write_findings,
 )
@@ -109,9 +105,15 @@ def _frame(days=8, seed=5, grid=GRID):
     )
 
 
+def judge_whole_frame(rule_id, data, unit, th):
+    """Rule rule_id's verdict on the whole frame judged as one window."""
+    screen = _RULES[rule_id][0]
+    return screen(data, unit, th)(0, data.n_rows)
+
+
 class TestEconomizerRule:
     def test_tracking_mix_is_ok(self):
-        res = rule_economizer_stuck(_frame(), "A1", TH)
+        res = judge_whole_frame(1, _frame(), "A1", TH)
         assert res.verdict == OK
         assert res.statistic == pytest.approx(1.0, abs=1e-12)
 
@@ -123,27 +125,27 @@ class TestEconomizerRule:
         # command keeps sweeping but the measured mix no longer answers it
         ahu.mixed_temp_estimated = 72.0 - 22.0 * ahu.damper
         ahu.mixed_temp_measured = np.full(n, 61.0) + rng.normal(0, 0.05, n)
-        res = rule_economizer_stuck(data, "A1", TH)
+        res = judge_whole_frame(1, data, "A1", TH)
         assert res.verdict == FINDING
         assert abs(res.statistic) < 0.2
 
     def test_no_mixed_sensor_inconclusive(self):
         data = _frame()
         data.ahus["A1"].mixed_temp_measured = None
-        res = rule_economizer_stuck(data, "A1", TH)
+        res = judge_whole_frame(1, data, "A1", TH)
         assert res.verdict == INCONCLUSIVE
         assert "sensor" in res.detail
 
     def test_no_estimate_inconclusive(self):
         data = _frame()
         data.ahus["A1"].mixed_temp_estimated = None
-        res = rule_economizer_stuck(data, "A1", TH)
+        res = judge_whole_frame(1, data, "A1", TH)
         assert res.verdict == INCONCLUSIVE
 
     def test_parked_damper_inconclusive(self):
         data = _frame()
         data.ahus["A1"].damper = np.full(data.n_rows, 0.5)
-        res = rule_economizer_stuck(data, "A1", TH)
+        res = judge_whole_frame(1, data, "A1", TH)
         assert res.verdict == INCONCLUSIVE
         assert "barely moves" in res.detail
 
@@ -151,20 +153,20 @@ class TestEconomizerRule:
         data = _frame()
         measured = data.ahus["A1"].mixed_temp_measured
         measured[: int(0.6 * data.n_rows)] = np.nan
-        res = rule_economizer_stuck(data, "A1", TH)
+        res = judge_whole_frame(1, data, "A1", TH)
         assert res.verdict == INCONCLUSIVE
         assert "usable" in res.detail
 
     def test_flatlined_sensor_inconclusive(self):
         data = _frame()
         data.ahus["A1"].mixed_temp_measured = np.full(data.n_rows, 61.0)
-        res = rule_economizer_stuck(data, "A1", TH)
+        res = judge_whole_frame(1, data, "A1", TH)
         assert res.verdict == INCONCLUSIVE
         assert "flatlined" in res.detail
 
     def test_unknown_ahu(self):
         with pytest.raises(FaultRuleError, match="unknown AHU"):
-            rule_economizer_stuck(_frame(), "A9", TH)
+            judge_whole_frame(1, _frame(), "A9", TH)
 
 
 class TestValveLeakRules:
@@ -173,7 +175,7 @@ class TestValveLeakRules:
         ahu = data.ahus["A1"]
         ahu.mixed_temp = np.full(data.n_rows, 60.0)
         ahu.supply_temp = np.full(data.n_rows, 50.0)
-        res = rule_cooling_valve_leak(data, "A1", TH)
+        res = judge_whole_frame(2, data, "A1", TH)
         assert res.verdict == FINDING
         assert res.statistic == pytest.approx(LEAK_BIAS_PCT, rel=1e-12)
 
@@ -182,7 +184,7 @@ class TestValveLeakRules:
         ahu = data.ahus["A1"]
         ahu.mixed_temp = np.full(data.n_rows, 60.0)
         ahu.supply_temp = np.full(data.n_rows, 70.0)
-        res = rule_heating_valve_leak(data, "A1", TH)
+        res = judge_whole_frame(3, data, "A1", TH)
         assert res.verdict == FINDING
         assert res.statistic == pytest.approx(-LEAK_BIAS_PCT, rel=1e-12)
 
@@ -191,11 +193,11 @@ class TestValveLeakRules:
         ahu = data.ahus["A1"]
         ahu.mixed_temp = np.full(data.n_rows, 60.0)
         ahu.supply_temp = np.full(data.n_rows, 50.0)
-        res = rule_heating_valve_leak(data, "A1", TH)
+        res = judge_whole_frame(3, data, "A1", TH)
         assert res.verdict == OK
 
     def test_tight_valve_is_ok(self):
-        res = rule_cooling_valve_leak(_frame(), "A1", TH)
+        res = judge_whole_frame(2, _frame(), "A1", TH)
         assert res.verdict == OK
         assert res.statistic == pytest.approx(0.0, abs=1e-12)
 
@@ -208,21 +210,21 @@ class TestValveLeakRules:
         ahu.cooling_valve = np.where(np.arange(n) < half, 0.8, 0.0)
         ahu.mixed_temp = np.full(n, 60.0)
         ahu.supply_temp = np.where(np.arange(n) < half, 45.0, 60.0)
-        res = rule_cooling_valve_leak(data, "A1", TH)
+        res = judge_whole_frame(2, data, "A1", TH)
         assert res.verdict == OK
         assert res.statistic == pytest.approx(0.0, abs=1e-12)
 
     def test_never_closed_inconclusive(self):
         data = _frame()
         data.ahus["A1"].cooling_valve = np.full(data.n_rows, 0.4)
-        res = rule_cooling_valve_leak(data, "A1", TH)
+        res = judge_whole_frame(2, data, "A1", TH)
         assert res.verdict == INCONCLUSIVE
         assert "never commanded closed" in res.detail
 
     def test_missing_valve_trend_inconclusive(self):
         data = _frame()
         data.ahus["A1"].heating_valve = None
-        res = rule_heating_valve_leak(data, "A1", TH)
+        res = judge_whole_frame(3, data, "A1", TH)
         assert res.verdict == INCONCLUSIVE
         assert "valve command" in res.detail
 
@@ -232,12 +234,12 @@ class TestConfigRule:
         data = _frame()
         vav = data.vavs["V1"]
         vav.flow = np.where(vav.occupied > 0.0, vav.flow, 300.0)
-        res = rule_config_error(data, "V1", TH)
+        res = judge_whole_frame(4, data, "V1", TH)
         assert res.verdict == FINDING
         assert res.statistic == pytest.approx(1.0)
 
     def test_night_setback_is_ok(self):
-        res = rule_config_error(_frame(), "V1", TH)
+        res = judge_whole_frame(4, _frame(), "V1", TH)
         assert res.verdict == OK
         assert res.statistic == pytest.approx(0.0)
 
@@ -246,7 +248,7 @@ class TestConfigRule:
         vav = data.vavs["V1"]
         # exactly at the slack multiple: not a violation
         vav.flow = np.where(vav.occupied > 0.0, vav.flow, 110.0)
-        res = rule_config_error(data, "V1", TH)
+        res = judge_whole_frame(4, data, "V1", TH)
         assert res.verdict == OK
 
     def test_warm_zone_rows_excluded(self):
@@ -254,21 +256,21 @@ class TestConfigRule:
         vav = data.vavs["V1"]
         vav.flow = np.where(vav.occupied > 0.0, vav.flow, 300.0)
         vav.zone_temp = np.where(vav.occupied > 0.0, vav.zone_temp, 77.5)
-        res = rule_config_error(data, "V1", TH)
+        res = judge_whole_frame(4, data, "V1", TH)
         assert res.verdict == INCONCLUSIVE
         assert "below the zone limit" in res.detail
 
     def test_always_occupied_inconclusive(self):
         data = _frame()
         data.vavs["V1"].occupied = np.ones(data.n_rows)
-        res = rule_config_error(data, "V1", TH)
+        res = judge_whole_frame(4, data, "V1", TH)
         assert res.verdict == INCONCLUSIVE
 
     def test_missing_min_flow_raises(self):
         data = _frame()
         data.vavs["V1"].min_flow = None
         with pytest.raises(FaultRuleError, match="min-flow"):
-            rule_config_error(data, "V1", TH)
+            judge_whole_frame(4, data, "V1", TH)
 
 
 class TestDamperRule:
@@ -276,31 +278,31 @@ class TestDamperRule:
         data = _frame()
         vav = data.vavs["V2"]
         vav.flow = 1.3 * vav.flow_setpoint
-        res = rule_damper_stuck(data, "V2", TH)
+        res = judge_whole_frame(5, data, "V2", TH)
         assert res.verdict == FINDING
         assert res.statistic == pytest.approx(DAMPER_RMSPE_PCT, rel=1e-12)
 
     def test_tracking_flow_is_ok(self):
-        res = rule_damper_stuck(_frame(), "V2", TH)
+        res = judge_whole_frame(5, _frame(), "V2", TH)
         assert res.verdict == OK
         assert res.statistic == pytest.approx(0.0, abs=1e-12)
 
     def test_missing_setpoint_inconclusive(self):
         data = _frame()
         data.vavs["V2"].flow_setpoint = None
-        res = rule_damper_stuck(data, "V2", TH)
+        res = judge_whole_frame(5, data, "V2", TH)
         assert res.verdict == INCONCLUSIVE
 
     def test_zero_setpoint_inconclusive(self):
         data = _frame()
         data.vavs["V2"].flow_setpoint = np.zeros(data.n_rows)
-        res = rule_damper_stuck(data, "V2", TH)
+        res = judge_whole_frame(5, data, "V2", TH)
         assert res.verdict == INCONCLUSIVE
         assert "setpoint sits at zero" in res.detail
 
     def test_unknown_vav(self):
         with pytest.raises(FaultRuleError, match="unknown VAV"):
-            rule_damper_stuck(_frame(), "V9", TH)
+            judge_whole_frame(5, _frame(), "V9", TH)
 
 
 class TestRunAll:
@@ -662,6 +664,9 @@ class TestSweepProperty:
            flatlined=st.booleans(),
            persistence=st.integers(1, 10),
            coverage=st.floats(0.1, 1.0))
+    # 8 days on a 420 s grid span 7.997 days, a hair under an 8-day floor
+    @example(grid=420, days=8, seed=0, clg_closed=0.5, htg_closed=0.5, near_zero=0.0,
+             parked=False, flatlined=False, persistence=8, coverage=0.5)
     def test_sweep_matches_reference(self, grid, days, seed, clg_closed, htg_closed,
                                      near_zero, parked, flatlined, persistence, coverage):
         data = _random_frame(grid, days, seed, clg_closed, htg_closed, near_zero,
@@ -670,6 +675,8 @@ class TestSweepProperty:
         result = run_all(data, th)
         if data.end - data.start < persistence * 86400:
             assert result.warnings and not result.findings and not result.inconclusive
+            (shown,) = re.findall(r"frame covers ([0-9.]+) days", result.warnings[0])
+            assert float(shown) < th.min_persistence_days
         else:
             assert result == reference_run_all(data, th)
 

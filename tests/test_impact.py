@@ -36,7 +36,6 @@ from hvacdisagg.impact import (
     build_report,
     estimate_all,
     estimate_impact,
-    fault_energy_loss,
     format_report,
     prioritize,
     write_report_csv,
@@ -146,15 +145,18 @@ class TestFaultEnergyLoss:
     def test_damper_loss_closed_form(self, impact_loaded, impact_model):
         (inj,) = impact_loaded.truth.injections
         finding = _finding(5, inj.equipment, inj.start, inj.end)
-        loss = fault_energy_loss(finding, impact_model, impact_loaded.data)
-        assert loss == pytest.approx(DAMPER_LOSS_MMBTU, rel=1e-9)
+        est = estimate_impact(finding, impact_model, impact_loaded.data,
+                              impact_loaded.reference_oat)
+        assert est.method == METHOD_SETPOINT
+        assert est.observed_mmbtu == pytest.approx(DAMPER_LOSS_MMBTU, rel=1e-9)
 
     def test_short_window_rejected(self, impact_loaded, impact_model):
         (inj,) = impact_loaded.truth.injections
         finding = _finding(5, inj.equipment, inj.start, inj.start + 3 * DAY)
-        assert fault_energy_loss(finding, impact_model, impact_loaded.data) is None
         est = estimate_impact(finding, impact_model, impact_loaded.data,
                               impact_loaded.reference_oat)
+        assert est.method == METHOD_NOT_ESTIMABLE
+        assert est.observed_mmbtu is None
         assert est.notes == "finding window is shorter than 7 days"
 
     def test_missing_setpoint_not_estimable(self, impact_loaded, impact_model):
@@ -164,7 +166,9 @@ class TestFaultEnergyLoss:
             data.vavs[inj.equipment], flow_setpoint=None)
         data = dataclasses.replace(data, vavs={**data.vavs, inj.equipment: crippled})
         finding = _finding(5, inj.equipment, inj.start, inj.end)
-        assert fault_energy_loss(finding, impact_model, data) is None
+        est = estimate_impact(finding, impact_model, data, impact_loaded.reference_oat)
+        assert est.method == METHOD_NOT_ESTIMABLE
+        assert est.observed_mmbtu is None
 
     def test_loss_clamped_at_zero(self, impact_loaded, impact_model):
         # a box delivering under setpoint saves coil energy; that must
@@ -174,7 +178,9 @@ class TestFaultEnergyLoss:
         starved = dataclasses.replace(vav, flow=vav.flow_setpoint - 100.0)
         data = dataclasses.replace(data, vavs={**data.vavs, "VAV1-01": starved})
         finding = _finding(5, "VAV1-01", data.start, data.start + 8 * DAY)
-        assert fault_energy_loss(finding, impact_model, data) == 0.0
+        est = estimate_impact(finding, impact_model, data, impact_loaded.reference_oat)
+        assert est.method == METHOD_SETPOINT
+        assert est.observed_mmbtu == 0.0
 
 
 def masked_delta_series(finding, model, data, thresholds):

@@ -22,6 +22,7 @@ import types
 import numpy as np
 import pytest
 
+from conftest import load_ground_truth
 from hvacdisagg import synth
 from hvacdisagg.errors import ScenarioError
 from hvacdisagg.ingest import parse_timestamp
@@ -33,7 +34,6 @@ from hvacdisagg.synth import (
     FaultInjection,
     ScenarioSpec,
     generate,
-    load_ground_truth,
     scenario_impact,
     scenario_recovery,
 )

@@ -1,10 +1,13 @@
-"""Guards for the benchmark: traced names stay alive, heavy imports stay out.
+"""Guards for the benchmark and the package's surface.
 
 perfbench/tracer.py is loaded as a plain module (nothing is installed or
 wrapped), so a refactor that renames or moves a traced function fails here
-instead of breaking `perfbench/run.py --trace 1`.
+instead of breaking `perfbench/run.py --trace 1`. Every public name in src/
+must be used by src/ itself or by README's library example, so nothing
+ships that only tests call.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -16,6 +19,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+
+# public names kept without a caller in src/ or README's example
+UNREFERENCED_OK = {
+    # perfbench/tracer.py patches it to count masked rows
+    "energy.BuildingData.row_mask",
+    # whole-series forms of the statistics that test_acceptance's
+    # brute-force oracle checks; detection calls rmspe_of and mpe_of
+    "timeseries.rmspe",
+    "timeseries.mpe",
+    # kept for the bounded per-point gap fill before summing
+    "timeseries.resample",
+}
+
+
+def _readme_example() -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    return example
 
 
 def _tracer_module():
@@ -60,10 +81,34 @@ def test_fit_imports_neither_scipy_nor_zipfile(impact_bundle, tmp_path):
 def test_readme_library_example_runs(faulted_bundle, tmp_path, monkeypatch):
     # README's library example, run as written against a copy of the
     # bundle its quick start makes in demo/
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    (example,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    example = _readme_example()
     shutil.copytree(faulted_bundle.out_dir, tmp_path / "demo")
     monkeypatch.chdir(tmp_path)
     namespace = {}
     exec(compile(example, "README.md", "exec"), namespace)
     assert namespace["ranked"]
+
+
+def _public_definitions(tree):
+    """(qualified name, name a caller uses) of every public top-level
+    function and class, and of every public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # by name only: a use of any attribute called `get` covers every
+    # public method called `get`
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "src" / "hvacdisagg").glob("*.py"))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in (*modules.values(), ast.parse(_readme_example()))
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = [f"{module}.{qualname}" for module, tree in modules.items()
+              for qualname, name in _public_definitions(tree)
+              if name not in used and f"{module}.{qualname}" not in UNREFERENCED_OK]
+    assert unused == []
