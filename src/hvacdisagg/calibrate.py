@@ -6,6 +6,11 @@ heating balance (c6, c7, c8).  Each is ordinary least squares with an
 intercept, solved through the normal equations.  The problems are tiny
 (at most three coefficients), so the Gram matrix route is both faster
 and easier to diagnose than a general factorization.
+
+The SUBMODELS table says, for each model, its coefficients, which
+`Powers` sum each feature coefficient scales, its meter and its mode
+rows. Fitting, scoring, the model file and the CLI's `estimate` all read
+it; fitting, scoring and `estimate` take `Powers` once per window.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import DEFAULT_CONSTANTS, PhysicalConstants
+from .energy import DEFAULT_CONSTANTS, PhysicalConstants, Powers
 from .errors import ConfigError, FitError, RankDeficiencyError
 from .ingest import format_timestamp, parse_timestamp
 from .timeseries import rmse
@@ -32,15 +37,37 @@ MODEL_FORMAT = 1
 # Share of the frame's rows, from the start, that fit_model trains on.
 DEFAULT_SPLIT_FRACTION = 0.7
 
-# Each sub-model's coefficients, its intercept last. "c7" (reheat) is only
-# fitted when the building has reheat valves and a hot water temperature.
-SUBMODEL_COEFFICIENTS = {
-    "cooling_vav": ("c1", "c2", "c3"),
-    "cooling_ahu": ("c4", "c5"),
-    "heating": ("c6", "c7", "c8"),
+
+@dataclass(frozen=True)
+class SubModelSpec:
+    """What one meter regression fits: coefficients, intercept last; the
+    Powers sum each feature coefficient scales, in the same order; the
+    BuildingData meter it predicts; and the Powers mode-row mask it is
+    restricted to, or None for every row."""
+
+    coefficients: tuple[str, ...]
+    features: tuple[str, ...]
+    meter: str
+    rows: str | None
+
+    def mode_rows(self, powers: Powers) -> np.ndarray | bool:
+        """The rows this sub-model is fitted and scored on: its mode-row
+        mask, or True for every row."""
+        return True if self.rows is None else getattr(powers, self.rows)
+
+
+# "c7" (reheat) is only fitted when the building has reheat valves and a
+# hot water temperature, that is when Powers.sum_vav_heating is not None.
+SUBMODELS = {
+    "cooling_vav": SubModelSpec(("c1", "c2", "c3"), ("sum_vav_cooling", "sum_economizer"),
+                                "cooling_meter", None),
+    "cooling_ahu": SubModelSpec(("c4", "c5"), ("sum_ahu_cooling",),
+                                "cooling_meter", "cooling_rows"),
+    "heating": SubModelSpec(("c6", "c7", "c8"), ("sum_ahu_heating", "sum_vav_heating"),
+                            "heating_meter", "heating_rows"),
 }
 
-COEFFICIENT_NAMES = tuple(c for names in SUBMODEL_COEFFICIENTS.values() for c in names)
+COEFFICIENT_NAMES = tuple(c for spec in SUBMODELS.values() for c in spec.coefficients)
 
 # Coefficients that are physically gains and should come out positive.
 _SIGN_CHECKED = {"c1", "c2", "c4", "c6", "c7"}
@@ -179,52 +206,24 @@ def _fit_submodel(name: str, columns: list[tuple[str, np.ndarray]],
     )
 
 
-def fit_cooling_vav(data, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SubModelFit:
-    """Fit the cooling meter against summed VAV cooling and economizer terms.
+def _fit(name: str, data, powers: Powers) -> SubModelFit:
+    """Fit one SUBMODELS entry on every complete row of data in its mode.
 
-    Uses every complete row of data; the VAV-side balance holds in either
-    plant mode because both terms go to their actual values rather than a
-    mode-specific approximation.
+    The VAV-side cooling balance holds in either plant mode, so it uses
+    every row. Coil power as flow times mixed-minus-supply only measures
+    one plant, so the AHU cooling and the heating balances keep the rows
+    where every AHU is in their mode or idle. A feature whose sum is None
+    (reheat, in a building without it) is left out of the fit.
     """
-    return _fit_submodel(
-        "cooling_vav",
-        [("c1", data.sum_vav_cooling(constants)), ("c2", data.sum_economizer(constants))],
-        data.cooling_meter,
-    )
-
-
-def fit_cooling_ahu(data, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SubModelFit:
-    """Fit the cooling meter against summed AHU coil cooling power.
-
-    Restricted to rows where every AHU is cooling or idle; coil power as
-    flow times mixed-minus-supply only measures the cooling plant there.
-    """
-    mask = data.cooling_rows(constants)
-    if not mask.any():
-        raise FitError("cooling_ahu: insufficient samples (no cooling-mode rows in window)")
-    return _fit_submodel(
-        "cooling_ahu",
-        [("c4", data.sum_ahu_cooling(constants))],
-        data.cooling_meter,
-        mask,
-    )
-
-
-def fit_heating(data, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SubModelFit:
-    """Fit the heating meter against AHU heating coil and VAV reheat power.
-
-    Restricted to rows where every AHU is heating or idle.  Buildings with
-    no reheat valves (or no hot water temperature point) get a
-    two-coefficient fit and c7 stays at zero.
-    """
-    mask = data.heating_rows(constants)
-    if not mask.any():
-        raise FitError("heating: insufficient samples (no heating-mode rows in window)")
-    columns = [("c6", data.sum_ahu_heating(constants))]
-    reheat = data.sum_vav_heating(constants)
-    if reheat is not None:
-        columns.append(("c7", reheat))
-    return _fit_submodel("heating", columns, data.heating_meter, mask)
+    spec = SUBMODELS[name]
+    mask = spec.mode_rows(powers)
+    if not np.any(mask):
+        mode = spec.rows.removesuffix("_rows")
+        raise FitError(f"{name}: insufficient samples (no {mode}-mode rows in window)")
+    columns = [(cname, getattr(powers, feature))
+               for cname, feature in zip(spec.coefficients, spec.features)
+               if getattr(powers, feature) is not None]
+    return _fit_submodel(name, columns, getattr(data, spec.meter), mask)
 
 
 @dataclass(frozen=True)
@@ -248,7 +247,7 @@ def _collect(submodels: dict[str, SubModelFit]) -> dict[str, float]:
     """The full coefficient set; anything a sub-model did not fit stays zero."""
     coeffs = dict.fromkeys(COEFFICIENT_NAMES, 0.0)
     for name, sub in submodels.items():
-        *features, intercept = SUBMODEL_COEFFICIENTS[name]
+        *features, intercept = SUBMODELS[name].coefficients
         for cname in features:
             if cname in sub.coefficient_names:
                 coeffs[cname] = sub.coefficient(cname)
@@ -268,9 +267,8 @@ def fit_model(data, split_fraction: float = DEFAULT_SPLIT_FRACTION,
     test_window = (split_ts, data.end) if split_ts < data.end else None
 
     train = data.window(*train_window)
-    submodels = {"cooling_vav": fit_cooling_vav(train, constants),
-                 "cooling_ahu": fit_cooling_ahu(train, constants),
-                 "heating": fit_heating(train, constants)}
+    powers = train.powers(constants)
+    submodels = {name: _fit(name, train, powers) for name in SUBMODELS}
 
     model = CalibratedModel(
         coefficients=_collect(submodels),
@@ -287,21 +285,31 @@ def fit_model(data, split_fraction: float = DEFAULT_SPLIT_FRACTION,
     return model
 
 
-def predict_cooling_vav(model: CalibratedModel, data) -> np.ndarray:
-    return (model["c1"] * data.sum_vav_cooling(model.constants)
-            + model["c2"] * data.sum_economizer(model.constants) + model["c3"])
+def predict_cooling_vav(model: CalibratedModel, powers: Powers) -> np.ndarray:
+    return (model["c1"] * powers.sum_vav_cooling
+            + model["c2"] * powers.sum_economizer + model["c3"])
 
 
-def predict_cooling_ahu(model: CalibratedModel, data) -> np.ndarray:
-    return model["c4"] * data.sum_ahu_cooling(model.constants) + model["c5"]
+def predict_cooling_ahu(model: CalibratedModel, powers: Powers) -> np.ndarray:
+    return model["c4"] * powers.sum_ahu_cooling + model["c5"]
 
 
-def predict_heating(model: CalibratedModel, data) -> np.ndarray:
-    pred = model["c6"] * data.sum_ahu_heating(model.constants) + model["c8"]
-    reheat = data.sum_vav_heating(model.constants)
-    if reheat is not None:
-        pred = pred + model["c7"] * reheat
+def predict_heating(model: CalibratedModel, powers: Powers) -> np.ndarray:
+    # The intercept goes in before reheat: float addition is not associative,
+    # and this order is the one every written heating comparison holds.
+    pred = model["c6"] * powers.sum_ahu_heating + model["c8"]
+    if powers.sum_vav_heating is not None:
+        pred = pred + model["c7"] * powers.sum_vav_heating
     return pred
+
+
+def predictions(model: CalibratedModel, powers: Powers) -> dict[str, np.ndarray]:
+    """Each sub-model's prediction by name, in SUBMODELS order. The predict
+    functions are module globals looked up on every call, so a wrapper
+    installed over one of them sees it."""
+    return {"cooling_vav": predict_cooling_vav(model, powers),
+            "cooling_ahu": predict_cooling_ahu(model, powers),
+            "heating": predict_heating(model, powers)}
 
 
 def _evaluate_sub(sub: SubModelFit, pred: np.ndarray, target: np.ndarray,
@@ -330,16 +338,11 @@ def evaluate(model: CalibratedModel, data) -> CalibratedModel:
     Returns a new model with test diagnostics filled in and test_window set
     to data's span.
     """
-    subs = dict(model.submodels)
-    subs["cooling_vav"] = _evaluate_sub(
-        subs["cooling_vav"], predict_cooling_vav(model, data), data.cooling_meter)
-    subs["cooling_ahu"] = _evaluate_sub(
-        subs["cooling_ahu"], predict_cooling_ahu(model, data),
-        data.cooling_meter, data.cooling_rows(model.constants))
-    if "heating" in subs:
-        subs["heating"] = _evaluate_sub(
-            subs["heating"], predict_heating(model, data),
-            data.heating_meter, data.heating_rows(model.constants))
+    powers = data.powers(model.constants)
+    subs = {name: _evaluate_sub(model.submodels[name], pred,
+                                getattr(data, SUBMODELS[name].meter),
+                                SUBMODELS[name].mode_rows(powers))
+            for name, pred in predictions(model, powers).items()}
     return dataclasses.replace(model, submodels=subs, test_window=(data.start, data.end))
 
 
@@ -384,33 +387,54 @@ def save_model(model: CalibratedModel, path: str) -> None:
         cp.write(fh)
 
 
+def _required(cp: configparser.ConfigParser, section: str, key: str, get=None):
+    """A value the model file must hold, read by get(section, key) (cp.get
+    when None); a missing or unreadable one is a ConfigError."""
+    if not cp.has_option(section, key):
+        raise ConfigError(f"bad model file: no '{key}' in [{section}]")
+    try:
+        return (get or cp.get)(section, key)
+    except ValueError as exc:
+        raise ConfigError(f"bad model file: [{section}] {key}: {exc}") from exc
+
+
 def _read_sub(cp: configparser.ConfigParser, name: str,
               coefficient_names: tuple[str, ...],
               coefficients: tuple[float, ...]) -> SubModelFit:
     section = f"diagnostics {name}"
-    get = cp[section]
-    improvement: float | None = None
-    n_test = get.getint("n_test", fallback=None)
-    if n_test is not None and get.get("improvement_pct") != "n/a":
-        improvement = get.getfloat("improvement_pct")
-    warnings = tuple(w.strip() for w in get.get("warnings", "").split(" ; ") if w.strip())
+
+    def number(key):
+        return _required(cp, section, key, cp.getfloat)
+
+    n_test = test_rmse = baseline_test_rmse = improvement = None
+    if any(cp.has_option(section, key)
+           for key in ("n_test", "test_rmse", "baseline_test_rmse", "improvement_pct")):
+        n_test = _required(cp, section, "n_test", cp.getint)
+        test_rmse, baseline_test_rmse = number("test_rmse"), number("baseline_test_rmse")
+        if _required(cp, section, "improvement_pct") != "n/a":
+            improvement = number("improvement_pct")
+    warnings = tuple(w.strip() for w in cp.get(section, "warnings", fallback="").split(" ; ")
+                     if w.strip())
     return SubModelFit(
         name=name,
         coefficient_names=coefficient_names,
         coefficients=coefficients,
-        n_train=get.getint("n_train"),
-        train_rmse=get.getfloat("train_rmse"),
-        baseline_train_rmse=get.getfloat("baseline_train_rmse"),
-        train_target_mean=get.getfloat("train_target_mean"),
+        n_train=_required(cp, section, "n_train", cp.getint),
+        train_rmse=number("train_rmse"),
+        baseline_train_rmse=number("baseline_train_rmse"),
+        train_target_mean=number("train_target_mean"),
         warnings=warnings,
         n_test=n_test,
-        test_rmse=get.getfloat("test_rmse", fallback=None),
-        baseline_test_rmse=get.getfloat("baseline_test_rmse", fallback=None),
+        test_rmse=test_rmse,
+        baseline_test_rmse=baseline_test_rmse,
         improvement_pct=improvement,
     )
 
 
 def load_model(path: str) -> CalibratedModel:
+    """Read a file save_model wrote. Every key but a sub-model's warnings is
+    required, the test window and test scores as all-or-none groups; a
+    missing, unreadable or unknown part is a ConfigError."""
     cp = configparser.ConfigParser(interpolation=None)
     with open(path, encoding="utf-8") as fh:
         try:
@@ -419,39 +443,39 @@ def load_model(path: str) -> CalibratedModel:
             raise ConfigError(f"bad model file: {exc}") from exc
     if not cp.has_section("model") or not cp.has_section("coefficients"):
         raise ConfigError(f"bad model file: {path} missing [model] or [coefficients]")
-    if cp["model"].getint("format") != MODEL_FORMAT:
-        raise ConfigError(f"unsupported model format {cp['model'].get('format')}")
-    try:
-        coefficients = {name: cp["coefficients"].getfloat(name)
-                        for name in COEFFICIENT_NAMES}
-    except (ValueError, configparser.Error) as exc:
-        raise ConfigError(f"bad model file: {exc}") from exc
+    model_format = _required(cp, "model", "format", cp.getint)
+    if model_format != MODEL_FORMAT:
+        raise ConfigError(f"unsupported model format {model_format}")
+    for section in cp.sections():
+        name = section.removeprefix("diagnostics ")
+        if name != section and name not in SUBMODELS:
+            raise ConfigError(f"bad model file: unknown diagnostics section '{name}'")
 
-    constants = PhysicalConstants(**{f.name: cp["model"].getfloat(f.name)
+    def stamp(section, key):
+        return parse_timestamp(cp.get(section, key))
+
+    coefficients = {name: _required(cp, "coefficients", name, cp.getfloat)
+                    for name in COEFFICIENT_NAMES}
+    constants = PhysicalConstants(**{f.name: _required(cp, "model", f.name, cp.getfloat)
                                      for f in dataclasses.fields(PhysicalConstants)})
-    train_window = (parse_timestamp(cp["model"]["train_start"]),
-                    parse_timestamp(cp["model"]["train_end"]))
+    train_window = (_required(cp, "model", "train_start", stamp),
+                    _required(cp, "model", "train_end", stamp))
     test_window = None
-    if cp.has_option("model", "test_start"):
-        test_window = (parse_timestamp(cp["model"]["test_start"]),
-                       parse_timestamp(cp["model"]["test_end"]))
-    reheat_fitted = cp["model"].getboolean("reheat_fitted")
+    if cp.has_option("model", "test_start") or cp.has_option("model", "test_end"):
+        test_window = (_required(cp, "model", "test_start", stamp),
+                       _required(cp, "model", "test_end", stamp))
+    reheat_fitted = _required(cp, "model", "reheat_fitted", cp.getboolean)
 
     submodels: dict[str, SubModelFit] = {}
-    for section in cp.sections():
-        if not section.startswith("diagnostics "):
-            continue
-        name = section.split(" ", 1)[1]
-        if name not in SUBMODEL_COEFFICIENTS:
-            raise ConfigError(f"bad model file: unknown diagnostics section '{name}'")
-        *features, intercept = SUBMODEL_COEFFICIENTS[name]
+    for name, spec in SUBMODELS.items():
+        *features, intercept = spec.coefficients
         if not reheat_fitted and "c7" in features:
             features.remove("c7")
         submodels[name] = _read_sub(
             cp, name, (*features, f"{name}.intercept"),
             tuple(coefficients[c] for c in (*features, intercept)))
 
-    interval_s = cp["model"].getint("interval_s")
+    interval_s = _required(cp, "model", "interval_s", cp.getint)
     warnings = tuple(w for sub in submodels.values() for w in sub.warnings)
     return CalibratedModel(
         coefficients=coefficients,

@@ -17,8 +17,7 @@ import sys
 import numpy as np
 
 from .building import bind_points, load_metadata
-from .calibrate import fit_model, load_model, predict_cooling_ahu, \
-    predict_cooling_vav, predict_heating, save_model
+from .calibrate import SUBMODELS, fit_model, load_model, predictions, save_model
 from .config import RunConfig, load_run_config, load_scenario_spec
 from .energy import assemble
 from .errors import ConfigError, DisaggError
@@ -162,7 +161,7 @@ def cmd_estimate(args) -> int:
     graph, _, _, _, data = _load_building(cfg, args.strict)
     model = load_model(cfg.model_path)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    constants = model.constants
+    powers = data.powers(model.constants)
     bid = graph.building_id
 
     def series(point_id, values):
@@ -173,14 +172,14 @@ def cmd_estimate(args) -> int:
     # raw physics powers per equipment; building-level scaling lives in the
     # comparison files, so these stay additive across equipment
     out_series = []
-    for vav_id, power in data.vav_cooling_powers(constants).items():
+    for vav_id, power in powers.vav_cooling.items():
         out_series.append(series(f"{bid}.{vav_id}.CLG-POWER", power))
-    for vav_id, power in data.vav_heating_powers(constants).items():
+    for vav_id, power in powers.vav_heating.items():
         out_series.append(series(f"{bid}.{vav_id}.RH-POWER", power))
-    for ahu_id, (cooling, heating) in data.ahu_powers(constants).items():
+    for ahu_id, (cooling, heating) in powers.ahu_coil.items():
         out_series.append(series(f"{bid}.{ahu_id}.CLG-POWER", cooling))
         out_series.append(series(f"{bid}.{ahu_id}.HTG-POWER", heating))
-    for ahu_id, econ in data.economizer_terms(constants).items():
+    for ahu_id, econ in powers.economizer.items():
         out_series.append(series(f"{bid}.{ahu_id}.ECON-POWER", econ))
     powers_path = os.path.join(cfg.output_dir, "equipment_powers.csv")
     write_trends(out_series, powers_path)
@@ -188,22 +187,17 @@ def cmd_estimate(args) -> int:
 
     # each sub-model is compared only where its balance applies, mirroring
     # the fit diagnostics: VAV cooling on every row, AHU cooling where every
-    # AHU is cooling or idle
-    comparisons = [
-        ("cooling_vav_comparison.csv", predict_cooling_vav(model, data),
-         data.cooling_meter, True),
-        ("cooling_ahu_comparison.csv", predict_cooling_ahu(model, data),
-         data.cooling_meter, data.cooling_rows(constants)),
-        ("heating_comparison.csv", predict_heating(model, data),
-         data.heating_meter, data.heating_rows(constants)),
-    ]
+    # AHU is cooling or idle, heating where every AHU is heating or idle
     stamps = np.array(format_timestamps(data.timestamps()), dtype=object)
-    for name, estimated, measured, mask in comparisons:
-        path = os.path.join(cfg.output_dir, name)
-        keep = mask & ~np.isnan(estimated) & ~np.isnan(measured)
-        _write_comparison(path, stamps[keep], estimated[keep], measured[keep])
+    for name, estimated in predictions(model, powers).items():
+        spec = SUBMODELS[name]
+        measured = getattr(data, spec.meter)
+        keep = spec.mode_rows(powers) & ~np.isnan(estimated) & ~np.isnan(measured)
+        filename = f"{name}_comparison.csv"
+        _write_comparison(os.path.join(cfg.output_dir, filename),
+                          stamps[keep], estimated[keep], measured[keep])
         score = rmse(estimated[keep], measured[keep]) if keep.any() else float("nan")
-        print(f"{name}: {int(keep.sum())} rows, rmse {score:.6g} MMBTU/hr")
+        print(f"{filename}: {int(keep.sum())} rows, rmse {score:.6g} MMBTU/hr")
     return 0
 
 

@@ -4,6 +4,11 @@ All power figures are MMBTU/hr. The folded air constant 1.08 BTU/(hr*CFM*degF)
 is standard-air density times specific heat with the unit conversions baked
 in. Estimators are elementwise over aligned vectors; NaN rows stay NaN so the
 complete-row policy downstream keeps working.
+
+`BuildingData.powers` evaluates each estimator once per unit and returns a
+frozen `Powers`: the per-unit powers, the five building sums the meter
+regressions scale, and the cooling-mode and heating-mode row masks.
+Calibration and `estimate` read everything they need from that one record.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "VavData",
     "AhuData",
     "BuildingData",
+    "Powers",
     "FALLBACKS",
     "assemble",
 ]
@@ -226,71 +232,55 @@ class BuildingData:
                        vavs={k: _sliced(v, rows) for k, v in self.vavs.items()},
                        ahus={k: _sliced(a, rows) for k, a in self.ahus.items()})
 
-    # ------------------------------------------------------------------
-    # derived powers; each returns vectors aligned to the frame rows
-
-    def _mixed_ahus(self):
-        """Air handlers in order, refusing one without a mixed-air temperature."""
+    def powers(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> Powers:
+        """Every derived power of the frame, each estimator evaluated once
+        per unit. Refuses an air handler without a mixed-air temperature."""
         for a in self.ahus.values():
             if a.mixed_temp is None:
                 raise DisaggError(f"AHU '{a.ahu_id}': no mixed-air temperature available")
-            yield a
-
-    def vav_cooling_powers(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> dict:
-        k = constants.air_power_k
-        return {v.vav_id: vav_cooling_power(v.flow, v.zone_temp, v.supply_temp, k)
-                for v in self.vavs.values()}
-
-    def sum_vav_cooling(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
-        return np.sum(list(self.vav_cooling_powers(constants).values()), axis=0)
-
-    def economizer_terms(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> dict:
-        k = constants.air_power_k
-        return {a.ahu_id: economizer_term(a.flow_sum, a.return_temp, a.mixed_temp, k)
-                for a in self._mixed_ahus()}
-
-    def sum_economizer(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
-        return np.sum(list(self.economizer_terms(constants).values()), axis=0)
-
-    def ahu_powers(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> dict:
         k, deadband = constants.air_power_k, constants.mode_deadband_f
-        return {a.ahu_id: ahu_power(a.mixed_temp, a.supply_temp, a.flow_sum, k, deadband)
-                for a in self._mixed_ahus()}
+        vav_cooling = {v.vav_id: vav_cooling_power(v.flow, v.zone_temp, v.supply_temp, k)
+                       for v in self.vavs.values()}
+        vav_heating = {}
+        if self.hot_water_temp is not None:
+            vav_heating = {v.vav_id: vav_heating_power(self.hot_water_temp, v.supply_temp,
+                                                       v.flow, v.heating_valve, k)
+                           for v in self.vavs.values() if v.heating_valve is not None}
+        ahu_coil = {a.ahu_id: ahu_power(a.mixed_temp, a.supply_temp, a.flow_sum, k, deadband)
+                    for a in self.ahus.values()}
+        economizer = {a.ahu_id: economizer_term(a.flow_sum, a.return_temp, a.mixed_temp, k)
+                      for a in self.ahus.values()}
+        modes = [ahu_mode(a.mixed_temp, a.supply_temp, deadband) for a in self.ahus.values()]
+        return Powers(
+            vav_cooling=vav_cooling,
+            vav_heating=vav_heating,
+            ahu_coil=ahu_coil,
+            economizer=economizer,
+            sum_vav_cooling=np.sum(list(vav_cooling.values()), axis=0),
+            sum_economizer=np.sum(list(economizer.values()), axis=0),
+            sum_ahu_cooling=np.sum([c for c, _ in ahu_coil.values()], axis=0),
+            sum_ahu_heating=np.sum([h for _, h in ahu_coil.values()], axis=0),
+            sum_vav_heating=np.sum(list(vav_heating.values()), axis=0) if vav_heating else None,
+            cooling_rows=rows_in_mode(modes, self.n_rows, 1.0),
+            heating_rows=rows_in_mode(modes, self.n_rows, -1.0),
+        )
 
-    def sum_ahu_cooling(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
-        return np.sum([c for c, _ in self.ahu_powers(constants).values()], axis=0)
 
-    def sum_ahu_heating(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
-        return np.sum([h for _, h in self.ahu_powers(constants).values()], axis=0)
+@dataclass(frozen=True)
+class Powers:
+    """BuildingData.powers: vectors aligned to the frame rows, MMBTU/hr."""
 
-    def vav_heating_powers(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> dict:
-        """Reheat per VAV, only for boxes with a bound heating valve."""
-        if self.hot_water_temp is None:
-            return {}
-        k = constants.air_power_k
-        return {v.vav_id: vav_heating_power(self.hot_water_temp, v.supply_temp, v.flow,
-                                            v.heating_valve, k)
-                for v in self.vavs.values() if v.heating_valve is not None}
-
-    def sum_vav_heating(self, constants: PhysicalConstants = DEFAULT_CONSTANTS
-                        ) -> np.ndarray | None:
-        powers = list(self.vav_heating_powers(constants).values())
-        if not powers:
-            return None
-        return np.sum(powers, axis=0)
-
-    def _rows_in_mode(self, sign: float, constants: PhysicalConstants) -> np.ndarray:
-        deadband = constants.mode_deadband_f
-        return rows_in_mode((ahu_mode(a.mixed_temp, a.supply_temp, deadband)
-                             for a in self._mixed_ahus()), self.n_rows, sign)
-
-    def cooling_rows(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
-        """Rows where every air handler is cooling or idle (gap rows excluded)."""
-        return self._rows_in_mode(1.0, constants)
-
-    def heating_rows(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
-        """Rows where every air handler is heating or idle (gap rows excluded)."""
-        return self._rows_in_mode(-1.0, constants)
+    vav_cooling: dict  # vav_id -> cooling delivered to the zone
+    vav_heating: dict  # vav_id -> reheat, only for boxes with a bound heating valve
+    ahu_coil: dict  # ahu_id -> (cooling, heating) coil power
+    economizer: dict  # ahu_id -> signed outside-air credit
+    sum_vav_cooling: np.ndarray
+    sum_economizer: np.ndarray
+    sum_ahu_cooling: np.ndarray
+    sum_ahu_heating: np.ndarray
+    sum_vav_heating: np.ndarray | None  # None when no VAV has reheat
+    cooling_rows: np.ndarray  # every air handler cooling or idle (gap rows excluded)
+    heating_rows: np.ndarray  # every air handler heating or idle (gap rows excluded)
 
 
 def _sliced(obj, rows: slice, **changes):
@@ -298,10 +288,6 @@ def _sliced(obj, rows: slice, **changes):
     arrays = {f.name: value[rows] for f in fields(obj)
               if isinstance(value := getattr(obj, f.name), np.ndarray)}
     return replace(obj, **arrays, **changes)
-
-
-def _mean_rows(arrays: list) -> np.ndarray:
-    return np.mean(np.vstack(arrays), axis=0)
 
 
 # what assemble substitutes, by role, for an input with no series; it records
@@ -331,19 +317,10 @@ def assemble(
     if not series_map:
         raise DisaggError("no trend data to assemble")
 
-    named = {}
-    slot_name = {}
-    for slot, series in series_map.items():
-        name = f"{slot[0]}:{slot[1].value}"
-        named[name] = series
-        slot_name[slot] = name
-    frame = align(named)
+    frame = align(series_map)
 
     def col(equipment_id, role):
-        slot = (equipment_id, role)
-        if slot not in slot_name:
-            return None
-        return frame.column(slot_name[slot])
+        return frame.columns.get((equipment_id, role))
 
     bid = graph.building_id
     cooling_meter = col(bid, PointRole.BUILDING_COOLING_POWER)
@@ -425,7 +402,7 @@ def assemble(
 
         ret = col(aid, PointRole.AHU_RETURN_AIR_TEMP)
         if ret is None:
-            ret = _mean_rows([v.zone_temp for v in children])
+            ret = np.mean(np.vstack([v.zone_temp for v in children]), axis=0)
             fell_back(aid, PointRole.AHU_RETURN_AIR_TEMP)
 
         damper = col(aid, PointRole.ECONOMIZER_DAMPER_POS)

@@ -443,6 +443,8 @@ def write_findings(findings, path: str) -> None:
 
 
 def read_findings(path: str):
+    """The findings write_findings wrote. A row with an unparsable cell or a
+    rule id outside RULE_NAMES is refused, naming its path:line."""
     findings = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -450,12 +452,19 @@ def read_findings(path: str):
         if header != FINDINGS_HEADER:
             raise IngestError(f"{path}: not a findings file")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             if len(row) != len(FINDINGS_HEADER):
-                raise IngestError(f"{path}: malformed findings row: {row!r}")
-            findings.append(FaultFinding(
-                rule=int(row[0]), rule_name=row[1], equipment=row[2],
-                window_start=parse_timestamp(row[3]),
-                window_end=parse_timestamp(row[4]),
-                statistic=float(row[5]), threshold=float(row[6]), detail=row[7],
-            ))
+                raise IngestError(f"{where}: malformed findings row: {row!r}")
+            try:
+                finding = FaultFinding(
+                    rule=int(row[0]), rule_name=row[1], equipment=row[2],
+                    window_start=parse_timestamp(row[3]),
+                    window_end=parse_timestamp(row[4]),
+                    statistic=float(row[5]), threshold=float(row[6]), detail=row[7],
+                )
+            except ValueError as exc:
+                raise IngestError(f"{where}: unreadable findings row: {exc}") from exc
+            if finding.rule not in RULE_NAMES:
+                raise IngestError(f"{where}: unknown rule {finding.rule}")
+            findings.append(finding)
     return findings

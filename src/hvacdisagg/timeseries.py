@@ -100,9 +100,6 @@ class AlignedFrame:
     def timestamps(self) -> np.ndarray:
         return self.start + self.interval_s * np.arange(self.n_rows, dtype=np.int64)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
-
 
 def bucket(idx, values, n_out: int, policy: str) -> np.ndarray:
     """Samples into n_out slots by slot index: "mean" averages each slot,

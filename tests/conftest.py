@@ -15,6 +15,7 @@ import pytest
 
 from hvacdisagg import ingest, synth
 from hvacdisagg.building import EquipmentGraph, PointBinding, bind_points, load_metadata
+from hvacdisagg.calibrate import _fit
 from hvacdisagg.config import load_run_config
 from hvacdisagg.energy import BuildingData, assemble
 from hvacdisagg.ingest import parse_timestamp, read_points, read_reference_year, read_trends
@@ -108,6 +109,12 @@ def load_bundle(bundle: synth.ScenarioBundle) -> LoadedBundle:
         data=data,
         reference_oat=read_reference_year(bundle.reference_year_path),
     )
+
+
+def fit_sub(name, data):
+    """One SUBMODELS entry fitted on every row of data, the way fit_model
+    fits its train window."""
+    return _fit(name, data, data.powers())
 
 
 @contextmanager

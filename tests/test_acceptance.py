@@ -20,10 +20,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import counted_parses, load_bundle
+from conftest import counted_parses, fit_sub, load_bundle
 from hvacdisagg import synth
 from hvacdisagg.building import PointRole, bind_points, load_metadata
-from hvacdisagg.calibrate import fit_cooling_ahu, fit_model, save_model
+from hvacdisagg.calibrate import fit_model, save_model
 from hvacdisagg.cli import main
 from hvacdisagg.config import load_run_config
 from hvacdisagg.energy import assemble
@@ -143,11 +143,11 @@ def test_criterion_4_mode_filtering(mixed_loaded):
     """Every row the AHU-side cooling fit uses satisfies the cooling-mode
     predicate, and the row count equals the generator's count exactly."""
     data = mixed_loaded.data
-    fit = fit_cooling_ahu(data)
+    fit = fit_sub("cooling_ahu", data)
 
     # cooling-or-idle means no AHU is past the heating side of the
     # deadband; re-derive that from the raw per-AHU arrays
-    rows = data.cooling_rows()
+    rows = data.powers().cooling_rows
     for ahu in data.ahus.values():
         dt = ahu.mixed_temp[rows] - ahu.supply_temp[rows]
         assert np.all(dt > -0.5), ahu.ahu_id

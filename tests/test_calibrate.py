@@ -6,11 +6,13 @@ solver rather than in the reference. The sub-model fits are checked by
 constructing meters from known coefficients and recovering them.
 """
 
+import configparser
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import fit_sub
 from hvacdisagg.building import AhuNode, EquipmentGraph, VavNode
 from hvacdisagg.calibrate import (
     MIN_FIT_ROWS,
@@ -19,9 +21,6 @@ from hvacdisagg.calibrate import (
     _evaluate_sub,
     _fit_submodel,
     evaluate,
-    fit_cooling_ahu,
-    fit_cooling_vav,
-    fit_heating,
     fit_linear,
     fit_model,
     load_model,
@@ -212,9 +211,9 @@ def _building(n=400, seed=1, reheat=True):
 class TestCoolingVavFit:
     def test_recovers_known_coefficients(self):
         data = _building()
-        data.cooling_meter = (1.1 * data.sum_vav_cooling()
-                              + 0.9 * data.sum_economizer() + 0.05)
-        fit = fit_cooling_vav(data)
+        data.cooling_meter = (1.1 * data.powers().sum_vav_cooling
+                              + 0.9 * data.powers().sum_economizer + 0.05)
+        fit = fit_sub("cooling_vav", data)
         assert fit.coefficient("c1") == pytest.approx(1.1, abs=1e-6)
         assert fit.coefficient("c2") == pytest.approx(0.9, abs=1e-6)
         assert fit.coefficients[-1] == pytest.approx(0.05, abs=1e-6)
@@ -225,22 +224,22 @@ class TestCoolingVavFit:
     def test_gap_rows_dropped_not_imputed(self):
         data = _building()
         data.vavs["V1"].zone_temp[10] = np.nan
-        data.cooling_meter = (1.1 * np.nan_to_num(data.sum_vav_cooling())
-                              + 0.9 * data.sum_economizer() + 0.05)
-        fit = fit_cooling_vav(data)
+        data.cooling_meter = (1.1 * np.nan_to_num(data.powers().sum_vav_cooling)
+                              + 0.9 * data.powers().sum_economizer + 0.05)
+        fit = fit_sub("cooling_vav", data)
         assert fit.n_train == data.n_rows - 1
 
     def test_window_restricts_rows(self):
         data = _building()
-        data.cooling_meter = (1.1 * data.sum_vav_cooling()
-                              + 0.9 * data.sum_economizer() + 0.05)
-        fit = fit_cooling_vav(data.window(T0, T0 + 100 * GRID))
+        data.cooling_meter = (1.1 * data.powers().sum_vav_cooling
+                              + 0.9 * data.powers().sum_economizer + 0.05)
+        fit = fit_sub("cooling_vav", data.window(T0, T0 + 100 * GRID))
         assert fit.n_train == 100
 
     def test_insufficient_rows(self):
         data = _building()
         with pytest.raises(FitError, match="insufficient overlapping samples"):
-            fit_cooling_vav(data.window(T0, T0 + (MIN_FIT_ROWS - 1) * GRID))
+            fit_sub("cooling_vav", data.window(T0, T0 + (MIN_FIT_ROWS - 1) * GRID))
 
     def test_dead_building_degenerates_to_intercept(self):
         data = _building()
@@ -248,7 +247,7 @@ class TestCoolingVavFit:
             v.flow[:] = 0.0
         data.ahus["A1"].flow_sum[:] = 0.0
         data.cooling_meter = np.full(data.n_rows, 0.07)
-        fit = fit_cooling_vav(data)
+        fit = fit_sub("cooling_vav", data)
         assert fit.coefficient("c1") == 0.0
         assert fit.coefficient("c2") == 0.0
         assert fit.coefficients[-1] == pytest.approx(0.07, rel=1e-12)
@@ -257,47 +256,47 @@ class TestCoolingVavFit:
 
     def test_negative_coefficient_warns(self):
         data = _building()
-        data.cooling_meter = (-0.8 * data.sum_vav_cooling()
-                              + 0.9 * data.sum_economizer() + 0.05)
-        fit = fit_cooling_vav(data)
+        data.cooling_meter = (-0.8 * data.powers().sum_vav_cooling
+                              + 0.9 * data.powers().sum_economizer + 0.05)
+        fit = fit_sub("cooling_vav", data)
         assert any("c1" in w and "negative" in w for w in fit.warnings)
 
 
 class TestCoolingAhuFit:
     def test_fits_only_cooling_rows(self):
         data = _building()
-        rows = data.cooling_rows()
-        meter = 1.15 * data.sum_ahu_cooling() + 0.03
+        rows = data.powers().cooling_rows
+        meter = 1.15 * data.powers().sum_ahu_cooling + 0.03
         meter[~rows] = 99.0  # nonsense outside cooling mode must not matter
         data.cooling_meter = meter
-        fit = fit_cooling_ahu(data)
+        fit = fit_sub("cooling_ahu", data)
         assert fit.coefficient("c4") == pytest.approx(1.15, abs=1e-9)
         assert fit.coefficients[-1] == pytest.approx(0.03, abs=1e-9)
         assert fit.n_train == int(rows.sum())
 
     def test_all_heating_window_refused(self):
         data = _building()
-        data.cooling_meter = 1.15 * data.sum_ahu_cooling() + 0.03
+        data.cooling_meter = 1.15 * data.powers().sum_ahu_cooling + 0.03
         heating_only = data.window(T0 + (data.n_rows // 2) * GRID, data.end)
         with pytest.raises(FitError, match="insufficient"):
-            fit_cooling_ahu(heating_only)
+            fit_sub("cooling_ahu", heating_only)
 
 
 class TestHeatingFit:
     def test_recovers_with_reheat(self):
         data = _building()
-        data.heating_meter = (1.2 * data.sum_ahu_heating()
-                              + 0.8 * data.sum_vav_heating() + 0.01)
-        fit = fit_heating(data)
+        data.heating_meter = (1.2 * data.powers().sum_ahu_heating
+                              + 0.8 * data.powers().sum_vav_heating + 0.01)
+        fit = fit_sub("heating", data)
         assert fit.coefficient("c6") == pytest.approx(1.2, abs=1e-9)
         assert fit.coefficient("c7") == pytest.approx(0.8, abs=1e-9)
         assert fit.coefficients[-1] == pytest.approx(0.01, abs=1e-9)
-        assert fit.n_train == int(data.heating_rows().sum())
+        assert fit.n_train == int(data.powers().heating_rows.sum())
 
     def test_no_reheat_drops_to_two_coefficients(self):
         data = _building(reheat=False)
-        data.heating_meter = 1.2 * data.sum_ahu_heating() + 0.01
-        fit = fit_heating(data)
+        data.heating_meter = 1.2 * data.powers().sum_ahu_heating + 0.01
+        fit = fit_sub("heating", data)
         assert "c7" not in fit.coefficient_names
         assert fit.coefficient("c6") == pytest.approx(1.2, abs=1e-9)
         assert fit.coefficients[-1] == pytest.approx(0.01, abs=1e-9)
@@ -320,10 +319,10 @@ class TestFitModel:
                 block == 1, np.clip(0.4 + 0.3 * np.sin(2 * np.pi * t / 80
                                                        + (0.5 if key == "V2" else 0.0)),
                                     0.0, 1.0), 0.0)
-        data.cooling_meter = (1.1 * data.sum_vav_cooling()
-                              + 0.9 * data.sum_economizer() + 0.05)
-        data.heating_meter = (1.2 * data.sum_ahu_heating()
-                              + 0.8 * data.sum_vav_heating() + 0.01)
+        data.cooling_meter = (1.1 * data.powers().sum_vav_cooling
+                              + 0.9 * data.powers().sum_economizer + 0.05)
+        data.heating_meter = (1.2 * data.powers().sum_ahu_heating
+                              + 0.8 * data.powers().sum_vav_heating + 0.01)
         return data
 
     def test_split_is_chronological(self):
@@ -337,7 +336,7 @@ class TestFitModel:
     def test_coefficients_match_direct_window_fits(self):
         data = self._prepared()
         model = fit_model(data, split_fraction=0.7)
-        direct = fit_cooling_vav(data.window(*model.train_window))
+        direct = fit_sub("cooling_vav", data.window(*model.train_window))
         assert model["c1"] == direct.coefficient("c1")
         assert model["c2"] == direct.coefficient("c2")
         assert model["c3"] == direct.coefficients[-1]
@@ -379,18 +378,19 @@ def masked_fit_model(data, split_fraction, constants=DEFAULT_CONSTANTS):
     n_train = max(1, min(data.n_rows, int(round(data.n_rows * split_fraction))))
     split = data.start + n_train * data.interval_s
     train = data.row_mask(data.start, split)
-    cooling, heating = data.cooling_rows(constants), data.heating_rows(constants)
-    heat_columns = [("c6", data.sum_ahu_heating(constants))]
-    reheat = data.sum_vav_heating(constants)
+    powers = data.powers(constants)
+    cooling, heating = powers.cooling_rows, powers.heating_rows
+    heat_columns = [("c6", powers.sum_ahu_heating)]
+    reheat = powers.sum_vav_heating
     if reheat is not None:
         heat_columns.append(("c7", reheat))
     subs = {
         "cooling_vav": _fit_submodel(
-            "cooling_vav", [("c1", data.sum_vav_cooling(constants)),
-                            ("c2", data.sum_economizer(constants))],
+            "cooling_vav", [("c1", powers.sum_vav_cooling),
+                            ("c2", powers.sum_economizer)],
             data.cooling_meter, train),
         "cooling_ahu": _fit_submodel(
-            "cooling_ahu", [("c4", data.sum_ahu_cooling(constants))],
+            "cooling_ahu", [("c4", powers.sum_ahu_cooling)],
             data.cooling_meter, train & cooling),
         "heating": _fit_submodel("heating", heat_columns, data.heating_meter,
                                  train & heating),
@@ -404,11 +404,11 @@ def masked_fit_model(data, split_fraction, constants=DEFAULT_CONSTANTS):
         return model
     test = data.row_mask(split, data.end)
     scored = {
-        "cooling_vav": _evaluate_sub(subs["cooling_vav"], predict_cooling_vav(model, data),
+        "cooling_vav": _evaluate_sub(subs["cooling_vav"], predict_cooling_vav(model, powers),
                                      data.cooling_meter, test),
-        "cooling_ahu": _evaluate_sub(subs["cooling_ahu"], predict_cooling_ahu(model, data),
+        "cooling_ahu": _evaluate_sub(subs["cooling_ahu"], predict_cooling_ahu(model, powers),
                                      data.cooling_meter, test & cooling),
-        "heating": _evaluate_sub(subs["heating"], predict_heating(model, data),
+        "heating": _evaluate_sub(subs["heating"], predict_heating(model, powers),
                                  data.heating_meter, test & heating),
     }
     return CalibratedModel(
@@ -457,7 +457,7 @@ class TestModelFile:
         if not reheat:
             for v in data.vavs.values():
                 v.heating_valve = None
-            data.heating_meter = 1.2 * data.sum_ahu_heating() + 0.01
+            data.heating_meter = 1.2 * data.powers().sum_ahu_heating + 0.01
         model = fit_model(data)
         assert model.reheat_fitted == reheat
         path = tmp_path / "model.ini"
@@ -503,8 +503,31 @@ class TestModelFile:
         path = tmp_path / "model.ini"
         save_model(model, str(path))
         loaded = load_model(str(path))
-        np.testing.assert_allclose(predict_cooling_vav(loaded, data),
-                                   predict_cooling_vav(model, data), rtol=1e-10)
+        np.testing.assert_allclose(
+            predict_cooling_vav(loaded, data.powers(loaded.constants)),
+            predict_cooling_vav(model, data.powers(model.constants)), rtol=1e-10)
+
+    @pytest.mark.parametrize("damage", ["drop", "garble"])
+    def test_missing_or_unreadable_key_refused(self, tmp_path, damage):
+        path = tmp_path / "model.ini"
+        save_model(fit_model(TestFitModel()._prepared()), str(path))
+        saved = configparser.ConfigParser(interpolation=None)
+        saved.read(path)
+        keys = [(section, key) for section in saved.sections() for key in saved[section]
+                if key != "warnings"]
+        assert ("model", "test_end") in keys and ("diagnostics heating", "n_test") in keys
+        for section, key in keys:
+            cp = configparser.ConfigParser(interpolation=None)
+            cp.read(path)
+            if damage == "drop":
+                cp.remove_option(section, key)
+            else:
+                cp[section][key] = "garbled"
+            broken = tmp_path / "broken.ini"
+            with open(broken, "w") as fh:
+                cp.write(fh)
+            with pytest.raises(ConfigError, match="bad model file"):
+                load_model(str(broken))
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "model.ini"

@@ -16,7 +16,7 @@ import pytest
 from hvacdisagg.cli import main
 from hvacdisagg.config import SCENARIO_PRESETS, load_run_config, load_scenario_spec
 from hvacdisagg.errors import ConfigError
-from hvacdisagg.faults import Thresholds
+from hvacdisagg.faults import FaultFinding, Thresholds, write_findings
 from hvacdisagg.ingest import format_timestamp, parse_timestamp
 from hvacdisagg.synth import scenario_impact
 
@@ -317,6 +317,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("io error:")
+
+    @pytest.mark.parametrize("column, cell", [
+        (0, "2.5"),  # non-integer rule
+        (3, "last tuesday"),  # unparsable window start
+        (5, "high"),  # non-numeric statistic
+        (0, "7"),  # a rule id no rule has
+    ], ids=["rule", "timestamp", "statistic", "unknown-rule"])
+    def test_damaged_findings_refused(self, cli_bundle, tmp_path, capsys, column, cell):
+        conf = _damaged(cli_bundle, tmp_path, lambda work: None)
+        assert main(["fit", "--config", conf]) == 0
+        cfg = load_run_config(conf)
+        start = parse_timestamp("2026-01-05T00:00:00+00:00")
+        write_findings([FaultFinding(1, "economizer stuck", "AH1", start, start + 7 * 86400,
+                                     0.1, 0.5, "planted")], cfg.findings_path)
+        with open(cfg.findings_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][column] = cell
+        with open(cfg.findings_path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+
+        rc = main(["report", "--config", conf])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {cfg.findings_path}:2: ")
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         rc = main(["validate", "--config", str(tmp_path / "ghost.conf")])

@@ -1,3 +1,5 @@
+import shutil
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hvacdisagg import energy
 from hvacdisagg.building import (
     AhuNode,
     EquipmentGraph,
@@ -26,6 +29,7 @@ from hvacdisagg.energy import (
     vav_cooling_power,
     vav_heating_power,
 )
+from hvacdisagg.cli import main
 from hvacdisagg.errors import AlignmentError, DisaggError, SeriesError
 from hvacdisagg.timeseries import TimeSeries, Unit
 
@@ -198,10 +202,10 @@ class TestAssemble:
 
     def test_power_sums(self):
         data = assemble(_graph(), _binding(), _series_map())
-        total = data.sum_vav_cooling()
+        total = data.powers().sum_vav_cooling
         # 1.08*(400*17 + 600*19)/1e6
         assert total[0] == pytest.approx(1.08 * (400 * 17 + 600 * 19) / 1e6, rel=1e-12)
-        clg = data.sum_ahu_cooling()
+        clg = data.powers().sum_ahu_cooling
         # mixed 76.5, supply 55, flow 1000
         assert clg[0] == pytest.approx(1.08 * 1000 * 21.5 / 1e6, rel=1e-12)
 
@@ -335,8 +339,8 @@ class TestAssemble:
             "mat", [70.0, 55.2, 50.0, np.nan]
         )
         data = assemble(_graph(), _binding(), smap)
-        np.testing.assert_array_equal(data.cooling_rows(), [True, True, False, False])
-        np.testing.assert_array_equal(data.heating_rows(), [False, True, True, False])
+        np.testing.assert_array_equal(data.powers().cooling_rows, [True, True, False, False])
+        np.testing.assert_array_equal(data.powers().heating_rows, [False, True, True, False])
 
 
 def _numbered_frame(start, interval, n):
@@ -381,3 +385,38 @@ class TestWindow:
                 elif p is None:
                     assert c is None, f.name
         assert data.n_rows == n and data.start == T0 + phase
+
+
+class TestPowers:
+    def test_refuses_air_handler_without_mixed_air(self):
+        data = _numbered_frame(T0, GRID, 4)
+        data.ahus["AH1"].mixed_temp = None
+        with pytest.raises(DisaggError, match="'AH1': no mixed-air temperature"):
+            data.powers()
+
+    def test_each_estimator_once_per_unit_and_view(self, recovery_loaded, tmp_path, monkeypatch):
+        # estimate evaluates each estimator once per unit; fit once per unit
+        # for each of its two views, the train and the test window
+        data = recovery_loaded.data
+        per_unit = {
+            "vav_cooling_power": len(data.vavs),
+            "vav_heating_power": sum(v.heating_valve is not None for v in data.vavs.values()),
+            "ahu_power": len(data.ahus),
+            "economizer_term": len(data.ahus),
+        }
+        assert all(per_unit.values()) and data.hot_water_temp is not None
+        calls = Counter()
+        for name in per_unit:
+            def counted(*args, _name=name, _real=getattr(energy, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(energy, name, counted)
+        work = tmp_path / "bundle"
+        shutil.copytree(recovery_loaded.bundle.out_dir, work)
+        conf = str(work / "run.conf")
+
+        assert main(["fit", "--config", conf]) == 0
+        assert dict(calls) == {name: 2 * n for name, n in per_unit.items()}
+        calls.clear()
+        assert main(["estimate", "--config", conf]) == 0
+        assert dict(calls) == per_unit

@@ -135,31 +135,32 @@ class TestMeterIdentities:
 
     def test_cooling_meter_vav_side(self, recovery_loaded):
         data, c = recovery_loaded.data, recovery_loaded.truth.coefficients
-        lhs = c["c1"] * data.sum_vav_cooling() + c["c2"] * data.sum_economizer() + c["c3"]
+        powers = data.powers()
+        lhs = c["c1"] * powers.sum_vav_cooling + c["c2"] * powers.sum_economizer + c["c3"]
         assert np.allclose(lhs, data.cooling_meter, rtol=0.0, atol=1e-9)
 
     def test_cooling_meter_ahu_side(self, recovery_loaded):
         data, c = recovery_loaded.data, recovery_loaded.truth.coefficients
-        rows = data.cooling_rows()
-        lhs = c["c4"] * data.sum_ahu_cooling() + c["c5"]
+        rows = data.powers().cooling_rows
+        lhs = c["c4"] * data.powers().sum_ahu_cooling + c["c5"]
         assert np.allclose(lhs[rows], data.cooling_meter[rows], rtol=0.0, atol=1e-9)
 
     def test_heating_meter(self, recovery_loaded):
         data, c = recovery_loaded.data, recovery_loaded.truth.coefficients
-        lhs = (c["c6"] * data.sum_ahu_heating()
-               + c["c7"] * data.sum_vav_heating() + c["c8"])
+        lhs = (c["c6"] * data.powers().sum_ahu_heating
+               + c["c7"] * data.powers().sum_vav_heating + c["c8"])
         # both heating terms vanish outside the heating band, so the
         # identity holds on every row, not just heating rows
         assert np.allclose(lhs, data.heating_meter, rtol=0.0, atol=1e-9)
 
     def test_mode_counts_match_pipeline(self, recovery_loaded):
         data, truth = recovery_loaded.data, recovery_loaded.truth
-        assert int(data.cooling_rows().sum()) == truth.n_cooling_rows
-        assert int(data.heating_rows().sum()) == truth.n_heating_rows
+        assert int(data.powers().cooling_rows.sum()) == truth.n_cooling_rows
+        assert int(data.powers().heating_rows.sum()) == truth.n_heating_rows
 
     def test_mode_counts_at_deadband_edges(self):
         # MAT - SAT of exactly -0.5 is heating and +0.5 is cooling, so each
-        # edge row leaves the other mode's count, as cooling_rows and
+        # edge row leaves the other mode's count, as Powers.cooling_rows and
         # heating_rows see it
         sat = np.full(4, 55.0)
         written = {synth._point("AH1", "MAT"): sat + np.array([-0.5, 0.5, 0.0, 1.0]),
@@ -172,7 +173,7 @@ class TestMeterIdentities:
         data = impact_loaded.data
         assert np.array_equal(ts, data.timestamps())
         assert np.allclose(cols["cooling_meter"], data.cooling_meter, atol=1e-12)
-        assert np.allclose(cols["sum_vav_cooling"], data.sum_vav_cooling(), atol=1e-9)
+        assert np.allclose(cols["sum_vav_cooling"], data.powers().sum_vav_cooling, atol=1e-9)
 
 
 class TestInjectionValidation:

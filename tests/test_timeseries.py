@@ -251,8 +251,8 @@ class TestAlign:
         frame = align({"a": a, "b": b})
         assert frame.start == 900 * 103
         assert frame.n_rows == 7
-        np.testing.assert_allclose(frame.column("a"), np.arange(3.0, 10.0))
-        np.testing.assert_allclose(frame.column("b"), np.arange(0.0, 7.0))
+        np.testing.assert_allclose(frame.columns["a"], np.arange(3.0, 10.0))
+        np.testing.assert_allclose(frame.columns["b"], np.arange(0.0, 7.0))
 
     def test_mixed_intervals_rejected(self):
         a = series([1, 2, 3], interval=900)
@@ -277,8 +277,8 @@ class TestAlign:
         b = series([np.nan, 2.0, 4.0], start=0, interval=900)
         frame = align({"a": a, "b": b})
         # align keeps each column's own gaps; it neither fills nor drops rows
-        np.testing.assert_array_equal(frame.column("a"), [1.0, np.nan, 3.0])
-        np.testing.assert_array_equal(frame.column("b"), [np.nan, 2.0, 4.0])
+        np.testing.assert_array_equal(frame.columns["a"], [1.0, np.nan, 3.0])
+        np.testing.assert_array_equal(frame.columns["b"], [np.nan, 2.0, 4.0])
 
 
 class TestTimeSeriesBasics:

@@ -78,6 +78,32 @@ def test_fit_imports_neither_scipy_nor_zipfile(impact_bundle, tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_traced_estimate_records_each_prediction_once(impact_bundle, tmp_path):
+    # estimate reaches the predict functions through calibrate.predictions,
+    # which must find the tracer's wrappers, not the functions it imported
+    work = tmp_path / "bundle"
+    shutil.copytree(impact_bundle.out_dir, work)
+    code = ("import collections, importlib.util, sys\n"
+            "from hvacdisagg.cli import main\n"
+            "conf = sys.argv[1]\n"
+            "assert main(['fit', '--config', conf]) == 0\n"
+            "spec = importlib.util.spec_from_file_location('tracer', sys.argv[2])\n"
+            "tracer = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(tracer)\n"
+            "t = tracer.Tracer('estimate')\n"
+            "t.install()\n"
+            "assert main(['estimate', '--config', conf]) == 0\n"
+            "counts = collections.Counter(span['name'] for span in t.spans)\n"
+            "print(sorted((n, c) for n, c in counts.items() if '.predict_' in n))\n")
+    path = os.pathsep.join([str(ROOT / "src")] + [p for p in sys.path if p])
+    done = subprocess.run([sys.executable, "-c", code, str(work / "run.conf"), str(TRACER)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout.splitlines()[-1] == str([("calibrate.predict_cooling_ahu", 1),
+                                                ("calibrate.predict_cooling_vav", 1),
+                                                ("calibrate.predict_heating", 1)])
+
+
 def test_readme_library_example_runs(faulted_bundle, tmp_path, monkeypatch):
     # README's library example, run as written against a copy of the
     # bundle its quick start makes in demo/
