@@ -456,8 +456,11 @@ def load_model(path: str) -> CalibratedModel:
 
     coefficients = {name: _required(cp, "coefficients", name, cp.getfloat)
                     for name in COEFFICIENT_NAMES}
-    constants = PhysicalConstants(**{f.name: _required(cp, "model", f.name, cp.getfloat)
-                                     for f in dataclasses.fields(PhysicalConstants)})
+    try:
+        constants = PhysicalConstants(**{f.name: _required(cp, "model", f.name, cp.getfloat)
+                                         for f in dataclasses.fields(PhysicalConstants)})
+    except ValueError as exc:
+        raise ConfigError(f"bad model file: {path}: {exc}") from exc
     train_window = (_required(cp, "model", "train_start", stamp),
                     _required(cp, "model", "train_end", stamp))
     test_window = None

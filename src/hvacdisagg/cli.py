@@ -24,7 +24,7 @@ from .errors import ConfigError, DisaggError
 from .faults import read_findings, run_all, write_findings
 from .impact import build_report, estimate_all, format_report, prioritize, \
     write_report_csv
-from .ingest import format_timestamp, format_timestamps, read_points, \
+from .ingest import _write_numeric_csv, format_timestamp, format_timestamps, read_points, \
     read_reference_year, read_trends_cached, write_trends
 from .synth import generate
 from .timeseries import TimeSeries, Unit, rmse
@@ -149,11 +149,8 @@ def cmd_fit(args) -> int:
 
 def _write_comparison(path: str, stamps, estimated: np.ndarray,
                       measured: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "estimated", "measured"])
-        writer.writerows(zip(stamps, map(repr, estimated.tolist()),
-                             map(repr, measured.tolist())))
+    _write_numeric_csv(path, ["timestamp", "estimated", "measured"],
+                       [stamps, map(repr, estimated.tolist()), map(repr, measured.tolist())])
 
 
 def cmd_estimate(args) -> int:

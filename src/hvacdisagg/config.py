@@ -101,8 +101,6 @@ def load_run_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: constants: {exc}") from exc
     if interval_s <= 0:
         raise ConfigError(f"{path}: constants.interval_s must be positive")
-    if constants.air_power_k <= 0.0 or constants.mode_deadband_f < 0.0:
-        raise ConfigError(f"{path}: physical constants out of range")
 
     fit_sec = _section(cp, "fit", path)
     try:

@@ -47,6 +47,11 @@ class PhysicalConstants:
     air_power_k: float = 1.08  # BTU/(hr*CFM*degF)
     mode_deadband_f: float = 0.5  # degF on (mixed - supply) before an AHU counts as active
 
+    def __post_init__(self):
+        # ValueError, which each file reader reports as its own ConfigError
+        if self.air_power_k <= 0.0 or self.mode_deadband_f < 0.0:
+            raise ValueError("physical constants out of range")
+
 
 DEFAULT_CONSTANTS = PhysicalConstants()
 
@@ -114,17 +119,19 @@ def rows_in_mode(modes, n_rows: int, sign: float) -> np.ndarray:
 
 def ahu_power(mixed_temp_f, supply_temp_f, flow_cfm,
               k: float = DEFAULT_CONSTANTS.air_power_k,
-              deadband_f: float = DEFAULT_CONSTANTS.mode_deadband_f):
+              deadband_f: float = DEFAULT_CONSTANTS.mode_deadband_f, mode=None):
     """Coil power at the air handler, split by mode.
 
     Returns (cooling, heating) vectors in MMBTU/hr. A temperature difference
-    inside the deadband counts as neither; both sides read zero there.
+    inside the deadband counts as neither; both sides read zero there. mode,
+    when given, is ahu_mode of the same temperatures and deadband.
     """
     mixed = np.asarray(mixed_temp_f, float)
     supply = np.asarray(supply_temp_f, float)
     flow = np.asarray(flow_cfm, float)
     p = k * flow * (mixed - supply) / _MMBTU
-    mode = ahu_mode(mixed, supply, deadband_f)
+    if mode is None:
+        mode = ahu_mode(mixed, supply, deadband_f)
     cooling = np.where(mode == 1.0, p, 0.0)
     heating = np.where(mode == -1.0, -p, 0.0)
     bad = np.isnan(p)
@@ -246,11 +253,13 @@ class BuildingData:
             vav_heating = {v.vav_id: vav_heating_power(self.hot_water_temp, v.supply_temp,
                                                        v.flow, v.heating_valve, k)
                            for v in self.vavs.values() if v.heating_valve is not None}
-        ahu_coil = {a.ahu_id: ahu_power(a.mixed_temp, a.supply_temp, a.flow_sum, k, deadband)
+        modes = {a.ahu_id: ahu_mode(a.mixed_temp, a.supply_temp, deadband)
+                 for a in self.ahus.values()}
+        ahu_coil = {a.ahu_id: ahu_power(a.mixed_temp, a.supply_temp, a.flow_sum, k, deadband,
+                                        modes[a.ahu_id])
                     for a in self.ahus.values()}
         economizer = {a.ahu_id: economizer_term(a.flow_sum, a.return_temp, a.mixed_temp, k)
                       for a in self.ahus.values()}
-        modes = [ahu_mode(a.mixed_temp, a.supply_temp, deadband) for a in self.ahus.values()]
         return Powers(
             vav_cooling=vav_cooling,
             vav_heating=vav_heating,
@@ -261,8 +270,8 @@ class BuildingData:
             sum_ahu_cooling=np.sum([c for c, _ in ahu_coil.values()], axis=0),
             sum_ahu_heating=np.sum([h for _, h in ahu_coil.values()], axis=0),
             sum_vav_heating=np.sum(list(vav_heating.values()), axis=0) if vav_heating else None,
-            cooling_rows=rows_in_mode(modes, self.n_rows, 1.0),
-            heating_rows=rows_in_mode(modes, self.n_rows, -1.0),
+            cooling_rows=rows_in_mode(modes.values(), self.n_rows, 1.0),
+            heating_rows=rows_in_mode(modes.values(), self.n_rows, -1.0),
         )
 
 

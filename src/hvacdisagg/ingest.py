@@ -12,13 +12,14 @@ parse the same trend file once between them.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
 from array import array
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from itertools import repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -48,6 +49,10 @@ REFERENCE_YEAR_HEADER = ["day_of_year", "oat_f"]
 # its layout; bump the version whenever what read_trends returns changes.
 TRENDS_CACHE_NAME = ".trends-cache"
 TRENDS_CACHE_FORMAT = 1
+
+# rows per write in _write_numeric_csv: one block's text is alive at once,
+# and synth, whose peak RSS the benchmark bounds, writes the largest files
+_BLOCK_ROWS = 256
 
 
 def parse_timestamp(text: str) -> int:
@@ -321,6 +326,28 @@ def write_points(points, path: str) -> None:
             writer.writerow([p.point_id, p.raw_name, p.unit.value])
 
 
+def _csv_cell(text: str) -> str:
+    """text as csv.writer writes it as one cell among others: quoted, with
+    its quotes doubled, exactly where csv.writer would quote it."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", text, ""])
+    return buf.getvalue()[1:-3]
+
+
+def _write_numeric_csv(path: str, header, columns) -> None:
+    """Write header, then the rows of two or more equal-length columns,
+    byte for byte as csv.writer would: cells joined by ',' and each row
+    ended by '\\r\\n'. Every cell must already be text that csv.writer
+    leaves unquoted: a float's repr, a format_timestamps stamp, an int's
+    str or a _csv_cell. Rows go out _BLOCK_ROWS at a time."""
+    rows = zip(*columns)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        while block := "\r\n".join(map(",".join, islice(rows, _BLOCK_ROWS))):
+            fh.write(block)
+            fh.write("\r\n")
+
+
 def write_trends(series_list, path: str) -> None:
     """Write series out in the trend CSV format, gaps omitted.
 
@@ -331,15 +358,12 @@ def write_trends(series_list, path: str) -> None:
     kept = [~np.isnan(s.values) for s in ordered]
     epochs = [s.timestamps()[k] for s, k in zip(ordered, kept)]
     stamps = format_timestamps(np.concatenate(epochs)) if epochs else []
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TREND_HEADER)
-        pos = 0
-        for series, k in zip(ordered, kept):
-            values = series.values[k].tolist()
-            writer.writerows(zip(stamps[pos:pos + len(values)],
-                                 repeat(series.point_id), map(repr, values)))
-            pos += len(values)
+    _write_numeric_csv(path, TREND_HEADER, [
+        stamps,
+        chain.from_iterable(repeat(_csv_cell(s.point_id), len(e))
+                            for s, e in zip(ordered, epochs)),
+        chain.from_iterable(map(repr, s.values[k].tolist()) for s, k in zip(ordered, kept)),
+    ])
 
 
 def read_reference_year(path: str) -> np.ndarray:
@@ -374,8 +398,5 @@ def write_reference_year(daily_oat_f, path: str) -> None:
     vals = np.asarray(daily_oat_f, dtype=float)
     if len(vals) != 365:
         raise IngestError(f"reference year needs 365 values, got {len(vals)}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REFERENCE_YEAR_HEADER)
-        for day, oat in enumerate(vals, start=1):
-            writer.writerow([day, repr(float(oat))])
+    _write_numeric_csv(path, REFERENCE_YEAR_HEADER,
+                       [map(str, range(1, 366)), map(repr, vals.tolist())])

@@ -24,7 +24,6 @@ Mode transitions are steps, never drifting through the deadband.
 from __future__ import annotations
 
 import configparser
-import csv
 import os
 from dataclasses import dataclass, field, fields
 
@@ -36,8 +35,8 @@ from .energy import _MMBTU, DEFAULT_CONSTANTS, PhysicalConstants, ahu_mode, ahu_
     economizer_term, occupancy_schedule, rows_in_mode, vav_cooling_power, vav_heating_power
 from .errors import ScenarioError
 from .faults import Thresholds
-from .ingest import format_timestamp, format_timestamps, parse_timestamp, write_points, \
-    write_reference_year, write_trends
+from .ingest import _write_numeric_csv, format_timestamp, format_timestamps, parse_timestamp, \
+    write_points, write_reference_year, write_trends
 from .timeseries import TimeSeries, Unit
 
 RNG_NAME = "numpy-PCG64"
@@ -629,12 +628,10 @@ def _write_truth_powers(path: str, tr: TraceSet, per_equipment: dict, sums: dict
     columns = sorted(per_equipment) + sorted(sums) + ["cooling_meter", "heating_meter"]
     arrays = {**per_equipment, **sums,
               "cooling_meter": cooling_meter, "heating_meter": heating_meter}
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp"] + columns)
-        writer.writerows(zip(format_timestamps(tr.ts),
-                             *(map(repr, np.asarray(arrays[c], dtype=float).tolist())
-                               for c in columns)))
+    _write_numeric_csv(path, ["timestamp"] + columns,
+                       [format_timestamps(tr.ts)]
+                       + [map(repr, np.asarray(arrays[c], dtype=float).tolist())
+                          for c in columns])
 
 
 def _write_ground_truth(path: str, spec: ScenarioSpec, tr: TraceSet,

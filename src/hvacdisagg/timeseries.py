@@ -23,8 +23,6 @@ __all__ = [
     "resample",
     "align",
     "rmse",
-    "rmspe",
-    "mpe",
     "percent_errors",
     "rmspe_of",
     "mpe_of",
@@ -231,9 +229,10 @@ def _mean(x) -> np.float64:
 
 
 def percent_errors(measured, reference, eps: float):
-    """The per-row base of rmspe and mpe over complete rows: the mask of rows
-    whose |reference| >= eps, and the relative error (m - r) / r on exactly
-    those rows, in row order."""
+    """The per-row base of rmspe_of and mpe_of over complete rows: the mask
+    of rows whose |reference| >= eps, and the relative error (m - r) / r on
+    exactly those rows, in row order. Pick eps in the unit of the reference
+    (1 CFM for flows, 0.5 degF for temperatures)."""
     ok = np.abs(reference) >= eps
     return ok, (measured[ok] - reference[ok]) / reference[ok]
 
@@ -247,34 +246,19 @@ def _check_base(n_ok: int, n_rows: int, eps: float, what: str) -> None:
 
 
 def rmspe_of(errors, n_rows: int, eps: float) -> float:
-    """rmspe from percent_errors' relative errors over n_rows complete rows."""
+    """Root mean square percentage error from percent_errors' relative
+    errors over n_rows complete rows. More than half the rows below eps
+    means the reference is too close to zero to be a meaningful base."""
     _check_base(len(errors), n_rows, eps, "rmspe")
     pct = errors * 100.0
     return float(np.sqrt(_mean(pct**2)))
 
 
 def mpe_of(errors, n_rows: int, eps: float) -> float:
-    """mpe from percent_errors' relative errors over n_rows complete rows."""
+    """Signed mean percentage error from percent_errors' relative errors over
+    n_rows complete rows; the sign tells which way measured is biased."""
     _check_base(len(errors), n_rows, eps, "mpe")
     return float(_mean(errors) * 100.0)
-
-
-def rmspe(measured, reference, eps: float = 1e-9) -> float:
-    """Root mean square percentage error of measured against reference.
-
-    Rows with |reference| < eps are excluded so near-zero denominators cannot
-    blow up the statistic; pick eps in the unit of the reference (1 CFM for
-    flows, 0.5 degF for temperatures). More than half the rows excluded means
-    the reference is too close to zero to be a meaningful base.
-    """
-    m, r = _paired(measured, reference, "rmspe")
-    return rmspe_of(percent_errors(m, r, eps)[1], len(r), eps)
-
-
-def mpe(measured, reference, eps: float = 1e-9) -> float:
-    """Signed mean percentage error; sign tells which way measured is biased."""
-    m, r = _paired(measured, reference, "mpe")
-    return mpe_of(percent_errors(m, r, eps)[1], len(r), eps)
 
 
 def pearson(a, b) -> float:

@@ -19,6 +19,7 @@ from hvacdisagg.calibrate import _fit
 from hvacdisagg.config import load_run_config
 from hvacdisagg.energy import BuildingData, assemble
 from hvacdisagg.ingest import parse_timestamp, read_points, read_reference_year, read_trends
+from hvacdisagg.timeseries import _paired, mpe_of, percent_errors, rmspe_of
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,20 @@ def load_bundle(bundle: synth.ScenarioBundle) -> LoadedBundle:
         data=data,
         reference_oat=read_reference_year(bundle.reference_year_path),
     )
+
+
+def rmspe(measured, reference, eps: float = 1e-9) -> float:
+    """Root mean square percentage error over the complete rows of two whole
+    series: detection's percent_errors, then rmspe_of."""
+    m, r = _paired(measured, reference, "rmspe")
+    return rmspe_of(percent_errors(m, r, eps)[1], len(r), eps)
+
+
+def mpe(measured, reference, eps: float = 1e-9) -> float:
+    """Signed mean percentage error over the complete rows of two whole
+    series: detection's percent_errors, then mpe_of."""
+    m, r = _paired(measured, reference, "mpe")
+    return mpe_of(percent_errors(m, r, eps)[1], len(r), eps)
 
 
 def fit_sub(name, data):

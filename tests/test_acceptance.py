@@ -20,7 +20,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import counted_parses, fit_sub, load_bundle
+from conftest import counted_parses, fit_sub, load_bundle, mpe, rmspe
 from hvacdisagg import synth
 from hvacdisagg.building import PointRole, bind_points, load_metadata
 from hvacdisagg.calibrate import fit_model, save_model
@@ -44,7 +44,7 @@ from hvacdisagg.ingest import (
     read_trends,
     write_trends,
 )
-from hvacdisagg.timeseries import Unit, mpe, pearson, rmse, rmspe
+from hvacdisagg.timeseries import Unit, pearson, rmse
 
 RULE_BY_FAULT = {
     synth.FAULT_ECONOMIZER: 1,

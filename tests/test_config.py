@@ -9,15 +9,17 @@ stays reserved for the operating system refusing a file.
 
 import csv
 import os
+import re
 import shutil
 
+import numpy as np
 import pytest
 
-from hvacdisagg.cli import main
+from hvacdisagg.cli import _write_comparison, main
 from hvacdisagg.config import SCENARIO_PRESETS, load_run_config, load_scenario_spec
 from hvacdisagg.errors import ConfigError
 from hvacdisagg.faults import FaultFinding, Thresholds, write_findings
-from hvacdisagg.ingest import format_timestamp, parse_timestamp
+from hvacdisagg.ingest import _BLOCK_ROWS, format_timestamp, parse_timestamp
 from hvacdisagg.synth import scenario_impact
 
 BASE_CONF = """\
@@ -254,6 +256,36 @@ class TestCli:
         for name, blob in first.items():
             assert (cli_bundle / "out" / name).read_bytes() == blob, name
 
+    def test_comparison_matches_per_row_writer(self, cli_bundle, tmp_path, capsys):
+        def reference_write(path, stamps, estimated, measured):
+            # the per-row writer it replaced
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["timestamp", "estimated", "measured"])
+                for stamp, est, meas in zip(stamps, estimated, measured):
+                    writer.writerow([stamp, repr(float(est)), repr(float(meas))])
+
+        conf = _damaged(cli_bundle, tmp_path, lambda work: None)
+        assert main(["fit", "--config", conf]) == 0
+        assert main(["estimate", "--config", conf]) == 0
+        capsys.readouterr()
+        path = os.path.join(load_run_config(conf).output_dir, "cooling_vav_comparison.csv")
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) > _BLOCK_ROWS and len(rows) % _BLOCK_ROWS  # ends on a short block
+        stamps = np.array([r[0] for r in rows], dtype=object)
+        estimated, measured = (np.array([float(r[i]) for r in rows]) for i in (1, 2))
+        want = tmp_path / "want.csv"
+        reference_write(want, stamps, estimated, measured)
+        with open(path, "rb") as fh:
+            assert fh.read() == want.read_bytes()
+
+        estimated[:4] = [-0.0, 5e-324, 1.7976931348623157e308, -np.inf]
+        got = tmp_path / "got.csv"
+        _write_comparison(str(got), stamps, estimated, measured)
+        reference_write(want, stamps, estimated, measured)
+        assert got.read_bytes() == want.read_bytes()
+
     def test_out_flag_redirects_outputs(self, cli_bundle, tmp_path, capsys):
         conf = str(cli_bundle / "run.conf")
         other = tmp_path / "elsewhere"
@@ -342,6 +374,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: {cfg.findings_path}:2: ")
+
+    @pytest.mark.parametrize("filename", ["model.ini", "run.conf"])
+    @pytest.mark.parametrize("key, value", [("air_power_k", "-1.08"), ("mode_deadband_f", "-3")])
+    def test_constants_out_of_range_refused(self, cli_bundle, tmp_path, capsys,
+                                            filename, key, value):
+        # run.conf and model.ini each carry the physical constants, and
+        # estimate reads both
+        conf = _damaged(cli_bundle, tmp_path, lambda work: None)
+        assert main(["fit", "--config", conf]) == 0
+        path = os.path.join(os.path.dirname(conf), filename)
+        with open(path, encoding="utf-8") as fh:
+            text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", fh.read(), flags=re.M)
+        assert n == 1
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        capsys.readouterr()
+
+        rc = main(["estimate", "--config", conf])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert path in err and "physical constants out of range" in err
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         rc = main(["validate", "--config", str(tmp_path / "ghost.conf")])

@@ -396,12 +396,15 @@ class TestPowers:
 
     def test_each_estimator_once_per_unit_and_view(self, recovery_loaded, tmp_path, monkeypatch):
         # estimate evaluates each estimator once per unit; fit once per unit
-        # for each of its two views, the train and the test window
+        # for each of its two views, the train and the test window. An air
+        # handler's mode feeds both its coil power and the mode-row masks,
+        # and is evaluated once for the two.
         data = recovery_loaded.data
         per_unit = {
             "vav_cooling_power": len(data.vavs),
             "vav_heating_power": sum(v.heating_valve is not None for v in data.vavs.values()),
             "ahu_power": len(data.ahus),
+            "ahu_mode": len(data.ahus),
             "economizer_term": len(data.ahus),
         }
         assert all(per_unit.values()) and data.hot_water_temp is not None

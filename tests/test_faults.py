@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import mpe, rmspe
 from hvacdisagg.building import AhuNode, EquipmentGraph, VavNode
 from hvacdisagg.energy import AhuData, BuildingData, VavData
 from hvacdisagg.errors import (
@@ -41,7 +42,7 @@ from hvacdisagg.faults import (
     run_all,
     write_findings,
 )
-from hvacdisagg.timeseries import mpe, pearson, rmspe
+from hvacdisagg.timeseries import pearson
 
 T0 = 1_767_571_200  # 2026-01-05T00:00:00Z
 GRID = 900

@@ -212,11 +212,21 @@ class TestRoundTrip:
             vals = rng.normal(0.0, 1e3, 60)
             vals[rng.random(60) < 0.3] = np.nan
             series.append(TimeSeries(f"P{i}", T0 + offset * GRID, GRID, Unit.CFM, vals))
-        series.append(TimeSeries("GAPS", T0, GRID, Unit.CFM, np.full(5, np.nan)))
-        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        write_trends(series, str(got))
-        reference_write(series, str(want))
-        assert got.read_bytes() == want.read_bytes()
+        gaps = TimeSeries("GAPS", T0, GRID, Unit.CFM, np.full(5, np.nan))
+        series.append(gaps)
+        # ids csv.writer must quote, then ids it must leave bare
+        for i, pid in enumerate(["P,comma", 'P"quote"', "P\rcr", "P\nlf", " P lead", ""]):
+            series.append(TimeSeries(pid, T0 + i * GRID, GRID, Unit.CFM,
+                                     rng.normal(0.0, 1.0, 3)))
+        extremes = [-0.0, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, np.nan, 0.0]
+        series.append(TimeSeries("EXTREMES", T0, GRID, Unit.CFM, np.array(extremes)))
+        # long enough to end several write blocks inside one series
+        series.append(TimeSeries("LONG", T0, GRID, Unit.CFM, rng.normal(0.0, 1.0, 777)))
+        for name, case in [("mixed", series), ("empty", []), ("all-gaps", [gaps])]:
+            got, want = tmp_path / f"got-{name}.csv", tmp_path / f"want-{name}.csv"
+            write_trends(case, str(got))
+            reference_write(case, str(want))
+            assert got.read_bytes() == want.read_bytes(), name
 
     def test_fraction_series_round_trips_exactly(self, tmp_path):
         vals = np.array([0.37, 0.123456789012345, 1.0, 0.0])
@@ -237,6 +247,19 @@ class TestReferenceYear:
         p = tmp_path / "ref.csv"
         write_reference_year(oat, str(p))
         np.testing.assert_array_equal(read_reference_year(str(p)), oat)
+
+    def test_matches_per_row_writer(self, tmp_path):
+        oat = np.random.default_rng(4).normal(55, 15, 365)
+        oat[:3] = [-0.0, 5e-324, 1.7976931348623157e308]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_reference_year(oat, str(got))
+        # the per-row writer it replaced
+        with open(want, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["day_of_year", "oat_f"])
+            for day, value in enumerate(oat, start=1):
+                writer.writerow([day, repr(float(value))])
+        assert got.read_bytes() == want.read_bytes()
 
     def test_incomplete_year_rejected(self, tmp_path):
         p = tmp_path / "ref.csv"

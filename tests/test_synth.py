@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 
 from conftest import load_ground_truth
-from hvacdisagg import synth
+from hvacdisagg import ingest, synth
 from hvacdisagg.errors import ScenarioError
-from hvacdisagg.ingest import parse_timestamp
+from hvacdisagg.ingest import format_timestamp, parse_timestamp
 from hvacdisagg.synth import (
     FAULT_CONFIG,
     FAULT_COOLING_LEAK,
@@ -174,6 +174,35 @@ class TestMeterIdentities:
         assert np.array_equal(ts, data.timestamps())
         assert np.allclose(cols["cooling_meter"], data.cooling_meter, atol=1e-12)
         assert np.allclose(cols["sum_vav_cooling"], data.powers().sum_vav_cooling, atol=1e-9)
+
+
+class TestTruthPowersFile:
+    def test_matches_per_row_writer(self, tmp_path):
+        # a row count that leaves the last write block short
+        n = 3 * ingest._BLOCK_ROWS + 17
+        assert n % ingest._BLOCK_ROWS
+        rng = np.random.default_rng(8)
+        tr = types.SimpleNamespace(ts=START + 900 * np.arange(n, dtype=np.int64))
+        per_equipment = {f"{unit}.{side}": rng.normal(0.0, 0.05, n)
+                         for unit in ("VAV1-02", "AH1", "VAV1-01")
+                         for side in ("heating", "cooling")}
+        sums = {name: rng.normal(0.0, 0.5, n)
+                for name in ("sum_vav_reheat", "sum_economizer", "sum_vav_cooling")}
+        cooling, heating = rng.normal(1.0, 0.1, n), rng.normal(1.0, 0.1, n)
+        heating[:5] = [-0.0, 5e-324, 1.7976931348623157e308, np.inf, np.nan]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        synth._write_truth_powers(str(got), tr, per_equipment, sums, cooling, heating)
+
+        # the per-row writer it replaced
+        arrays = {**per_equipment, **sums, "cooling_meter": cooling, "heating_meter": heating}
+        columns = sorted(per_equipment) + sorted(sums) + ["cooling_meter", "heating_meter"]
+        with open(want, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["timestamp"] + columns)
+            for i, epoch in enumerate(tr.ts):
+                writer.writerow([format_timestamp(int(epoch))]
+                                + [repr(float(arrays[c][i])) for c in columns])
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestInjectionValidation:

@@ -11,16 +11,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import mpe, rmspe
 from hvacdisagg.errors import AlignmentError, DegenerateSeriesError, SeriesError
 from hvacdisagg.timeseries import (
     TimeSeries,
     Unit,
     align,
-    mpe,
     pearson,
     resample,
     rmse,
-    rmspe,
 )
 
 # Hand-computed expectations, frozen before the implementation existed.

@@ -24,10 +24,6 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 UNREFERENCED_OK = {
     # perfbench/tracer.py patches it to count masked rows
     "energy.BuildingData.row_mask",
-    # whole-series forms of the statistics that test_acceptance's
-    # brute-force oracle checks; detection calls rmspe_of and mpe_of
-    "timeseries.rmspe",
-    "timeseries.mpe",
     # kept for the bounded per-point gap fill before summing
     "timeseries.resample",
 }
