@@ -387,31 +387,31 @@ def save_model(model: CalibratedModel, path: str) -> None:
         cp.write(fh)
 
 
-def _required(cp: configparser.ConfigParser, section: str, key: str, get=None):
-    """A value the model file must hold, read by get(section, key) (cp.get
-    when None); a missing or unreadable one is a ConfigError."""
+def _required(cp: configparser.ConfigParser, path: str, section: str, key: str, get=None):
+    """A value the model file at path must hold, read by get(section, key)
+    (cp.get when None); a missing or unreadable one is a ConfigError."""
     if not cp.has_option(section, key):
-        raise ConfigError(f"bad model file: no '{key}' in [{section}]")
+        raise ConfigError(f"bad model file: {path}: no '{key}' in [{section}]")
     try:
         return (get or cp.get)(section, key)
     except ValueError as exc:
-        raise ConfigError(f"bad model file: [{section}] {key}: {exc}") from exc
+        raise ConfigError(f"bad model file: {path}: [{section}] {key}: {exc}") from exc
 
 
-def _read_sub(cp: configparser.ConfigParser, name: str,
+def _read_sub(cp: configparser.ConfigParser, path: str, name: str,
               coefficient_names: tuple[str, ...],
               coefficients: tuple[float, ...]) -> SubModelFit:
     section = f"diagnostics {name}"
 
     def number(key):
-        return _required(cp, section, key, cp.getfloat)
+        return _required(cp, path, section, key, cp.getfloat)
 
     n_test = test_rmse = baseline_test_rmse = improvement = None
     if any(cp.has_option(section, key)
            for key in ("n_test", "test_rmse", "baseline_test_rmse", "improvement_pct")):
-        n_test = _required(cp, section, "n_test", cp.getint)
+        n_test = _required(cp, path, section, "n_test", cp.getint)
         test_rmse, baseline_test_rmse = number("test_rmse"), number("baseline_test_rmse")
-        if _required(cp, section, "improvement_pct") != "n/a":
+        if _required(cp, path, section, "improvement_pct") != "n/a":
             improvement = number("improvement_pct")
     warnings = tuple(w.strip() for w in cp.get(section, "warnings", fallback="").split(" ; ")
                      if w.strip())
@@ -419,7 +419,7 @@ def _read_sub(cp: configparser.ConfigParser, name: str,
         name=name,
         coefficient_names=coefficient_names,
         coefficients=coefficients,
-        n_train=_required(cp, section, "n_train", cp.getint),
+        n_train=_required(cp, path, section, "n_train", cp.getint),
         train_rmse=number("train_rmse"),
         baseline_train_rmse=number("baseline_train_rmse"),
         train_target_mean=number("train_target_mean"),
@@ -443,31 +443,31 @@ def load_model(path: str) -> CalibratedModel:
             raise ConfigError(f"bad model file: {exc}") from exc
     if not cp.has_section("model") or not cp.has_section("coefficients"):
         raise ConfigError(f"bad model file: {path} missing [model] or [coefficients]")
-    model_format = _required(cp, "model", "format", cp.getint)
+    model_format = _required(cp, path, "model", "format", cp.getint)
     if model_format != MODEL_FORMAT:
-        raise ConfigError(f"unsupported model format {model_format}")
+        raise ConfigError(f"bad model file: {path}: unsupported model format {model_format}")
     for section in cp.sections():
         name = section.removeprefix("diagnostics ")
         if name != section and name not in SUBMODELS:
-            raise ConfigError(f"bad model file: unknown diagnostics section '{name}'")
+            raise ConfigError(f"bad model file: {path}: unknown diagnostics section '{name}'")
 
     def stamp(section, key):
         return parse_timestamp(cp.get(section, key))
 
-    coefficients = {name: _required(cp, "coefficients", name, cp.getfloat)
+    coefficients = {name: _required(cp, path, "coefficients", name, cp.getfloat)
                     for name in COEFFICIENT_NAMES}
     try:
-        constants = PhysicalConstants(**{f.name: _required(cp, "model", f.name, cp.getfloat)
+        constants = PhysicalConstants(**{f.name: _required(cp, path, "model", f.name, cp.getfloat)
                                          for f in dataclasses.fields(PhysicalConstants)})
     except ValueError as exc:
         raise ConfigError(f"bad model file: {path}: {exc}") from exc
-    train_window = (_required(cp, "model", "train_start", stamp),
-                    _required(cp, "model", "train_end", stamp))
+    train_window = (_required(cp, path, "model", "train_start", stamp),
+                    _required(cp, path, "model", "train_end", stamp))
     test_window = None
     if cp.has_option("model", "test_start") or cp.has_option("model", "test_end"):
-        test_window = (_required(cp, "model", "test_start", stamp),
-                       _required(cp, "model", "test_end", stamp))
-    reheat_fitted = _required(cp, "model", "reheat_fitted", cp.getboolean)
+        test_window = (_required(cp, path, "model", "test_start", stamp),
+                       _required(cp, path, "model", "test_end", stamp))
+    reheat_fitted = _required(cp, path, "model", "reheat_fitted", cp.getboolean)
 
     submodels: dict[str, SubModelFit] = {}
     for name, spec in SUBMODELS.items():
@@ -475,10 +475,10 @@ def load_model(path: str) -> CalibratedModel:
         if not reheat_fitted and "c7" in features:
             features.remove("c7")
         submodels[name] = _read_sub(
-            cp, name, (*features, f"{name}.intercept"),
+            cp, path, name, (*features, f"{name}.intercept"),
             tuple(coefficients[c] for c in (*features, intercept)))
 
-    interval_s = _required(cp, "model", "interval_s", cp.getint)
+    interval_s = _required(cp, path, "model", "interval_s", cp.getint)
     warnings = tuple(w for sub in submodels.values() for w in sub.warnings)
     return CalibratedModel(
         coefficients=coefficients,

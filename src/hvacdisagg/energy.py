@@ -8,7 +8,8 @@ complete-row policy downstream keeps working.
 `BuildingData.powers` evaluates each estimator once per unit and returns a
 frozen `Powers`: the per-unit powers, the five building sums the meter
 regressions scale, and the cooling-mode and heating-mode row masks.
-Calibration and `estimate` read everything they need from that one record.
+Calibration and `estimate` read everything they need from that one record,
+and `synth` computes its meters and `truth_powers.csv` from it.
 """
 
 from __future__ import annotations

@@ -89,6 +89,16 @@ class IngestStats:
 _NORMALIZED_UNIT = {Unit.PERCENT: Unit.FRACTION}
 
 
+def _records(reader, header: list[str]):
+    """reader's rows, less the first when it is header (cells stripped and
+    lowercased). A refusal names reader.line_num, the physical line the
+    current row ends on, so a quoted cell spanning lines keeps the count."""
+    first = next(reader, None)
+    if first is None or [c.strip().lower() for c in first] == header:
+        return reader
+    return chain((first,), reader)
+
+
 def _slots_by_point(binding: PointBinding) -> dict:
     """point_id -> its bound slots, both in binding order."""
     slots_by_point: dict = {}
@@ -122,14 +132,13 @@ def read_trends(
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
+        for row in _records(reader, TREND_HEADER):
             if not row:
-                continue
-            if lineno == 1 and [c.strip().lower() for c in row] == TREND_HEADER:
                 continue
             if len(row) != 3:
                 if strict:
-                    raise IngestError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+                    raise IngestError(
+                        f"{path}:{reader.line_num}: expected 3 columns, got {len(row)}")
                 stats.skipped += 1
                 continue
             stats.rows += 1
@@ -146,12 +155,12 @@ def read_trends(
                 value = float(row[2])
             except ValueError as exc:
                 if strict:
-                    raise IngestError(f"{path}:{lineno}: {exc}") from exc
+                    raise IngestError(f"{path}:{reader.line_num}: {exc}") from exc
                 stats.skipped += 1
                 continue
             if not math.isfinite(value):
                 if strict:
-                    raise IngestError(f"{path}:{lineno}: non-finite value")
+                    raise IngestError(f"{path}:{reader.line_num}: non-finite value")
                 stats.skipped += 1
                 continue
             append[0](epoch)
@@ -297,22 +306,23 @@ def read_points(path: str) -> list[PointInfo]:
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
+        for row in _records(reader, POINTS_HEADER):
             if not row:
                 continue
-            if lineno == 1 and [c.strip().lower() for c in row] == POINTS_HEADER:
-                continue
             if len(row) != 3:
-                raise IngestError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+                raise IngestError(
+                    f"{path}:{reader.line_num}: expected 3 columns, got {len(row)}")
             point_id, name, unit_text = (c.strip() for c in row)
             if point_id in seen:
-                raise IngestError(f"{path}:{lineno}: duplicate point id '{point_id}'")
+                raise IngestError(
+                    f"{path}:{reader.line_num}: duplicate point id '{point_id}'")
             seen.add(point_id)
             try:
                 unit = Unit(unit_text)
             except ValueError:
                 raise IngestError(
-                    f"{path}:{lineno}: unknown unit '{unit_text}' for point '{point_id}'"
+                    f"{path}:{reader.line_num}: "
+                    f"unknown unit '{unit_text}' for point '{point_id}'"
                 ) from None
             points.append(PointInfo(point_id=point_id, raw_name=name, unit=unit))
     return points
@@ -371,22 +381,21 @@ def read_reference_year(path: str) -> np.ndarray:
     out = np.full(365, np.nan)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
+        for row in _records(reader, REFERENCE_YEAR_HEADER):
             if not row:
                 continue
-            if lineno == 1 and [c.strip().lower() for c in row] == REFERENCE_YEAR_HEADER:
-                continue
             if len(row) != 2:
-                raise IngestError(f"{path}:{lineno}: expected 2 columns")
+                raise IngestError(f"{path}:{reader.line_num}: expected 2 columns")
             try:
                 day = int(row[0])
                 oat = float(row[1])
             except ValueError as exc:
-                raise IngestError(f"{path}:{lineno}: {exc}") from exc
+                raise IngestError(f"{path}:{reader.line_num}: {exc}") from exc
             if day == 366:
                 continue  # leap day has no slot in the 365-day reference
             if not 1 <= day <= 365:
-                raise IngestError(f"{path}:{lineno}: day_of_year {day} out of range")
+                raise IngestError(
+                    f"{path}:{reader.line_num}: day_of_year {day} out of range")
             out[day - 1] = oat
     missing = int(np.isnan(out).sum())
     if missing:

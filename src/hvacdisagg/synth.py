@@ -2,11 +2,14 @@
 
 The generator works backward from the calibration equations: it designs
 smooth zone, flow, and air-temperature signals, then computes the meter
-series exactly from those signals with chosen coefficients. Recovery of
-the coefficients by the fitting pipeline therefore has a well-defined
-answer. Faults are injected at the actuator or sensor level and every
-downstream signal is derived from the faulty values, so faulty bundles stay
-self-consistent.
+series exactly from those signals with chosen coefficients. The meters
+are the pipeline's own `predict_cooling_vav` and `predict_heating` at the
+true coefficients, over `BuildingData.powers` of a frame built from the
+written signals the way `assemble` builds it from the bundle's files.
+Recovery of the coefficients by the fitting pipeline therefore has a
+well-defined answer. Faults are injected at the actuator or sensor level
+and every downstream signal is derived from the faulty values, so faulty
+bundles stay self-consistent.
 
 The one subtle piece is joint exactness of the VAV-side and AHU-side
 cooling balances against a single meter. With the return-air temperature
@@ -25,14 +28,15 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .building import AhuNode, BindRule, EquipmentGraph, PointInfo, PointRole, VavNode, dump_metadata
-from .calibrate import DEFAULT_SPLIT_FRACTION
-from .energy import _MMBTU, DEFAULT_CONSTANTS, PhysicalConstants, ahu_mode, ahu_power, \
-    economizer_term, occupancy_schedule, rows_in_mode, vav_cooling_power, vav_heating_power
+from .calibrate import COEFFICIENT_NAMES, DEFAULT_SPLIT_FRACTION, predict_cooling_vav, \
+    predict_heating
+from .energy import _MMBTU, DEFAULT_CONSTANTS, AhuData, BuildingData, PhysicalConstants, Powers, \
+    VavData, occupancy_schedule, vav_cooling_power
 from .errors import ScenarioError
 from .faults import Thresholds
 from .ingest import _write_numeric_csv, format_timestamp, format_timestamps, parse_timestamp, \
@@ -197,7 +201,7 @@ class ScenarioSpec:
         return [f"VAV{ahu_index + 1}-{j + 1:02d}" for j in range(self.n_vavs_per_ahu)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceSet:
     """Complete signal state for one scenario: the base schedules, and the
     parts _derive_physics builds from them and the spec's injections."""
@@ -335,8 +339,9 @@ def _leak_rows(tr: TraceSet, inj: FaultInjection) -> np.ndarray:
     return win & (tr.cooling_band | tr.econ_band)
 
 
-def _derive_physics(tr: TraceSet) -> None:
-    """Build all derived signals from base schedules plus injections."""
+def _derive_physics(tr: TraceSet) -> TraceSet:
+    """tr with all derived signals built from its base schedules plus the
+    spec's injections; tr itself is left as it was."""
     spec = tr.spec
     alpha, beta_each = spec.alpha, spec.beta / spec.n_ahus
 
@@ -436,10 +441,10 @@ def _derive_physics(tr: TraceSet) -> None:
                     f"{inj.fault} on {inj.equipment}: leak window overlaps "
                     "rows where the valve is commanded open")
 
-    tr.flow_sp, tr.flow, tr.flow_sum = flow_sp, flow, flow_sum
-    tr.return_temp, tr.sat_actual = return_temp, sat_actual
-    tr.mixed_healthy, tr.mixed_actual, tr.damper_cmd = mixed_healthy, mixed_actual, damper_cmd
-    tr.clg_valve, tr.htg_valve = clg_valve, htg_valve
+    return replace(tr, flow_sp=flow_sp, flow=flow, flow_sum=flow_sum,
+                   return_temp=return_temp, sat_actual=sat_actual,
+                   mixed_healthy=mixed_healthy, mixed_actual=mixed_actual, damper_cmd=damper_cmd,
+                   clg_valve=clg_valve, htg_valve=htg_valve)
 
 
 def _waste(tr: TraceSet, inj: FaultInjection) -> float:
@@ -561,61 +566,27 @@ def _written_signals(tr: TraceSet, rng: np.random.Generator):
     return out
 
 
-def _meters_from_written(tr: TraceSet, written: dict, rng: np.random.Generator):
-    """Meter series computed exactly from the written signals, then noised."""
-    spec = tr.spec
-    c1, c2, c3, c4, c5, c6, c7, c8 = spec.coefficients
-
-    v_sum = np.zeros(tr.n)
-    e_sum = np.zeros(tr.n)
-    ahu_htg = np.zeros(tr.n)
-    reheat = np.zeros(tr.n)
-    per_equipment: dict = {}
+def _truth_frame(tr: TraceSet, written: dict, graph: EquipmentGraph) -> BuildingData:
+    """The frame assemble builds from the bundle's files, less the meters
+    this frame's powers are there to compute: each VAV on its air handler's
+    SAT, each flow sum over the children in graph order, MAT and RAT
+    measured and HWS-T the hot water temperature."""
+    vavs: dict = {}
+    ahus: dict = {}
     for ahu in tr.ahu_ids:
         sat = written[_point(ahu, "SAT")]
-        mat = written[_point(ahu, "MAT")]
-        rat = written[_point(ahu, "RAT")]
-        qsum = np.sum([written[_point(v, "FLOW")] for v in tr.children[ahu]], axis=0)
-        e_sum += economizer_term(qsum, rat, mat, _K)
-        clg, htg = ahu_power(mat, sat, qsum, _K)
-        ahu_htg += htg
-        per_equipment[f"{ahu}.cooling"] = clg
-        per_equipment[f"{ahu}.heating"] = htg
-        for v in tr.children[ahu]:
-            p = vav_cooling_power(written[_point(v, "FLOW")],
-                                  written[_point(v, "ZN-T")], sat, _K)
-            v_sum += p
-            per_equipment[f"{v}.cooling"] = p
-            if spec.reheat:
-                r = vav_heating_power(written[f"{BUILDING_ID}.HWS-T"], sat,
-                                      written[_point(v, "FLOW")],
-                                      written[_point(v, "RH-VLV")], _K)
-                reheat += r
-                per_equipment[f"{v}.reheat"] = r
-
-    cooling_meter = c1 * v_sum + c2 * e_sum + c3
-    heating_meter = c6 * ahu_htg + c8
-    if spec.reheat:
-        heating_meter = heating_meter + c7 * reheat
-    if spec.meter_noise_rel > 0.0:
-        for meter in (cooling_meter, heating_meter):
-            sigma = spec.meter_noise_rel * float(np.mean(np.abs(meter)))
-            meter += rng.normal(0.0, sigma, tr.n)
-    sums = {
-        "sum_vav_cooling": v_sum,
-        "sum_economizer": e_sum,
-        "sum_ahu_heating": ahu_htg,
-        "sum_vav_reheat": reheat,
-    }
-    return cooling_meter, heating_meter, per_equipment, sums
-
-
-def _mode_row_counts(tr: TraceSet, written: dict):
-    """Cooling/heating row counts exactly as the pipeline will see them."""
-    modes = [ahu_mode(written[_point(ahu, "MAT")], written[_point(ahu, "SAT")])
-             for ahu in tr.ahu_ids]
-    return (int(rows_in_mode(modes, tr.n, 1.0).sum()),
-            int(rows_in_mode(modes, tr.n, -1.0).sum()))
+        kids = [VavData(v, ahu, zone_temp=written[_point(v, "ZN-T")],
+                        flow=written[_point(v, "FLOW")], supply_temp=sat,
+                        heating_valve=written.get(_point(v, "RH-VLV")))
+                for v in tr.children[ahu]]
+        vavs.update((v.vav_id, v) for v in kids)
+        ahus[ahu] = AhuData(ahu, supply_temp=sat, return_temp=written[_point(ahu, "RAT")],
+                            flow_sum=np.sum([v.flow for v in kids], axis=0),
+                            mixed_temp=written[_point(ahu, "MAT")])
+    return BuildingData(graph=graph, start=tr.start, interval_s=tr.spec.interval_s,
+                        n_rows=tr.n, cooling_meter=None, heating_meter=None,
+                        vavs=vavs, ahus=ahus, oat=written[f"{BUILDING_ID}.OAT"],
+                        hot_water_temp=written.get(f"{BUILDING_ID}.HWS-T"))
 
 
 def _reference_year(spec: ScenarioSpec) -> np.ndarray:
@@ -623,10 +594,21 @@ def _reference_year(spec: ScenarioSpec) -> np.ndarray:
     return spec.oat_base_f + 12.0 * np.sin(2 * np.pi * (days - 201) / 365.0)
 
 
-def _write_truth_powers(path: str, tr: TraceSet, per_equipment: dict, sums: dict,
+def _write_truth_powers(path: str, tr: TraceSet, powers: Powers,
                         cooling_meter, heating_meter) -> None:
-    columns = sorted(per_equipment) + sorted(sums) + ["cooling_meter", "heating_meter"]
-    arrays = {**per_equipment, **sums,
+    """Each unit's powers, four building sums and the meters, one column
+    each; sum_vav_reheat is a zero column when no VAV has reheat."""
+    per_unit = {f"{v}.cooling": p for v, p in powers.vav_cooling.items()}
+    per_unit.update((f"{v}.reheat", p) for v, p in powers.vav_heating.items())
+    for ahu, (cooling, heating) in powers.ahu_coil.items():
+        per_unit[f"{ahu}.cooling"], per_unit[f"{ahu}.heating"] = cooling, heating
+    reheat = powers.sum_vav_heating
+    sums = {"sum_vav_cooling": powers.sum_vav_cooling,
+            "sum_economizer": powers.sum_economizer,
+            "sum_ahu_heating": powers.sum_ahu_heating,
+            "sum_vav_reheat": np.zeros(len(tr.ts)) if reheat is None else reheat}
+    columns = sorted(per_unit) + sorted(sums) + ["cooling_meter", "heating_meter"]
+    arrays = {**per_unit, **sums,
               "cooling_meter": cooling_meter, "heating_meter": heating_meter}
     _write_numeric_csv(path, ["timestamp"] + columns,
                        [format_timestamps(tr.ts)]
@@ -696,16 +678,22 @@ def generate(spec: ScenarioSpec, out_dir: str) -> ScenarioBundle:
     bundle always has a self-consistent target.
     """
     rng = np.random.default_rng(spec.seed)
-    tr = _build_base(spec, rng)
-    _derive_physics(tr)
+    tr = _derive_physics(_build_base(spec, rng))
     # every injection is in before any waste integral, so faults that share
     # an AHU see each other's effect on flows and temperatures
     wastes = [_waste(tr, inj) for inj in spec.faults]
 
     signals = _written_signals(tr, rng)
     written = {pid: values for pid, _, values in signals}
-    cooling_meter, heating_meter, per_equipment, sums = _meters_from_written(tr, written, rng)
-    n_cooling, n_heating = _mode_row_counts(tr, written)
+    graph = _graph_for(spec)
+    powers = _truth_frame(tr, written, graph).powers()
+    truth = dict(zip(COEFFICIENT_NAMES, spec.coefficients))
+    cooling_meter = predict_cooling_vav(truth, powers)
+    heating_meter = predict_heating(truth, powers)
+    if spec.meter_noise_rel > 0.0:
+        for meter in (cooling_meter, heating_meter):
+            sigma = spec.meter_noise_rel * float(np.mean(np.abs(meter)))
+            meter += rng.normal(0.0, sigma, tr.n)
 
     os.makedirs(out_dir, exist_ok=True)
     bundle = ScenarioBundle(
@@ -719,7 +707,7 @@ def generate(spec: ScenarioSpec, out_dir: str) -> ScenarioBundle:
         run_config_path=os.path.join(out_dir, "run.conf"),
     )
 
-    dump_metadata(_graph_for(spec), bundle.topology_path)
+    dump_metadata(graph, bundle.topology_path)
 
     unit_by_point = {pid: unit for pid, unit, _ in signals}
     unit_by_point[f"{BUILDING_ID}.CLG-MTR"] = Unit.MMBTU_HR
@@ -736,9 +724,9 @@ def generate(spec: ScenarioSpec, out_dir: str) -> ScenarioBundle:
     write_trends(series, bundle.trends_path)
 
     write_reference_year(_reference_year(spec), bundle.reference_year_path)
-    _write_ground_truth(bundle.ground_truth_path, spec, tr, wastes, n_cooling, n_heating)
-    _write_truth_powers(bundle.truth_powers_path, tr, per_equipment, sums,
-                        cooling_meter, heating_meter)
+    _write_ground_truth(bundle.ground_truth_path, spec, tr, wastes,
+                        int(powers.cooling_rows.sum()), int(powers.heating_rows.sum()))
+    _write_truth_powers(bundle.truth_powers_path, tr, powers, cooling_meter, heating_meter)
     _write_run_config(bundle.run_config_path, spec)
     return bundle
 

@@ -526,8 +526,25 @@ class TestModelFile:
             broken = tmp_path / "broken.ini"
             with open(broken, "w") as fh:
                 cp.write(fh)
-            with pytest.raises(ConfigError, match="bad model file"):
+            with pytest.raises(ConfigError, match="bad model file") as refused:
                 load_model(str(broken))
+            assert str(broken) in str(refused.value), (section, key)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda cp: cp.set("model", "format", "99"), "unsupported model format 99"),
+        (lambda cp: cp.add_section("diagnostics fan"), "unknown diagnostics section 'fan'"),
+    ])
+    def test_refusal_names_the_file(self, tmp_path, damage, message):
+        path = tmp_path / "model.ini"
+        save_model(fit_model(TestFitModel()._prepared()), str(path))
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read(path)
+        damage(cp)
+        with open(path, "w") as fh:
+            cp.write(fh)
+        with pytest.raises(ConfigError) as refused:
+            load_model(str(path))
+        assert str(refused.value) == f"bad model file: {path}: {message}"
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "model.ini"

@@ -333,14 +333,18 @@ class TestAssemble:
             assemble(_graph(), _binding(), smap)
 
     def test_mode_row_predicates(self):
-        smap = _series_map(n=4)
-        # drive mixed air via a measured sensor: cooling, idle, heating, gap
+        smap = _series_map(n=6)
+        # drive mixed air via a measured sensor: cooling, idle, heating, gap,
+        # then MAT - SAT of exactly -0.5 (heating) and +0.5 (cooling), so each
+        # deadband edge row leaves the other mode's rows
         smap[("AH1", PointRole.AHU_MIXED_AIR_TEMP)] = _series(
-            "mat", [70.0, 55.2, 50.0, np.nan]
+            "mat", [70.0, 55.2, 50.0, np.nan, 54.5, 55.5]
         )
         data = assemble(_graph(), _binding(), smap)
-        np.testing.assert_array_equal(data.powers().cooling_rows, [True, True, False, False])
-        np.testing.assert_array_equal(data.powers().heating_rows, [False, True, True, False])
+        np.testing.assert_array_equal(data.powers().cooling_rows,
+                                      [True, True, False, False, False, True])
+        np.testing.assert_array_equal(data.powers().heating_rows,
+                                      [False, True, True, False, True, False])
 
 
 def _numbered_frame(start, interval, n):

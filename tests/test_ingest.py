@@ -21,6 +21,7 @@ from hvacdisagg.ingest import (
     IngestStats,
     format_timestamp,
     parse_timestamp,
+    read_points,
     read_reference_year,
     read_trends,
     read_trends_cached,
@@ -163,6 +164,15 @@ class TestReadTrends:
         with pytest.raises(IngestError, match=":2:"):
             read_trends(str(p), b, GRID, strict=True)
 
+    def test_strict_line_number_counts_a_quoted_line_break(self, tmp_path):
+        # the quoted point id spans lines 2 and 3, so the bad value is on line 4
+        p = tmp_path / "t.csv"
+        p.write_text(f'timestamp,point,value\n{format_timestamp(T0)},"P\nQ",1.0\n'
+                     f"{format_timestamp(T0)},P,oops\n")
+        b = binding_for([("V1", PointRole.ZONE_TEMP, "P", Unit.DEG_F)])
+        with pytest.raises(IngestError, match=f"^{re.escape(str(p))}:4: "):
+            read_trends(str(p), b, GRID, strict=True)
+
     def test_missing_file_is_os_error(self):
         b = binding_for([("V1", PointRole.ZONE_TEMP, "P", Unit.DEG_F)])
         with pytest.raises(OSError):
@@ -267,12 +277,26 @@ class TestReferenceYear:
         with pytest.raises(IngestError, match="incomplete"):
             read_reference_year(str(p))
 
+    def test_line_number_counts_a_quoted_line_break(self, tmp_path):
+        # the quoted day spans lines 2 and 3, so the bad value is on line 4
+        p = tmp_path / "ref.csv"
+        p.write_text('day_of_year,oat_f\n"1\n",50.0\n2,oops\n')
+        with pytest.raises(IngestError, match=f"^{re.escape(str(p))}:4: "):
+            read_reference_year(str(p))
+
     def test_out_of_range_day_rejected(self, tmp_path):
         p = tmp_path / "ref.csv"
         p.write_text("day_of_year,oat_f\n0,50.0\n")
         with pytest.raises(IngestError, match="out of range"):
             read_reference_year(str(p))
 
+
+def test_points_line_number_counts_a_quoted_line_break(tmp_path):
+    # the quoted display name spans lines 2 and 3; the bad unit is on line 4
+    p = tmp_path / "points.csv"
+    p.write_text('point_id,name,unit\nP,"two\nlines",degF\nQ,q,furlongs\n')
+    with pytest.raises(IngestError, match=f"^{re.escape(str(p))}:4: unknown unit"):
+        read_points(str(p))
 
 # -- oracle: the per-row reader the columnar one replaced ---------------------
 

@@ -24,6 +24,7 @@ import pytest
 
 from conftest import load_ground_truth
 from hvacdisagg import ingest, synth
+from hvacdisagg.energy import Powers
 from hvacdisagg.errors import ScenarioError
 from hvacdisagg.ingest import format_timestamp, parse_timestamp
 from hvacdisagg.synth import (
@@ -158,22 +159,29 @@ class TestMeterIdentities:
         assert int(data.powers().cooling_rows.sum()) == truth.n_cooling_rows
         assert int(data.powers().heating_rows.sum()) == truth.n_heating_rows
 
-    def test_mode_counts_at_deadband_edges(self):
-        # MAT - SAT of exactly -0.5 is heating and +0.5 is cooling, so each
-        # edge row leaves the other mode's count, as Powers.cooling_rows and
-        # heating_rows see it
-        sat = np.full(4, 55.0)
-        written = {synth._point("AH1", "MAT"): sat + np.array([-0.5, 0.5, 0.0, 1.0]),
-                   synth._point("AH1", "SAT"): sat}
-        trace = types.SimpleNamespace(n=4, ahu_ids=["AH1"])
-        assert synth._mode_row_counts(trace, written) == (3, 2)
-
-    def test_truth_powers_align_with_pipeline(self, impact_loaded):
-        ts, cols = load_truth_powers(impact_loaded.bundle.truth_powers_path)
-        data = impact_loaded.data
-        assert np.array_equal(ts, data.timestamps())
-        assert np.allclose(cols["cooling_meter"], data.cooling_meter, atol=1e-12)
-        assert np.allclose(cols["sum_vav_cooling"], data.powers().sum_vav_cooling, atol=1e-9)
+    def test_truth_powers_align_with_pipeline(self, impact_loaded, recovery_loaded):
+        # every column is bit-equal to the pipeline's powers of the re-read
+        # bundle, without reheat (impact) and with it (recovery)
+        for loaded in (impact_loaded, recovery_loaded):
+            ts, cols = load_truth_powers(loaded.bundle.truth_powers_path)
+            data = loaded.data
+            powers = data.powers()
+            reheat = powers.sum_vav_heating
+            want = {"sum_vav_cooling": powers.sum_vav_cooling,
+                    "sum_economizer": powers.sum_economizer,
+                    "sum_ahu_heating": powers.sum_ahu_heating,
+                    "sum_vav_reheat": np.zeros(data.n_rows) if reheat is None else reheat,
+                    "cooling_meter": data.cooling_meter,
+                    "heating_meter": data.heating_meter}
+            want.update((f"{v}.cooling", p) for v, p in powers.vav_cooling.items())
+            want.update((f"{v}.reheat", p) for v, p in powers.vav_heating.items())
+            for ahu, (cooling, heating) in powers.ahu_coil.items():
+                want[f"{ahu}.cooling"], want[f"{ahu}.heating"] = cooling, heating
+            assert (reheat is None) == (loaded is impact_loaded)
+            assert np.array_equal(ts, data.timestamps())
+            assert sorted(cols) == sorted(want)
+            for name, values in cols.items():
+                assert np.array_equal(values, want[name]), name
 
 
 class TestTruthPowersFile:
@@ -183,19 +191,36 @@ class TestTruthPowersFile:
         assert n % ingest._BLOCK_ROWS
         rng = np.random.default_rng(8)
         tr = types.SimpleNamespace(ts=START + 900 * np.arange(n, dtype=np.int64))
-        per_equipment = {f"{unit}.{side}": rng.normal(0.0, 0.05, n)
-                         for unit in ("VAV1-02", "AH1", "VAV1-01")
-                         for side in ("heating", "cooling")}
-        sums = {name: rng.normal(0.0, 0.5, n)
-                for name in ("sum_vav_reheat", "sum_economizer", "sum_vav_cooling")}
+
+        def col(scale=0.05):
+            return rng.normal(0.0, scale, n)
+
+        powers = Powers(
+            vav_cooling={"VAV1-02": col(), "VAV1-01": col()},
+            vav_heating={"VAV1-02": col(), "VAV1-01": col()},
+            ahu_coil={"AH1": (col(), col())},
+            economizer={"AH1": col()},
+            sum_vav_cooling=col(0.5), sum_economizer=col(0.5), sum_ahu_cooling=col(0.5),
+            sum_ahu_heating=col(0.5), sum_vav_heating=col(0.5),
+            cooling_rows=np.ones(n, dtype=bool), heating_rows=np.ones(n, dtype=bool))
         cooling, heating = rng.normal(1.0, 0.1, n), rng.normal(1.0, 0.1, n)
         heating[:5] = [-0.0, 5e-324, 1.7976931348623157e308, np.inf, np.nan]
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        synth._write_truth_powers(str(got), tr, per_equipment, sums, cooling, heating)
+        synth._write_truth_powers(str(got), tr, powers, cooling, heating)
 
         # the per-row writer it replaced
-        arrays = {**per_equipment, **sums, "cooling_meter": cooling, "heating_meter": heating}
-        columns = sorted(per_equipment) + sorted(sums) + ["cooling_meter", "heating_meter"]
+        arrays = {
+            "AH1.cooling": powers.ahu_coil["AH1"][0], "AH1.heating": powers.ahu_coil["AH1"][1],
+            "VAV1-01.cooling": powers.vav_cooling["VAV1-01"],
+            "VAV1-01.reheat": powers.vav_heating["VAV1-01"],
+            "VAV1-02.cooling": powers.vav_cooling["VAV1-02"],
+            "VAV1-02.reheat": powers.vav_heating["VAV1-02"],
+            "sum_ahu_heating": powers.sum_ahu_heating,
+            "sum_economizer": powers.sum_economizer,
+            "sum_vav_cooling": powers.sum_vav_cooling,
+            "sum_vav_reheat": powers.sum_vav_heating,
+            "cooling_meter": cooling, "heating_meter": heating}
+        columns = list(arrays)
         with open(want, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["timestamp"] + columns)
@@ -203,6 +228,35 @@ class TestTruthPowersFile:
                 writer.writerow([format_timestamp(int(epoch))]
                                 + [repr(float(arrays[c][i])) for c in columns])
         assert got.read_bytes() == want.read_bytes()
+
+
+class TestDerivePhysics:
+    def test_fault_free_twin_on_the_same_draws(self):
+        # the faulted base with its injections emptied derives exactly the
+        # healthy preset; deriving leaves the base as it was built
+        faulted, healthy = synth.scenario_faulted(), synth.scenario_healthy_twin()
+        base = synth._build_base(faulted, np.random.default_rng(faulted.seed))
+        built = synth._build_base(faulted, np.random.default_rng(faulted.seed))
+        derived = synth._derive_physics(base)
+        twin = synth._derive_physics(dataclasses.replace(
+            base, spec=dataclasses.replace(faulted, faults=())))
+        want = synth._derive_physics(
+            synth._build_base(healthy, np.random.default_rng(healthy.seed)))
+        assert not _same_traces(derived, twin)
+        assert _same_traces(twin, want)
+        assert _same_traces(base, built)
+        assert base.flow == {} and derived.flow != {}
+
+
+def _same_traces(a, b):
+    """Every field of two TraceSets equal, arrays and dicts of arrays exactly."""
+    def same(x, y):
+        if isinstance(x, dict):
+            return x.keys() == y.keys() and all(same(x[k], y[k]) for k in x)
+        if isinstance(x, np.ndarray):
+            return np.array_equal(x, y)
+        return x == y
+    return all(same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
 
 
 class TestInjectionValidation:
