@@ -159,6 +159,25 @@ class TestMeterIdentities:
         assert int(data.powers().cooling_rows.sum()) == truth.n_cooling_rows
         assert int(data.powers().heating_rows.sum()) == truth.n_heating_rows
 
+    def test_mode_counts_at_deadband_edges(self):
+        # MAT - SAT of exactly -0.5 is heating and +0.5 is cooling, so each
+        # edge row leaves the other mode's count, as the generator's truth
+        # frame counts them for ground_truth.ini
+        sat = np.full(4, 55.0)
+        ones = np.ones(4)
+        written = {synth._point("AH1", "MAT"): sat + np.array([-0.5, 0.5, 0.0, 1.0]),
+                   synth._point("AH1", "SAT"): sat,
+                   synth._point("AH1", "RAT"): sat + 15.0,
+                   synth._point("VAV1-01", "ZN-T"): sat + 17.0,
+                   synth._point("VAV1-01", "FLOW"): 500.0 * ones,
+                   f"{synth.BUILDING_ID}.OAT": 60.0 * ones}
+        trace = types.SimpleNamespace(
+            n=4, start=START, ahu_ids=["AH1"], children={"AH1": ["VAV1-01"]},
+            spec=types.SimpleNamespace(interval_s=900))
+        graph = synth._graph_for(ScenarioSpec(n_ahus=1, n_vavs_per_ahu=1))
+        powers = synth._truth_frame(trace, written, graph).powers()
+        assert (int(powers.cooling_rows.sum()), int(powers.heating_rows.sum())) == (3, 2)
+
     def test_truth_powers_align_with_pipeline(self, impact_loaded, recovery_loaded):
         # every column is bit-equal to the pipeline's powers of the re-read
         # bundle, without reheat (impact) and with it (recovery)
