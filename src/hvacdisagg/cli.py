@@ -24,7 +24,7 @@ from .errors import ConfigError, DisaggError
 from .faults import read_findings, run_all, write_findings
 from .impact import build_report, estimate_all, format_report, prioritize, \
     write_report_csv
-from .ingest import _write_numeric_csv, format_timestamp, format_timestamps, read_points, \
+from .ingest import _write_numeric_csv, format_timestamp, read_points, \
     read_reference_year, read_trends_cached, write_trends
 from .synth import generate
 from .timeseries import TimeSeries, Unit, rmse
@@ -149,8 +149,9 @@ def cmd_fit(args) -> int:
 
 def _write_comparison(path: str, stamps, estimated: np.ndarray,
                       measured: np.ndarray) -> None:
+    """stamps: int64 epochs, or their text."""
     _write_numeric_csv(path, ["timestamp", "estimated", "measured"],
-                       [stamps, map(repr, estimated.tolist()), map(repr, measured.tolist())])
+                       [(stamps, estimated, measured)])
 
 
 def cmd_estimate(args) -> int:
@@ -185,14 +186,14 @@ def cmd_estimate(args) -> int:
     # each sub-model is compared only where its balance applies, mirroring
     # the fit diagnostics: VAV cooling on every row, AHU cooling where every
     # AHU is cooling or idle, heating where every AHU is heating or idle
-    stamps = np.array(format_timestamps(data.timestamps()), dtype=object)
+    epochs = data.timestamps()
     for name, estimated in predictions(model, powers).items():
         spec = SUBMODELS[name]
         measured = getattr(data, spec.meter)
         keep = spec.mode_rows(powers) & ~np.isnan(estimated) & ~np.isnan(measured)
         filename = f"{name}_comparison.csv"
         _write_comparison(os.path.join(cfg.output_dir, filename),
-                          stamps[keep], estimated[keep], measured[keep])
+                          epochs[keep], estimated[keep], measured[keep])
         score = rmse(estimated[keep], measured[keep]) if keep.any() else float("nan")
         print(f"{filename}: {int(keep.sum())} rows, rmse {score:.6g} MMBTU/hr")
     return 0

@@ -208,17 +208,19 @@ def annualize(daily_losses, daily_oat, reference_year_oat) -> AnnualResult:
 def _daily_pairs(delta: np.ndarray, data: BuildingData):
     """Aggregate the delta series over data's rows into per-calendar-day
     losses (each day clamped, same contract as the window loss) with that
-    day's mean OAT."""
+    day's mean OAT. The rows are ascending in time, so each day is one
+    contiguous slice of them."""
     days = data.timestamps() // 86400
+    # each day's first row, then one past the last row
+    edges = [*np.flatnonzero(np.diff(days, prepend=days[:1] - 1)).tolist(), len(days)]
     daily_losses = []
     daily_oat = []
-    for day in np.unique(days):
-        sel = days == day
-        daily_losses.append(max(0.0, float(delta[sel].sum())))
+    for i0, i1 in zip(edges, edges[1:]):
+        daily_losses.append(max(0.0, float(delta[i0:i1].sum())))
         if data.oat is None:
             daily_oat.append(np.nan)
         else:
-            vals = data.oat[sel]
+            vals = data.oat[i0:i1]
             vals = vals[~np.isnan(vals)]
             daily_oat.append(float(vals.mean()) if len(vals) else np.nan)
     return np.array(daily_losses), np.array(daily_oat)

@@ -31,7 +31,6 @@ __all__ = [
     "IngestStats",
     "parse_timestamp",
     "format_timestamp",
-    "format_timestamps",
     "read_points",
     "write_points",
     "read_trends",
@@ -68,13 +67,6 @@ def parse_timestamp(text: str) -> int:
 
 def format_timestamp(epoch: int) -> str:
     return datetime.fromtimestamp(int(epoch), tz=timezone.utc).isoformat()
-
-
-def format_timestamps(epochs) -> list[str]:
-    """format_timestamp over an array of epochs, each distinct epoch once."""
-    distinct, inverse = np.unique(np.asarray(epochs, dtype=np.int64), return_inverse=True)
-    texts = [format_timestamp(e) for e in distinct.tolist()]
-    return [texts[i] for i in inverse.tolist()]
 
 
 @dataclass
@@ -344,18 +336,46 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[1:-3]
 
 
-def _write_numeric_csv(path: str, header, columns) -> None:
-    """Write header, then the rows of two or more equal-length columns,
-    byte for byte as csv.writer would: cells joined by ',' and each row
-    ended by '\\r\\n'. Every cell must already be text that csv.writer
-    leaves unquoted: a float's repr, a format_timestamps stamp, an int's
-    str or a _csv_cell. Rows go out _BLOCK_ROWS at a time."""
-    rows = zip(*columns)
+class _Stamps(dict):
+    """epoch -> format_timestamp(epoch), each epoch formatted on first use."""
+
+    def __missing__(self, epoch: int) -> str:
+        text = self[epoch] = format_timestamp(epoch)
+        return text
+
+
+def _cell_blocks(column, stamps: _Stamps):
+    """column's cells as text, _BLOCK_ROWS rows per item: a float array's
+    through repr, an integer array's as timestamps of those epochs, and
+    anything else (text arrays, iterables of text) as it is."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        text = repr if column.dtype.kind == "f" else stamps.__getitem__
+        for i in range(0, len(column), _BLOCK_ROWS):
+            yield map(text, column[i:i + _BLOCK_ROWS].tolist())
+    else:
+        cells = iter(column)
+        while block := list(islice(cells, _BLOCK_ROWS)):
+            yield block
+
+
+def _write_numeric_csv(path: str, header, groups) -> None:
+    """Write header, then the rows of each group in turn, byte for byte as
+    csv.writer would: cells joined by ',' and each row ended by '\\r\\n'.
+
+    A group is two or more equal-length columns. A float array's cells are
+    its repr floats and an int array's are format_timestamp of its epochs;
+    any other column (an object or str array, an iterable) is text that
+    csv.writer leaves unquoted, such as an int's str or a _csv_cell, and
+    is written as it is. Each column is turned into text _BLOCK_ROWS rows
+    at a time, so the memory this needs is set by the block, not by the
+    file. One stamp per distinct epoch is kept for the whole file."""
+    stamps = _Stamps()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
-        while block := "\r\n".join(map(",".join, islice(rows, _BLOCK_ROWS))):
-            fh.write(block)
-            fh.write("\r\n")
+        for columns in groups:
+            for block in zip(*(_cell_blocks(c, stamps) for c in columns)):
+                fh.write("\r\n".join(map(",".join, zip(*block))))
+                fh.write("\r\n")
 
 
 def write_trends(series_list, path: str) -> None:
@@ -363,17 +383,15 @@ def write_trends(series_list, path: str) -> None:
 
     Values go through repr() so a read-back reproduces the exact floats;
     rows are point-major and time-ordered, which keeps output byte-stable.
+    One series' rows are in memory at a time.
     """
-    ordered = sorted(series_list, key=lambda s: s.point_id)
-    kept = [~np.isnan(s.values) for s in ordered]
-    epochs = [s.timestamps()[k] for s, k in zip(ordered, kept)]
-    stamps = format_timestamps(np.concatenate(epochs)) if epochs else []
-    _write_numeric_csv(path, TREND_HEADER, [
-        stamps,
-        chain.from_iterable(repeat(_csv_cell(s.point_id), len(e))
-                            for s, e in zip(ordered, epochs)),
-        chain.from_iterable(map(repr, s.values[k].tolist()) for s, k in zip(ordered, kept)),
-    ])
+    def groups():
+        for s in sorted(series_list, key=lambda s: s.point_id):
+            kept = ~np.isnan(s.values)
+            epochs = s.timestamps()[kept]
+            yield epochs, repeat(_csv_cell(s.point_id), len(epochs)), s.values[kept]
+
+    _write_numeric_csv(path, TREND_HEADER, groups())
 
 
 def read_reference_year(path: str) -> np.ndarray:
@@ -407,5 +425,4 @@ def write_reference_year(daily_oat_f, path: str) -> None:
     vals = np.asarray(daily_oat_f, dtype=float)
     if len(vals) != 365:
         raise IngestError(f"reference year needs 365 values, got {len(vals)}")
-    _write_numeric_csv(path, REFERENCE_YEAR_HEADER,
-                       [map(str, range(1, 366)), map(repr, vals.tolist())])
+    _write_numeric_csv(path, REFERENCE_YEAR_HEADER, [(map(str, range(1, 366)), vals)])

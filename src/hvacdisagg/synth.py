@@ -39,8 +39,8 @@ from .energy import _MMBTU, DEFAULT_CONSTANTS, AhuData, BuildingData, PhysicalCo
     VavData, occupancy_schedule, vav_cooling_power
 from .errors import ScenarioError
 from .faults import Thresholds
-from .ingest import _write_numeric_csv, format_timestamp, format_timestamps, parse_timestamp, \
-    write_points, write_reference_year, write_trends
+from .ingest import _write_numeric_csv, format_timestamp, parse_timestamp, write_points, \
+    write_reference_year, write_trends
 from .timeseries import TimeSeries, Unit
 
 RNG_NAME = "numpy-PCG64"
@@ -611,9 +611,7 @@ def _write_truth_powers(path: str, tr: TraceSet, powers: Powers,
     arrays = {**per_unit, **sums,
               "cooling_meter": cooling_meter, "heating_meter": heating_meter}
     _write_numeric_csv(path, ["timestamp"] + columns,
-                       [format_timestamps(tr.ts)]
-                       + [map(repr, np.asarray(arrays[c], dtype=float).tolist())
-                          for c in columns])
+                       [[tr.ts] + [np.asarray(arrays[c], dtype=float) for c in columns]])
 
 
 def _write_ground_truth(path: str, spec: ScenarioSpec, tr: TraceSet,

@@ -8,9 +8,11 @@ file a bundle carries is read only by tests, so its reader lives here.
 """
 
 import configparser
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from hvacdisagg import ingest, synth
@@ -147,6 +149,33 @@ def counted_parses():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "read_trends", counted)
         yield calls
+
+
+# floats whose repr a CSV writer must keep exactly, and row counts around
+# the numeric CSV writer's block size
+EXTREME_FLOATS = (-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308)
+BLOCK_EDGE_LENGTHS = (0, ingest._BLOCK_ROWS - 1, ingest._BLOCK_ROWS, ingest._BLOCK_ROWS + 1,
+                      3 * ingest._BLOCK_ROWS + 17)
+
+
+def extreme_column(n: int, rng) -> np.ndarray:
+    """n normal draws with EXTREME_FLOATS cycled through every 7th row."""
+    values = rng.normal(0.0, 1e3, n)
+    rows = np.arange(0, n, 7)
+    values[rows] = np.resize(EXTREME_FLOATS, len(rows))
+    return values
+
+
+def traced_peak_bytes(call) -> int:
+    """Peak bytes that call() holds at once above what was allocated before
+    it, as tracemalloc sees Python objects and numpy buffers."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def _generated(tmp_path_factory, name, spec):

@@ -15,6 +15,7 @@ import shutil
 import numpy as np
 import pytest
 
+from conftest import BLOCK_EDGE_LENGTHS, extreme_column
 from hvacdisagg.cli import _write_comparison, main
 from hvacdisagg.config import SCENARIO_PRESETS, load_run_config, load_scenario_spec
 from hvacdisagg.errors import ConfigError
@@ -285,6 +286,18 @@ class TestCli:
         _write_comparison(str(got), stamps, estimated, measured)
         reference_write(want, stamps, estimated, measured)
         assert got.read_bytes() == want.read_bytes()
+
+        # epochs, as estimate passes them, or their stamps as text, which
+        # must come out unquoted; row counts around the write block
+        rng = np.random.default_rng(9)
+        for n in BLOCK_EDGE_LENGTHS:
+            epochs = parse_timestamp("2026-01-05T00:00:00+00:00") + 900 * np.arange(n)
+            texts = np.array([format_timestamp(e) for e in epochs.tolist()], dtype=object)
+            estimated, measured = extreme_column(n, rng), extreme_column(n, rng)
+            reference_write(want, texts, estimated, measured)
+            for given in (epochs, texts):
+                _write_comparison(str(got), given, estimated, measured)
+                assert got.read_bytes() == want.read_bytes(), (n, given.dtype)
 
     def test_out_flag_redirects_outputs(self, cli_bundle, tmp_path, capsys):
         conf = str(cli_bundle / "run.conf")

@@ -30,6 +30,7 @@ from hvacdisagg.impact import (
     MIN_WINDOW_DAYS,
     REPORT_HEADER,
     ImpactEstimate,
+    _daily_pairs,
     _NotEstimable,
     _window_delta,
     annualize,
@@ -466,3 +467,35 @@ class TestReport:
             shuffled = list(impacts)
             random.Random(seed).shuffle(shuffled)
             assert build_report(prioritize(shuffled)) == want
+
+
+def masked_daily_pairs(delta, data):
+    """The per-day mask loop the contiguous day slices replaced."""
+    days = data.timestamps() // DAY
+    losses, oat = [], []
+    for day in np.unique(days):
+        sel = days == day
+        losses.append(max(0.0, float(delta[sel].sum())))
+        vals = data.oat[sel]
+        vals = vals[~np.isnan(vals)]
+        oat.append(float(vals.mean()) if len(vals) else np.nan)
+    return np.array(losses), np.array(oat)
+
+
+def test_daily_pairs_match_per_day_masks(faulted_loaded):
+    # windows that start and end mid-day, a day whose OAT is all gaps, and
+    # an empty window; every sum keeps its bits
+    data = faulted_loaded.data
+    oat = data.oat.copy()
+    oat[(data.timestamps() // DAY) == data.start // DAY + 3] = np.nan
+    oat[::5] = np.nan
+    data = dataclasses.replace(data, oat=oat)
+    rng = np.random.default_rng(21)
+    for start, end in [(data.start, data.end),
+                       (data.start + DAY // 3, data.start + 9 * DAY + 7 * 3600),
+                       (data.start + DAY, data.start + DAY)]:
+        view = data.window(start, end)
+        delta = rng.normal(0.0, 0.01, view.n_rows)
+        got, want = _daily_pairs(delta, view), masked_daily_pairs(delta, view)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()

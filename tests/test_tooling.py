@@ -74,6 +74,31 @@ def test_fit_imports_neither_scipy_nor_zipfile(impact_bundle, tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma costs about 1.6 MB of RSS and 19 ms of CPU per process; the
+    # plain np.unique(x), with no return_* flag, is one way to import it.
+    # Each command runs in its own -S child, as in the scipy check above.
+    (tmp_path / "scenario.conf").write_text("[scenario]\npreset = impact\n")
+    bundle = tmp_path / "bundle"
+    conf = str(bundle / "run.conf")
+    code = ("import sys\n"
+            "from hvacdisagg.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    path = os.pathsep.join([str(ROOT / "src")] + [p for p in sys.path if p])
+    imported = []
+    for argv in (["synth", "--config", str(tmp_path / "scenario.conf"), "--out", str(bundle)],
+                 ["validate", "--config", conf], ["fit", "--config", conf],
+                 ["detect", "--config", conf], ["report", "--config", conf],
+                 ["estimate", "--config", conf]):
+        done = subprocess.run([sys.executable, "-S", "-c", code, *argv],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        if done.stdout.splitlines()[-1] == "True":
+            imported.append(argv[0])
+    assert imported == []
+
+
 def test_traced_estimate_records_each_prediction_once(impact_bundle, tmp_path):
     # estimate reaches the predict functions through calibrate.predictions,
     # which must find the tracer's wrappers, not the functions it imported
