@@ -180,7 +180,7 @@ def _fit_submodel(name: str, columns: list[tuple[str, np.ndarray]],
 
     by_name = dict(zip([cname for cname, _ in active], beta[:-1]))
     intercept = float(beta[-1])
-    coeff_names = tuple(cname for cname, _ in columns) + (f"{name}.intercept",)
+    coeff_names = tuple(cname for cname, _ in columns) + (SUBMODELS[name].coefficients[-1],)
     coeffs = tuple(float(by_name.get(cname, 0.0)) for cname, _ in columns) + (intercept,)
 
     for cname, value in zip(coeff_names[:-1], coeffs[:-1]):
@@ -246,12 +246,9 @@ class CalibratedModel:
 def _collect(submodels: dict[str, SubModelFit]) -> dict[str, float]:
     """The full coefficient set; anything a sub-model did not fit stays zero."""
     coeffs = dict.fromkeys(COEFFICIENT_NAMES, 0.0)
-    for name, sub in submodels.items():
-        *features, intercept = SUBMODELS[name].coefficients
-        for cname in features:
-            if cname in sub.coefficient_names:
-                coeffs[cname] = sub.coefficient(cname)
-        coeffs[intercept] = sub.coefficients[-1]
+    for sub in submodels.values():
+        for cname in sub.coefficient_names:
+            coeffs[cname] = sub.coefficient(cname)
     return coeffs
 
 
@@ -471,12 +468,9 @@ def load_model(path: str) -> CalibratedModel:
 
     submodels: dict[str, SubModelFit] = {}
     for name, spec in SUBMODELS.items():
-        *features, intercept = spec.coefficients
-        if not reheat_fitted and "c7" in features:
-            features.remove("c7")
-        submodels[name] = _read_sub(
-            cp, path, name, (*features, f"{name}.intercept"),
-            tuple(coefficients[c] for c in (*features, intercept)))
+        names = tuple(c for c in spec.coefficients if reheat_fitted or c != "c7")
+        submodels[name] = _read_sub(cp, path, name, names,
+                                    tuple(coefficients[c] for c in names))
 
     interval_s = _required(cp, path, "model", "interval_s", cp.getint)
     warnings = tuple(w for sub in submodels.values() for w in sub.warnings)

@@ -22,7 +22,7 @@ from .config import RunConfig, load_run_config, load_scenario_spec
 from .energy import assemble
 from .errors import ConfigError, DisaggError
 from .faults import read_findings, run_all, write_findings
-from .impact import build_report, estimate_all, format_report, prioritize, \
+from .impact import build_report, estimate_all, format_report, format_table, prioritize, \
     write_report_csv
 from .ingest import _write_numeric_csv, format_timestamp, read_points, \
     read_reference_year, read_trends_cached, write_trends
@@ -114,13 +114,7 @@ def _diagnostics_table(model) -> str:
             "-" if sub.baseline_test_rmse is None else f"{sub.baseline_test_rmse:.6g}",
             "-" if sub.improvement_pct is None else f"{sub.improvement_pct:.1f}%",
         ))
-    widths = [max(len(_DIAG_COLUMNS[i]), *(len(r[i]) for r in rows))
-              for i in range(len(_DIAG_COLUMNS))]
-    lines = ["  ".join(c.ljust(widths[i]) for i, c in enumerate(_DIAG_COLUMNS)).rstrip(),
-             "  ".join("-" * w for w in widths)]
-    for r in rows:
-        lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(r))).rstrip())
-    return "\n".join(lines)
+    return format_table(_DIAG_COLUMNS, rows)
 
 
 def cmd_fit(args) -> int:

@@ -67,11 +67,21 @@ def _get(section, key: str, path: str) -> str:
     return section[key]
 
 
-def load_run_config(path: str) -> RunConfig:
+def _read(path: str, what: str) -> configparser.ConfigParser:
+    """The sectioned file at path; a missing or unparsable one is a
+    ConfigError naming it."""
     cp = configparser.ConfigParser(interpolation=None)
-    read = cp.read(path, encoding="utf-8")
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not read:
-        raise ConfigError(f"cannot read config file: {path}")
+        raise ConfigError(f"cannot read {what} file: {path}")
+    return cp
+
+
+def load_run_config(path: str) -> RunConfig:
+    cp = _read(path, "config")
     base = os.path.dirname(os.path.abspath(path))
 
     paths = _section(cp, "paths", path)
@@ -162,10 +172,7 @@ def load_scenario_spec(path: str, seed: int | None = None) -> ScenarioSpec:
     fields; [injection N] sections replace the preset's fault list when
     present. A seed argument (the --seed flag) wins over everything.
     """
-    cp = configparser.ConfigParser(interpolation=None)
-    read = cp.read(path, encoding="utf-8")
-    if not read:
-        raise ConfigError(f"cannot read scenario file: {path}")
+    cp = _read(path, "scenario")
     sec = _section(cp, "scenario", path)
 
     overrides = {}

@@ -40,6 +40,7 @@ __all__ = [
     "build_report",
     "write_report_csv",
     "format_report",
+    "format_table",
 ]
 
 METHOD_SETPOINT = "setpoint-ideal"
@@ -316,9 +317,19 @@ def write_report_csv(rows, path: str) -> None:
                              energy, row.not_estimable])
 
 
+def format_table(header, rows) -> str:
+    """Columns left-justified two spaces apart under a dash rule, trailing
+    blanks cut, no final newline."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+
+    def line(cells):
+        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+
+    return "\n".join([line(header), line("-" * w for w in widths), *map(line, rows)])
+
+
 def format_report(rows) -> str:
     """Fixed-width table for terminals and log files."""
-    header = ("rule", "possible fault", "count", "MMBTU/year")
     body = []
     for row in rows:
         if row.annual_mmbtu is None:
@@ -328,10 +339,4 @@ def format_report(rows) -> str:
             if row.not_estimable:
                 energy += f" (+{row.not_estimable} not estimable)"
         body.append((str(row.rule), row.possible_fault, str(row.count), energy))
-    widths = [max(len(header[i]), *(len(b[i]) for b in body)) if body else len(header[i])
-              for i in range(4)]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for b in body:
-        lines.append("  ".join(b[i].ljust(widths[i]) for i in range(4)).rstrip())
-    return "\n".join(lines) + "\n"
+    return format_table(("rule", "possible fault", "count", "MMBTU/year"), body) + "\n"

@@ -4,8 +4,8 @@ The generator works backward from the calibration equations: it designs
 smooth zone, flow, and air-temperature signals, then computes the meter
 series exactly from those signals with chosen coefficients. The meters
 are the pipeline's own `predict_cooling_vav` and `predict_heating` at the
-true coefficients, over `BuildingData.powers` of a frame built from the
-written signals the way `assemble` builds it from the bundle's files.
+true coefficients, over `BuildingData.powers` of the frame `assemble`
+builds from the written signals, bound as the bundle's files are.
 Recovery of the coefficients by the fitting pipeline therefore has a
 well-defined answer. Faults are injected at the actuator or sensor level
 and every downstream signal is derived from the faulty values, so faulty
@@ -32,11 +32,12 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .building import AhuNode, BindRule, EquipmentGraph, PointInfo, PointRole, VavNode, dump_metadata
+from .building import AhuNode, BindRule, EquipmentGraph, PointInfo, PointRole, VavNode, \
+    bind_points, dump_metadata
 from .calibrate import COEFFICIENT_NAMES, DEFAULT_SPLIT_FRACTION, predict_cooling_vav, \
     predict_heating
-from .energy import _MMBTU, DEFAULT_CONSTANTS, AhuData, BuildingData, PhysicalConstants, Powers, \
-    VavData, occupancy_schedule, vav_cooling_power
+from .energy import _MMBTU, DEFAULT_CONSTANTS, PhysicalConstants, Powers, assemble, \
+    estimate_mixed_air, occupancy_schedule, vav_cooling_power
 from .errors import ScenarioError
 from .faults import Thresholds
 from .ingest import _write_numeric_csv, format_timestamp, parse_timestamp, write_points, \
@@ -404,8 +405,8 @@ def _derive_physics(tr: TraceSet) -> TraceSet:
             inj = stuck[ahu]
             d_act = d_cmd.copy()
             d_act[tr.window_rows(inj)] = inj.magnitude
-        t_ma = d_act * tr.oat + (1.0 - d_act) * t_ra
-        mixed_healthy[ahu] = d_cmd * tr.oat + (1.0 - d_cmd) * t_ra
+        t_ma = estimate_mixed_air(tr.oat, t_ra, d_act)
+        mixed_healthy[ahu] = estimate_mixed_air(tr.oat, t_ra, d_cmd)
         mixed_actual[ahu] = t_ma
 
         # supply air rides the mix through the idle band: same air, no coil
@@ -479,20 +480,20 @@ def _waste(tr: TraceSet, inj: FaultInjection) -> float:
 # point naming and file emission
 
 _AHU_SUFFIXES = (
-    ("SAT", PointRole.AHU_SUPPLY_AIR_TEMP, Unit.DEG_F),
-    ("MAT", PointRole.AHU_MIXED_AIR_TEMP, Unit.DEG_F),
-    ("RAT", PointRole.AHU_RETURN_AIR_TEMP, Unit.DEG_F),
-    ("DMPR", PointRole.ECONOMIZER_DAMPER_POS, Unit.FRACTION),
-    ("CLG-VLV", PointRole.AHU_COOLING_VALVE_CMD, Unit.FRACTION),
-    ("HTG-VLV", PointRole.AHU_HEATING_VALVE_CMD, Unit.FRACTION),
+    ("SAT", PointRole.AHU_SUPPLY_AIR_TEMP),
+    ("MAT", PointRole.AHU_MIXED_AIR_TEMP),
+    ("RAT", PointRole.AHU_RETURN_AIR_TEMP),
+    ("DMPR", PointRole.ECONOMIZER_DAMPER_POS),
+    ("CLG-VLV", PointRole.AHU_COOLING_VALVE_CMD),
+    ("HTG-VLV", PointRole.AHU_HEATING_VALVE_CMD),
 )
 
 _VAV_SUFFIXES = (
-    ("ZN-T", PointRole.ZONE_TEMP, Unit.DEG_F),
-    ("FLOW", PointRole.VAV_SUPPLY_FLOW, Unit.CFM),
-    ("FLOW-SP", PointRole.VAV_SUPPLY_FLOW_SETPOINT, Unit.CFM),
-    ("RH-VLV", PointRole.VAV_HEATING_VALVE_CMD, Unit.FRACTION),
-    ("OCC", PointRole.OCCUPIED_CMD, Unit.BOOL),
+    ("ZN-T", PointRole.ZONE_TEMP),
+    ("FLOW", PointRole.VAV_SUPPLY_FLOW),
+    ("FLOW-SP", PointRole.VAV_SUPPLY_FLOW_SETPOINT),
+    ("RH-VLV", PointRole.VAV_HEATING_VALVE_CMD),
+    ("OCC", PointRole.OCCUPIED_CMD),
 )
 
 BUILDING_ID = "B1"
@@ -512,9 +513,9 @@ def _graph_for(spec: ScenarioSpec) -> EquipmentGraph:
                 min_flow_cfm=spec.min_flow_cfm,
                 zone_upper_limit_f=spec.zone_upper_limit_f))
     rules = [BindRule(f"{BUILDING_ID}.{{id}}.{suffix}", "ahu", role)
-             for suffix, role, _ in _AHU_SUFFIXES]
+             for suffix, role in _AHU_SUFFIXES]
     rules += [BindRule(f"{BUILDING_ID}.{{id}}.{suffix}", "vav", role)
-              for suffix, role, _ in _VAV_SUFFIXES
+              for suffix, role in _VAV_SUFFIXES
               if spec.reheat or role is not PointRole.VAV_HEATING_VALVE_CMD]
     return EquipmentGraph(
         building_id=BUILDING_ID,
@@ -531,9 +532,10 @@ def _graph_for(spec: ScenarioSpec) -> EquipmentGraph:
     )
 
 
-def _written_signals(tr: TraceSet, rng: np.random.Generator):
-    """(point_id, unit, values) triples, sensor noise applied where a real
-    sensor would sit; commands, setpoints, and schedules stay exact."""
+def _written_series(tr: TraceSet, rng: np.random.Generator) -> dict:
+    """point_id -> TimeSeries of each written signal, sensor noise applied
+    where a real sensor would sit; commands, setpoints, and schedules stay
+    exact."""
     spec = tr.spec
     rel = spec.sensor_noise_rel
 
@@ -563,30 +565,17 @@ def _written_signals(tr: TraceSet, rng: np.random.Generator):
             ]
             if spec.reheat:
                 out.append((_point(vav, "RH-VLV"), Unit.FRACTION, tr.reheat_valve[vav]))
-    return out
+    return {pid: TimeSeries(pid, tr.start, spec.interval_s, unit, values)
+            for pid, unit, values in out}
 
 
-def _truth_frame(tr: TraceSet, written: dict, graph: EquipmentGraph) -> BuildingData:
-    """The frame assemble builds from the bundle's files, less the meters
-    this frame's powers are there to compute: each VAV on its air handler's
-    SAT, each flow sum over the children in graph order, MAT and RAT
-    measured and HWS-T the hot water temperature."""
-    vavs: dict = {}
-    ahus: dict = {}
-    for ahu in tr.ahu_ids:
-        sat = written[_point(ahu, "SAT")]
-        kids = [VavData(v, ahu, zone_temp=written[_point(v, "ZN-T")],
-                        flow=written[_point(v, "FLOW")], supply_temp=sat,
-                        heating_valve=written.get(_point(v, "RH-VLV")))
-                for v in tr.children[ahu]]
-        vavs.update((v.vav_id, v) for v in kids)
-        ahus[ahu] = AhuData(ahu, supply_temp=sat, return_temp=written[_point(ahu, "RAT")],
-                            flow_sum=np.sum([v.flow for v in kids], axis=0),
-                            mixed_temp=written[_point(ahu, "MAT")])
-    return BuildingData(graph=graph, start=tr.start, interval_s=tr.spec.interval_s,
-                        n_rows=tr.n, cooling_meter=None, heating_meter=None,
-                        vavs=vavs, ahus=ahus, oat=written[f"{BUILDING_ID}.OAT"],
-                        hot_water_temp=written.get(f"{BUILDING_ID}.HWS-T"))
+def _truth_powers(graph: EquipmentGraph, points: list, series: dict) -> Powers:
+    """Powers of the frame assemble builds from series (point_id ->
+    TimeSeries) bound through points, as the pipeline builds it from the
+    bundle's files."""
+    binding = bind_points(graph, points)
+    slots = {slot: series[pid] for slot, pid in binding.bindings.items()}
+    return assemble(graph, binding, slots).powers()
 
 
 def _reference_year(spec: ScenarioSpec) -> np.ndarray:
@@ -681,17 +670,23 @@ def generate(spec: ScenarioSpec, out_dir: str) -> ScenarioBundle:
     # an AHU see each other's effect on flows and temperatures
     wastes = [_waste(tr, inj) for inj in spec.faults]
 
-    signals = _written_signals(tr, rng)
-    written = {pid: values for pid, _, values in signals}
+    series = _written_series(tr, rng)
     graph = _graph_for(spec)
-    powers = _truth_frame(tr, written, graph).powers()
+    # the meters stand in as gaps until priced on the frame's powers
+    meters = {graph.cooling_meter_point: predict_cooling_vav,
+              graph.heating_meter_point: predict_heating}
+    for pid in meters:
+        series[pid] = TimeSeries(pid, tr.start, spec.interval_s, Unit.MMBTU_HR,
+                                 np.full(tr.n, np.nan))
+    points = [PointInfo(pid, pid, s.unit) for pid, s in series.items()]
+    powers = _truth_powers(graph, points, series)
     truth = dict(zip(COEFFICIENT_NAMES, spec.coefficients))
-    cooling_meter = predict_cooling_vav(truth, powers)
-    heating_meter = predict_heating(truth, powers)
-    if spec.meter_noise_rel > 0.0:
-        for meter in (cooling_meter, heating_meter):
+    for pid, predict in meters.items():
+        meter = predict(truth, powers)
+        if spec.meter_noise_rel > 0.0:
             sigma = spec.meter_noise_rel * float(np.mean(np.abs(meter)))
             meter += rng.normal(0.0, sigma, tr.n)
+        series[pid] = replace(series[pid], values=meter)
 
     os.makedirs(out_dir, exist_ok=True)
     bundle = ScenarioBundle(
@@ -706,25 +701,13 @@ def generate(spec: ScenarioSpec, out_dir: str) -> ScenarioBundle:
     )
 
     dump_metadata(graph, bundle.topology_path)
-
-    unit_by_point = {pid: unit for pid, unit, _ in signals}
-    unit_by_point[f"{BUILDING_ID}.CLG-MTR"] = Unit.MMBTU_HR
-    unit_by_point[f"{BUILDING_ID}.HTG-MTR"] = Unit.MMBTU_HR
-    points = [PointInfo(pid, pid, unit) for pid, unit in unit_by_point.items()]
     write_points(points, bundle.points_path)
-
-    series = [TimeSeries(pid, tr.start, spec.interval_s, unit, values)
-              for pid, unit, values in signals]
-    series.append(TimeSeries(f"{BUILDING_ID}.CLG-MTR", tr.start, spec.interval_s,
-                             Unit.MMBTU_HR, cooling_meter))
-    series.append(TimeSeries(f"{BUILDING_ID}.HTG-MTR", tr.start, spec.interval_s,
-                             Unit.MMBTU_HR, heating_meter))
-    write_trends(series, bundle.trends_path)
-
+    write_trends(list(series.values()), bundle.trends_path)
     write_reference_year(_reference_year(spec), bundle.reference_year_path)
     _write_ground_truth(bundle.ground_truth_path, spec, tr, wastes,
                         int(powers.cooling_rows.sum()), int(powers.heating_rows.sum()))
-    _write_truth_powers(bundle.truth_powers_path, tr, powers, cooling_meter, heating_meter)
+    _write_truth_powers(bundle.truth_powers_path, tr, powers,
+                        *(series[pid].values for pid in meters))
     _write_run_config(bundle.run_config_path, spec)
     return bundle
 

@@ -410,6 +410,27 @@ class TestCli:
         assert err.startswith("error:")
         assert path in err and "physical constants out of range" in err
 
+    def test_repeated_config_section_exits_one(self, cli_bundle, tmp_path, capsys):
+        def repeat_paths(work):
+            with open(work / "run.conf", "a", encoding="utf-8") as fh:
+                fh.write("\n[paths]\ntopology = topology.ini\n")
+
+        conf = _damaged(cli_bundle, tmp_path, repeat_paths)
+        rc = main(["validate", "--config", conf])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {conf}: ")
+        assert "section 'paths' already exists" in err
+
+    def test_headerless_scenario_file_exits_one(self, tmp_path, capsys):
+        spec = _write(tmp_path / "s.conf", "preset = impact\n")
+        rc = main(["synth", "--config", spec, "--out", str(tmp_path / "bundle")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {spec}: ")
+        assert "no section headers" in err
+        assert not (tmp_path / "bundle").exists()
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         rc = main(["validate", "--config", str(tmp_path / "ghost.conf")])
         err = capsys.readouterr().err

@@ -460,6 +460,10 @@ class TestReport:
         assert any("not estimable" in ln for ln in lines)
         assert all(ln == ln.rstrip() for ln in lines)
 
+    def test_text_table_without_findings(self):
+        assert format_report([]) == ("rule  possible fault  count  MMBTU/year\n"
+                                     "----  --------------  -----  ----------\n")
+
     def test_report_stable_under_shuffling(self):
         impacts = list(self._impacts())
         want = build_report(impacts)

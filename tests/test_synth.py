@@ -24,6 +24,7 @@ import pytest
 
 from conftest import BLOCK_EDGE_LENGTHS, extreme_column, load_ground_truth, traced_peak_bytes
 from hvacdisagg import synth
+from hvacdisagg.building import PointInfo
 from hvacdisagg.energy import Powers
 from hvacdisagg.errors import ScenarioError
 from hvacdisagg.ingest import format_timestamp, parse_timestamp
@@ -38,6 +39,7 @@ from hvacdisagg.synth import (
     scenario_impact,
     scenario_recovery,
 )
+from hvacdisagg.timeseries import TimeSeries, Unit
 
 # hand value: 1.08 * 300 * 19 * 168 / 1e6
 DAMPER_WASTE_MMBTU = 1.034208
@@ -94,6 +96,22 @@ class TestDeterminism:
         b = generate(scenario_recovery(seed=12), str(tmp_path / "b"))
         with open(a.trends_path, "rb") as fa, open(b.trends_path, "rb") as fb:
             assert fa.read() != fb.read()
+
+
+class TestTruthFrame:
+    def test_generate_assembles_one_frame(self, tmp_path, monkeypatch):
+        # the meters are priced on the frame the pipeline's own assemble
+        # builds, and on no second frame built by hand
+        calls = []
+        real = synth.assemble
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "assemble", counted)
+        generate(scenario_impact(), str(tmp_path / "b"))
+        assert len(calls) == 1
 
 
 class TestGroundTruth:
@@ -164,24 +182,29 @@ class TestMeterIdentities:
         # edge row leaves the other mode's count, as the generator's truth
         # frame counts them for ground_truth.ini
         sat = np.full(4, 55.0)
-        ones = np.ones(4)
-        written = {synth._point("AH1", "MAT"): sat + np.array([-0.5, 0.5, 0.0, 1.0]),
-                   synth._point("AH1", "SAT"): sat,
-                   synth._point("AH1", "RAT"): sat + 15.0,
-                   synth._point("VAV1-01", "ZN-T"): sat + 17.0,
-                   synth._point("VAV1-01", "FLOW"): 500.0 * ones,
-                   f"{synth.BUILDING_ID}.OAT": 60.0 * ones}
-        trace = types.SimpleNamespace(
-            n=4, start=START, ahu_ids=["AH1"], children={"AH1": ["VAV1-01"]},
-            spec=types.SimpleNamespace(interval_s=900))
+        bid = synth.BUILDING_ID
+        signals = {synth._point("AH1", "MAT"): (Unit.DEG_F, sat + [-0.5, 0.5, 0.0, 1.0]),
+                   synth._point("AH1", "SAT"): (Unit.DEG_F, sat),
+                   synth._point("AH1", "RAT"): (Unit.DEG_F, sat + 15.0),
+                   synth._point("VAV1-01", "ZN-T"): (Unit.DEG_F, sat + 17.0),
+                   synth._point("VAV1-01", "FLOW"): (Unit.CFM, np.full(4, 500.0)),
+                   f"{bid}.OAT": (Unit.DEG_F, np.full(4, 60.0)),
+                   f"{bid}.CLG-MTR": (Unit.MMBTU_HR, np.full(4, np.nan)),
+                   f"{bid}.HTG-MTR": (Unit.MMBTU_HR, np.full(4, np.nan))}
+        series = {pid: TimeSeries(pid, START, 900, unit, values)
+                  for pid, (unit, values) in signals.items()}
+        points = [PointInfo(pid, pid, s.unit) for pid, s in series.items()]
         graph = synth._graph_for(ScenarioSpec(n_ahus=1, n_vavs_per_ahu=1))
-        powers = synth._truth_frame(trace, written, graph).powers()
+        powers = synth._truth_powers(graph, points, series)
         assert (int(powers.cooling_rows.sum()), int(powers.heating_rows.sum())) == (3, 2)
 
-    def test_truth_powers_align_with_pipeline(self, impact_loaded, recovery_loaded):
+    def test_truth_powers_align_with_pipeline(self, impact_loaded, recovery_loaded,
+                                              faulted_loaded):
         # every column is bit-equal to the pipeline's powers of the re-read
-        # bundle, without reheat (impact) and with it (recovery)
-        for loaded in (impact_loaded, recovery_loaded):
+        # bundle, without reheat (impact) and with it (recovery), and under
+        # sensor and meter noise, an economizer band and five injections
+        # on three AHUs (faulted)
+        for loaded in (impact_loaded, recovery_loaded, faulted_loaded):
             ts, cols = load_truth_powers(loaded.bundle.truth_powers_path)
             data = loaded.data
             powers = data.powers()
