@@ -193,7 +193,7 @@ def load_metadata(path: str) -> EquipmentGraph:
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        read = cp.read(path)
+        read = cp.read(path, encoding="utf-8")
     except configparser.DuplicateSectionError as exc:
         raise TopologyError(f"{path}: duplicate equipment id (line {exc.lineno})") from exc
     except configparser.Error as exc:

@@ -1,7 +1,8 @@
 """Command line front end.
 
 One config file, explicit subcommands, stable exit codes: 0 success,
-1 validation or fit error, 2 I/O error. Output files are derived purely
+1 validation or fit error (or input that is not UTF-8), 2 I/O error or
+a bad command line. Output files are derived purely
 from the inputs, never from the wall clock, so identical inputs give
 byte-identical outputs.
 """
@@ -29,24 +30,16 @@ from .ingest import _write_numeric_csv, format_timestamp, read_points, \
 from .synth import generate
 from .timeseries import TimeSeries, Unit, rmse
 
-COMMANDS = ("validate", "fit", "estimate", "detect", "report", "synth")
-
-
-def _config(args) -> RunConfig:
-    cfg = load_run_config(args.config)
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, output_dir=args.out)
-    return cfg
-
 
 def _load_building(cfg: RunConfig, strict: bool):
+    """(data, binding, series, stats): the assembled frame first, then the
+    binding and ingest results that validate reports on."""
     graph = load_metadata(cfg.topology_path)
     points = read_points(cfg.points_path)
     binding = bind_points(graph, points)
     series, stats = read_trends_cached(cfg.trends_path, binding, cfg.interval_s,
                                        strict, cfg.output_dir)
-    data = assemble(graph, binding, series)
-    return graph, binding, series, stats, data
+    return assemble(graph, binding, series), binding, series, stats
 
 
 def _point_coverage(binding, series, data) -> list:
@@ -66,11 +59,9 @@ def _point_coverage(binding, series, data) -> list:
     return sorted(by_point.items())
 
 
-def cmd_validate(args) -> int:
-    cfg = _config(args)
-    cfg.check_inputs_exist()
-    graph, binding, series, stats, data = _load_building(cfg, args.strict)
-
+def cmd_validate(cfg, data, binding, series, stats) -> int:
+    """check topology, point binding, and trend coverage"""
+    graph = data.graph
     print(f"building {graph.building_id}: "
           f"{len(graph.ahus)} AHU(s), {len(graph.vavs)} VAV(s)")
     print(f"points bound: {len(set(binding.bindings.values()))} "
@@ -117,9 +108,8 @@ def _diagnostics_table(model) -> str:
     return format_table(_DIAG_COLUMNS, rows)
 
 
-def cmd_fit(args) -> int:
-    cfg = _config(args)
-    _, _, _, _, data = _load_building(cfg, args.strict)
+def cmd_fit(cfg, data, *_) -> int:
+    """calibrate the meter models and write the model file"""
     model = fit_model(data, cfg.split_fraction, cfg.constants)
     save_model(model, cfg.model_path)
 
@@ -148,13 +138,12 @@ def _write_comparison(path: str, stamps, estimated: np.ndarray,
                        [(stamps, estimated, measured)])
 
 
-def cmd_estimate(args) -> int:
-    cfg = _config(args)
-    graph, _, _, _, data = _load_building(cfg, args.strict)
+def cmd_estimate(cfg, data, *_) -> int:
+    """write per-equipment power series and meter comparisons"""
     model = load_model(cfg.model_path)
     os.makedirs(cfg.output_dir, exist_ok=True)
     powers = data.powers(model.constants)
-    bid = graph.building_id
+    bid = data.graph.building_id
 
     def series(point_id, values):
         return TimeSeries(point_id=point_id, start=data.start,
@@ -180,22 +169,22 @@ def cmd_estimate(args) -> int:
     # each sub-model is compared only where its balance applies, mirroring
     # the fit diagnostics: VAV cooling on every row, AHU cooling where every
     # AHU is cooling or idle, heating where every AHU is heating or idle
-    epochs = data.timestamps()
+    stamps = np.array([format_timestamp(e) for e in data.timestamps().tolist()],
+                      dtype=object)
     for name, estimated in predictions(model, powers).items():
         spec = SUBMODELS[name]
         measured = getattr(data, spec.meter)
         keep = spec.mode_rows(powers) & ~np.isnan(estimated) & ~np.isnan(measured)
         filename = f"{name}_comparison.csv"
         _write_comparison(os.path.join(cfg.output_dir, filename),
-                          epochs[keep], estimated[keep], measured[keep])
+                          stamps[keep], estimated[keep], measured[keep])
         score = rmse(estimated[keep], measured[keep]) if keep.any() else float("nan")
         print(f"{filename}: {int(keep.sum())} rows, rmse {score:.6g} MMBTU/hr")
     return 0
 
 
-def cmd_detect(args) -> int:
-    cfg = _config(args)
-    _, _, _, _, data = _load_building(cfg, args.strict)
+def cmd_detect(cfg, data, *_) -> int:
+    """run the fault rules and write the findings file"""
     result = run_all(data, cfg.thresholds)
     write_findings(result.findings, cfg.findings_path)
 
@@ -239,9 +228,8 @@ def _write_impacts(impacts, path: str) -> None:
                              est.notes])
 
 
-def cmd_report(args) -> int:
-    cfg = _config(args)
-    _, _, _, _, data = _load_building(cfg, args.strict)
+def cmd_report(cfg, data, *_) -> int:
+    """rank findings by annual energy waste"""
     model = load_model(cfg.model_path)
     findings = read_findings(cfg.findings_path)
     reference = read_reference_year(cfg.reference_year_path)
@@ -264,6 +252,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    """generate a synthetic scenario bundle"""
     if args.out is None:
         raise ConfigError("synth needs --out for the bundle directory")
     spec = load_scenario_spec(args.config, seed=args.seed)
@@ -278,51 +267,43 @@ def cmd_synth(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "validate": cmd_validate,
-    "fit": cmd_fit,
-    "estimate": cmd_estimate,
-    "detect": cmd_detect,
-    "report": cmd_report,
-    "synth": cmd_synth,
-}
-
-_HELP = {
-    "validate": "check topology, point binding, and trend coverage",
-    "fit": "calibrate the meter models and write the model file",
-    "estimate": "write per-equipment power series and meter comparisons",
-    "detect": "run the fault rules and write the findings file",
-    "report": "rank findings by annual energy waste",
-    "synth": "generate a synthetic scenario bundle",
-}
+# in `hvacdisagg --help` order; every command but synth runs on one loaded building
+_COMMANDS = (cmd_validate, cmd_fit, cmd_estimate, cmd_detect, cmd_report, cmd_synth)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True,
-                        help="run config (or scenario spec for synth)")
-    common.add_argument("--out", default=None,
-                        help="override output directory (bundle dir for synth)")
-    common.add_argument("--strict", action="store_true",
-                        help="fail on malformed trend rows instead of skipping")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the scenario seed (synth only)")
-
     parser = argparse.ArgumentParser(
         prog="hvacdisagg",
         description="meter disaggregation and fault detection for HVAC trend data")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in COMMANDS:
-        sp = sub.add_parser(name, parents=[common], help=_HELP[name])
-        sp.set_defaults(func=_HANDLERS[name])
+    for func in _COMMANDS:
+        sp = sub.add_parser(func.__name__.removeprefix("cmd_"), help=func.__doc__)
+        sp.set_defaults(func=func)
+        if func is cmd_synth:
+            sp.add_argument("--config", required=True, help="scenario spec")
+            sp.add_argument("--out", default=None, help="bundle directory (required)")
+            sp.add_argument("--seed", type=int, default=None,
+                            help="override the scenario seed")
+        else:
+            sp.add_argument("--config", required=True, help="run config")
+            sp.add_argument("--out", default=None, help="override output directory")
+            sp.add_argument("--strict", action="store_true",
+                            help="fail on malformed trend rows instead of skipping")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except DisaggError as exc:
+        if args.func is cmd_synth:
+            return cmd_synth(args)
+        cfg = load_run_config(args.config)
+        if args.out is not None:
+            cfg = dataclasses.replace(cfg, output_dir=args.out)
+        if args.func is cmd_validate:
+            cfg.check_inputs_exist()
+        return args.func(cfg, *_load_building(cfg, args.strict))
+    except (DisaggError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -443,8 +443,9 @@ def write_findings(findings, path: str) -> None:
 
 
 def read_findings(path: str):
-    """The findings write_findings wrote. A row with an unparsable cell or a
-    rule id outside RULE_NAMES is refused, naming its path:line."""
+    """The findings write_findings wrote. Blank lines are skipped; a row with
+    an unparsable cell or a rule id outside RULE_NAMES is refused, naming
+    its path:line."""
     findings = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -452,6 +453,8 @@ def read_findings(path: str):
         if header != FINDINGS_HEADER:
             raise IngestError(f"{path}: not a findings file")
         for row in reader:
+            if not row:
+                continue
             where = f"{path}:{reader.line_num}"
             if len(row) != len(FINDINGS_HEADER):
                 raise IngestError(f"{where}: malformed findings row: {row!r}")

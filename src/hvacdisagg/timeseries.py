@@ -91,10 +91,6 @@ class AlignedFrame:
             return 0
         return len(next(iter(self.columns.values())))
 
-    @property
-    def end(self) -> int:
-        return self.start + self.n_rows * self.interval_s
-
     def timestamps(self) -> np.ndarray:
         return self.start + self.interval_s * np.arange(self.n_rows, dtype=np.int64)
 

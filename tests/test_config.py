@@ -11,6 +11,7 @@ import csv
 import os
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from hvacdisagg.cli import _write_comparison, main
 from hvacdisagg.config import SCENARIO_PRESETS, load_run_config, load_scenario_spec
 from hvacdisagg.errors import ConfigError
 from hvacdisagg.faults import FaultFinding, Thresholds, write_findings
-from hvacdisagg.ingest import _BLOCK_ROWS, format_timestamp, parse_timestamp
+from hvacdisagg.ingest import TRENDS_CACHE_NAME, _BLOCK_ROWS, format_timestamp, \
+    parse_timestamp
 from hvacdisagg.synth import scenario_impact
 
 BASE_CONF = """\
@@ -208,6 +210,18 @@ class TestCli:
         assert main(["synth", "--config", spec]) == 1
         assert "synth needs --out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        *((command, "--seed=3")
+          for command in ("validate", "fit", "estimate", "detect", "report")),
+        ("synth", "--strict"),
+    ])
+    def test_flag_of_another_command_exits_two(self, command, flag, capsys):
+        # --seed is synth's alone, and --strict only the pipeline commands'
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", "run.conf", "--out", "out", flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_validate(self, cli_bundle, capsys):
         rc = main(["validate", "--config", str(cli_bundle / "run.conf")])
         out = capsys.readouterr().out
@@ -287,8 +301,8 @@ class TestCli:
         reference_write(want, stamps, estimated, measured)
         assert got.read_bytes() == want.read_bytes()
 
-        # epochs, as estimate passes them, or their stamps as text, which
-        # must come out unquoted; row counts around the write block
+        # stamps as text, as estimate passes them, which must come out
+        # unquoted, or epochs; row counts around the write block
         rng = np.random.default_rng(9)
         for n in BLOCK_EDGE_LENGTHS:
             epochs = parse_timestamp("2026-01-05T00:00:00+00:00") + 900 * np.arange(n)
@@ -387,6 +401,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: {cfg.findings_path}:2: ")
+
+    def test_blank_line_in_findings_changes_no_output(self, cli_bundle, tmp_path, capsys):
+        conf = _damaged(cli_bundle, tmp_path, lambda work: None)
+        cfg = load_run_config(conf)
+
+        def report():
+            assert main(["report", "--config", conf]) == 0
+            return capsys.readouterr().out, {
+                name: (Path(cfg.output_dir) / name).read_bytes()
+                for name in ("report.csv", "impacts.csv")}
+
+        assert main(["fit", "--config", conf]) == 0
+        assert main(["detect", "--config", conf]) == 0
+        capsys.readouterr()
+        want = report()
+        assert want[1]["report.csv"].count(b"\r\n") > 1  # some finding is ranked
+        with open(cfg.findings_path, "a", encoding="utf-8", newline="") as fh:
+            fh.write("\r\n")
+        assert report() == want
+
+    @pytest.mark.parametrize("filename, line", [
+        ("trends.csv", b"2026-01-05T00:00:00+00:00,B1.caf\xe9,1.0\r\n"),
+        ("run.conf", b"; caf\xe9\n"),
+    ], ids=["csv", "ini"])
+    def test_non_utf8_input_exits_one(self, cli_bundle, tmp_path, capsys, filename, line):
+        def append(work):
+            shutil.rmtree(work / "out", ignore_errors=True)
+            with open(work / filename, "ab") as fh:
+                fh.write(line)
+
+        conf = _damaged(cli_bundle, tmp_path, append)
+        rc = main(["validate", "--config", conf])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "can't decode byte 0xe9" in err
+        assert not (Path(conf).parent / "out" / TRENDS_CACHE_NAME).exists()
 
     @pytest.mark.parametrize("filename", ["model.ini", "run.conf"])
     @pytest.mark.parametrize("key, value", [("air_power_k", "-1.08"), ("mode_deadband_f", "-3")])

@@ -74,11 +74,12 @@ def test_fit_imports_neither_scipy_nor_zipfile(impact_bundle, tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
-def test_no_command_imports_numpy_ma(tmp_path):
-    # numpy.ma costs about 1.6 MB of RSS and 19 ms of CPU per process; the
-    # plain np.unique(x), with no return_* flag, is one way to import it.
-    # Each command runs in its own -S child, as in the scipy check above.
-    (tmp_path / "scenario.conf").write_text("[scenario]\npreset = impact\n")
+def _run_each_command(tmp_path, *flags):
+    """Synth the impact bundle, then run every command on it, each in its
+    own `python -S *flags` child (as in the scipy check above) that prints
+    whether numpy.ma was imported; returns (command, CompletedProcess)."""
+    (tmp_path / "scenario.conf").write_text("[scenario]\npreset = impact\n",
+                                            encoding="utf-8")
     bundle = tmp_path / "bundle"
     conf = str(bundle / "run.conf")
     code = ("import sys\n"
@@ -86,17 +87,33 @@ def test_no_command_imports_numpy_ma(tmp_path):
             "assert main(sys.argv[1:]) == 0\n"
             "print('numpy.ma' in sys.modules)\n")
     path = os.pathsep.join([str(ROOT / "src")] + [p for p in sys.path if p])
-    imported = []
+    runs = []
     for argv in (["synth", "--config", str(tmp_path / "scenario.conf"), "--out", str(bundle)],
                  ["validate", "--config", conf], ["fit", "--config", conf],
                  ["detect", "--config", conf], ["report", "--config", conf],
                  ["estimate", "--config", conf]):
-        done = subprocess.run([sys.executable, "-S", "-c", code, *argv],
-                              capture_output=True, text=True, check=True,
-                              env={**os.environ, "PYTHONPATH": path})
-        if done.stdout.splitlines()[-1] == "True":
-            imported.append(argv[0])
-    assert imported == []
+        runs.append((argv[0], subprocess.run(
+            [sys.executable, "-S", *flags, "-c", code, *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})))
+    return runs
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma costs about 1.6 MB of RSS and 19 ms of CPU per process; the
+    # plain np.unique(x), with no return_* flag, is one way to import it.
+    runs = _run_each_command(tmp_path)
+    assert [(command, done.returncode) for command, done in runs if done.returncode] == []
+    assert [command for command, done in runs
+            if done.stdout.splitlines()[-1] == "True"] == []
+
+
+def test_no_command_opens_text_in_the_locale_encoding(tmp_path):
+    # every file is UTF-8 whatever the locale says; a text-mode open (or
+    # configparser read) without an encoding raises EncodingWarning here
+    runs = _run_each_command(tmp_path, "-X", "warn_default_encoding",
+                             "-W", "error::EncodingWarning")
+    assert [(command, done.stderr.strip().splitlines()[-1:])
+            for command, done in runs if done.returncode] == []
 
 
 def test_traced_estimate_records_each_prediction_once(impact_bundle, tmp_path):
