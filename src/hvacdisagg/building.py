@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import BindingError, TopologyError, UnitMismatchError
+from .errors import BindingError, TopologyError, UnitMismatchError, utf8_text
 from .timeseries import Unit
 
 __all__ = [
@@ -193,7 +193,8 @@ def load_metadata(path: str) -> EquipmentGraph:
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        read = cp.read(path, encoding="utf-8")
+        with utf8_text(path, TopologyError):
+            read = cp.read(path, encoding="utf-8")
     except configparser.DuplicateSectionError as exc:
         raise TopologyError(f"{path}: duplicate equipment id (line {exc.lineno})") from exc
     except configparser.Error as exc:

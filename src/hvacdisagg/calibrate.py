@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import DEFAULT_CONSTANTS, PhysicalConstants, Powers
-from .errors import ConfigError, FitError, RankDeficiencyError
+from .errors import ConfigError, FitError, RankDeficiencyError, utf8_text
 from .ingest import format_timestamp, parse_timestamp
 from .timeseries import rmse
 
@@ -433,7 +433,7 @@ def load_model(path: str) -> CalibratedModel:
     required, the test window and test scores as all-or-none groups; a
     missing, unreadable or unknown part is a ConfigError."""
     cp = configparser.ConfigParser(interpolation=None)
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path, ConfigError), open(path, encoding="utf-8") as fh:
         try:
             cp.read_file(fh, source=path)
         except configparser.Error as exc:

@@ -303,7 +303,7 @@ def main(argv=None) -> int:
         if args.func is cmd_validate:
             cfg.check_inputs_exist()
         return args.func(cfg, *_load_building(cfg, args.strict))
-    except (DisaggError, UnicodeDecodeError) as exc:
+    except DisaggError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

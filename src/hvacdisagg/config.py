@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 
 from .energy import PhysicalConstants
-from .errors import ConfigError
+from .errors import ConfigError, utf8_text
 from .faults import Thresholds
 from .ingest import parse_timestamp
 from .synth import FaultInjection, ScenarioSpec, scenario_faulted, \
@@ -72,7 +72,8 @@ def _read(path: str, what: str) -> configparser.ConfigParser:
     ConfigError naming it."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        read = cp.read(path, encoding="utf-8")
+        with utf8_text(path, ConfigError):
+            read = cp.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:

@@ -5,6 +5,8 @@ DisaggError so the CLI can map it to exit code 1. Plain OSError (missing or
 unreadable files) maps to exit code 2.
 """
 
+from contextlib import contextmanager
+
 
 class DisaggError(Exception):
     """Base class for validation, data, and fit errors."""
@@ -60,3 +62,13 @@ class FaultRuleError(DisaggError):
 
 class ScenarioError(DisaggError):
     """Synthetic scenario specification is invalid."""
+
+
+@contextmanager
+def utf8_text(path: str, error: type):
+    """Refuse a file that is not UTF-8 as error, naming path: a
+    UnicodeDecodeError raised in the block becomes error(f"{path}: ...")."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from exc

@@ -42,6 +42,7 @@ from .errors import (
     DisaggError,
     FaultRuleError,
     IngestError,
+    utf8_text,
 )
 from .ingest import format_timestamp, parse_timestamp
 from .timeseries import mpe_of, pearson, percent_errors, rmspe_of
@@ -447,7 +448,7 @@ def read_findings(path: str):
     an unparsable cell or a rule id outside RULE_NAMES is refused, naming
     its path:line."""
     findings = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with utf8_text(path, IngestError), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != FINDINGS_HEADER:

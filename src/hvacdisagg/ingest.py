@@ -12,6 +12,7 @@ parse the same trend file once between them.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -24,7 +25,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .building import PointBinding, PointInfo
-from .errors import IngestError
+from .errors import IngestError, utf8_text
 from .timeseries import TimeSeries, Unit, bucket
 
 __all__ = [
@@ -49,9 +50,9 @@ REFERENCE_YEAR_HEADER = ["day_of_year", "oat_f"]
 TRENDS_CACHE_NAME = ".trends-cache"
 TRENDS_CACHE_FORMAT = 1
 
-# rows per write in _write_numeric_csv: one block's text is alive at once,
-# and synth, whose peak RSS the benchmark bounds, writes the largest files
-_BLOCK_ROWS = 256
+# cells per write in _write_numeric_csv: one block's text is alive at once,
+# and synth, whose peak RSS the benchmark bounds, writes the widest files
+_BLOCK_CELLS = 4096
 
 
 def parse_timestamp(text: str) -> int:
@@ -122,7 +123,7 @@ def read_trends(
     unknown: set = set()
     stats = IngestStats()
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with utf8_text(path, IngestError), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for row in _records(reader, TREND_HEADER):
             if not row:
@@ -196,9 +197,6 @@ def read_trends(
 
 
 def _file_sha256(path: str) -> str:
-    # imported here: OpenSSL adds about 3.5 MB of RSS, and synth never hashes
-    import hashlib
-
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -296,7 +294,7 @@ def read_points(path: str) -> list[PointInfo]:
     """Point inventory CSV: point_id, display name, unit tag."""
     points: list[PointInfo] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with utf8_text(path, IngestError), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for row in _records(reader, POINTS_HEADER):
             if not row:
@@ -344,17 +342,22 @@ class _Stamps(dict):
         return text
 
 
-def _cell_blocks(column, stamps: _Stamps):
-    """column's cells as text, _BLOCK_ROWS rows per item: a float array's
-    through repr, an integer array's as timestamps of those epochs, and
-    anything else (text arrays, iterables of text) as it is."""
+def _block_rows(width: int) -> int:
+    """Rows per write block of a file width columns wide."""
+    return max(1, _BLOCK_CELLS // width)
+
+
+def _cell_blocks(column, stamps: _Stamps, rows: int):
+    """column's cells as text, rows rows per item: a float array's through
+    repr, an integer array's as timestamps of those epochs, and anything
+    else (text arrays, iterables of text) as it is."""
     if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
         text = repr if column.dtype.kind == "f" else stamps.__getitem__
-        for i in range(0, len(column), _BLOCK_ROWS):
-            yield map(text, column[i:i + _BLOCK_ROWS].tolist())
+        for i in range(0, len(column), rows):
+            yield map(text, column[i:i + rows].tolist())
     else:
         cells = iter(column)
-        while block := list(islice(cells, _BLOCK_ROWS)):
+        while block := list(islice(cells, rows)):
             yield block
 
 
@@ -366,15 +369,19 @@ def _write_numeric_csv(path: str, header, groups) -> None:
     its repr floats and an int array's are format_timestamp of its epochs;
     any other column (an object or str array, an iterable) is text that
     csv.writer leaves unquoted, such as an int's str or a _csv_cell, and
-    is written as it is. Each column is turned into text _BLOCK_ROWS rows
-    at a time, so the memory this needs is set by the block, not by the
-    file. One stamp per distinct epoch is kept for the whole file."""
+    is written as it is. Columns of unequal length raise ValueError. The
+    columns are turned into text about _BLOCK_CELLS cells at a time, as
+    many rows as fit (at least one), so the memory this needs is set by
+    the block, not by the file's length or width. One stamp per distinct
+    epoch is kept for the whole file."""
     stamps = _Stamps()
+    rows = _block_rows(len(header))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
         for columns in groups:
-            for block in zip(*(_cell_blocks(c, stamps) for c in columns)):
-                fh.write("\r\n".join(map(",".join, zip(*block))))
+            blocks = (_cell_blocks(c, stamps, rows) for c in columns)
+            for block in zip(*blocks, strict=True):
+                fh.write("\r\n".join(map(",".join, zip(*block, strict=True))))
                 fh.write("\r\n")
 
 
@@ -397,7 +404,7 @@ def write_trends(series_list, path: str) -> None:
 def read_reference_year(path: str) -> np.ndarray:
     """Daily outdoor temps for a reference year, indexed day-of-year 1..365."""
     out = np.full(365, np.nan)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with utf8_text(path, IngestError), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for row in _records(reader, REFERENCE_YEAR_HEADER):
             if not row:

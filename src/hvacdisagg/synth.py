@@ -569,6 +569,17 @@ def _written_series(tr: TraceSet, rng: np.random.Generator) -> dict:
             for pid, unit, values in out}
 
 
+def _signals(spec: ScenarioSpec, rng: np.random.Generator) -> tuple[dict, list]:
+    """The written series (point_id -> TimeSeries, meters not yet in) and
+    the waste of each injection, MMBTU. The traces they come from are freed
+    on return, so only what the bundle needs outlives this call."""
+    tr = _derive_physics(_build_base(spec, rng))
+    # every injection is in before any waste integral, so faults that share
+    # an AHU see each other's effect on flows and temperatures
+    wastes = [_waste(tr, inj) for inj in spec.faults]
+    return _written_series(tr, rng), wastes
+
+
 def _truth_powers(graph: EquipmentGraph, points: list, series: dict) -> Powers:
     """Powers of the frame assemble builds from series (point_id ->
     TimeSeries) bound through points, as the pipeline builds it from the
@@ -583,10 +594,11 @@ def _reference_year(spec: ScenarioSpec) -> np.ndarray:
     return spec.oat_base_f + 12.0 * np.sin(2 * np.pi * (days - 201) / 365.0)
 
 
-def _write_truth_powers(path: str, tr: TraceSet, powers: Powers,
+def _write_truth_powers(path: str, ts: np.ndarray, powers: Powers,
                         cooling_meter, heating_meter) -> None:
     """Each unit's powers, four building sums and the meters, one column
-    each; sum_vav_reheat is a zero column when no VAV has reheat."""
+    each, on the grid ts; sum_vav_reheat is a zero column when no VAV has
+    reheat."""
     per_unit = {f"{v}.cooling": p for v, p in powers.vav_cooling.items()}
     per_unit.update((f"{v}.reheat", p) for v, p in powers.vav_heating.items())
     for ahu, (cooling, heating) in powers.ahu_coil.items():
@@ -595,16 +607,16 @@ def _write_truth_powers(path: str, tr: TraceSet, powers: Powers,
     sums = {"sum_vav_cooling": powers.sum_vav_cooling,
             "sum_economizer": powers.sum_economizer,
             "sum_ahu_heating": powers.sum_ahu_heating,
-            "sum_vav_reheat": np.zeros(len(tr.ts)) if reheat is None else reheat}
+            "sum_vav_reheat": np.zeros(len(ts)) if reheat is None else reheat}
     columns = sorted(per_unit) + sorted(sums) + ["cooling_meter", "heating_meter"]
     arrays = {**per_unit, **sums,
               "cooling_meter": cooling_meter, "heating_meter": heating_meter}
     _write_numeric_csv(path, ["timestamp"] + columns,
-                       [[tr.ts] + [np.asarray(arrays[c], dtype=float) for c in columns]])
+                       [[ts] + [np.asarray(arrays[c], dtype=float) for c in columns]])
 
 
-def _write_ground_truth(path: str, spec: ScenarioSpec, tr: TraceSet,
-                        wastes, n_cooling: int, n_heating: int) -> None:
+def _write_ground_truth(path: str, spec: ScenarioSpec, wastes,
+                        n_cooling: int, n_heating: int) -> None:
     cp = configparser.ConfigParser(interpolation=None)
     cp["generator"] = {"rng": RNG_NAME, "seed": str(spec.seed)}
     cp["scenario"] = {
@@ -621,7 +633,7 @@ def _write_ground_truth(path: str, spec: ScenarioSpec, tr: TraceSet,
                           for i, c in enumerate(spec.coefficients)}
     cp["economizer split"] = {"alpha": repr(spec.alpha), "beta": repr(spec.beta)}
     cp["rows"] = {
-        "n_rows": str(tr.n),
+        "n_rows": str(spec.n_rows),
         "n_cooling_rows": str(n_cooling),
         "n_heating_rows": str(n_heating),
     }
@@ -665,19 +677,15 @@ def generate(spec: ScenarioSpec, out_dir: str) -> ScenarioBundle:
     bundle always has a self-consistent target.
     """
     rng = np.random.default_rng(spec.seed)
-    tr = _derive_physics(_build_base(spec, rng))
-    # every injection is in before any waste integral, so faults that share
-    # an AHU see each other's effect on flows and temperatures
-    wastes = [_waste(tr, inj) for inj in spec.faults]
-
-    series = _written_series(tr, rng)
+    series, wastes = _signals(spec, rng)
+    n = spec.n_rows
     graph = _graph_for(spec)
     # the meters stand in as gaps until priced on the frame's powers
     meters = {graph.cooling_meter_point: predict_cooling_vav,
               graph.heating_meter_point: predict_heating}
     for pid in meters:
-        series[pid] = TimeSeries(pid, tr.start, spec.interval_s, Unit.MMBTU_HR,
-                                 np.full(tr.n, np.nan))
+        series[pid] = TimeSeries(pid, spec.start_epoch, spec.interval_s, Unit.MMBTU_HR,
+                                 np.full(n, np.nan))
     points = [PointInfo(pid, pid, s.unit) for pid, s in series.items()]
     powers = _truth_powers(graph, points, series)
     truth = dict(zip(COEFFICIENT_NAMES, spec.coefficients))
@@ -685,7 +693,7 @@ def generate(spec: ScenarioSpec, out_dir: str) -> ScenarioBundle:
         meter = predict(truth, powers)
         if spec.meter_noise_rel > 0.0:
             sigma = spec.meter_noise_rel * float(np.mean(np.abs(meter)))
-            meter += rng.normal(0.0, sigma, tr.n)
+            meter += rng.normal(0.0, sigma, n)
         series[pid] = replace(series[pid], values=meter)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -704,10 +712,11 @@ def generate(spec: ScenarioSpec, out_dir: str) -> ScenarioBundle:
     write_points(points, bundle.points_path)
     write_trends(list(series.values()), bundle.trends_path)
     write_reference_year(_reference_year(spec), bundle.reference_year_path)
-    _write_ground_truth(bundle.ground_truth_path, spec, tr, wastes,
+    _write_ground_truth(bundle.ground_truth_path, spec, wastes,
                         int(powers.cooling_rows.sum()), int(powers.heating_rows.sum()))
-    _write_truth_powers(bundle.truth_powers_path, tr, powers,
-                        *(series[pid].values for pid in meters))
+    cooling_meter, heating_meter = (series[pid] for pid in meters)
+    _write_truth_powers(bundle.truth_powers_path, cooling_meter.timestamps(), powers,
+                        cooling_meter.values, heating_meter.values)
     _write_run_config(bundle.run_config_path, spec)
     return bundle
 

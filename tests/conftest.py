@@ -151,11 +151,15 @@ def counted_parses():
         yield calls
 
 
-# floats whose repr a CSV writer must keep exactly, and row counts around
-# the numeric CSV writer's block size
+# floats whose repr a CSV writer must keep exactly
 EXTREME_FLOATS = (-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308)
-BLOCK_EDGE_LENGTHS = (0, ingest._BLOCK_ROWS - 1, ingest._BLOCK_ROWS, ingest._BLOCK_ROWS + 1,
-                      3 * ingest._BLOCK_ROWS + 17)
+
+
+def block_edge_lengths(width: int) -> tuple:
+    """Row counts around the numeric CSV writer's block in a file width
+    columns wide."""
+    rows = ingest._block_rows(width)
+    return 0, rows - 1, rows, rows + 1, 3 * rows + 17
 
 
 def extreme_column(n: int, rng) -> np.ndarray:

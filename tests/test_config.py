@@ -16,12 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import BLOCK_EDGE_LENGTHS, extreme_column
+from conftest import block_edge_lengths, extreme_column
 from hvacdisagg.cli import _write_comparison, main
 from hvacdisagg.config import SCENARIO_PRESETS, load_run_config, load_scenario_spec
 from hvacdisagg.errors import ConfigError
 from hvacdisagg.faults import FaultFinding, Thresholds, write_findings
-from hvacdisagg.ingest import TRENDS_CACHE_NAME, _BLOCK_ROWS, format_timestamp, \
+from hvacdisagg.ingest import TRENDS_CACHE_NAME, _block_rows, format_timestamp, \
     parse_timestamp
 from hvacdisagg.synth import scenario_impact
 
@@ -271,7 +271,7 @@ class TestCli:
         for name, blob in first.items():
             assert (cli_bundle / "out" / name).read_bytes() == blob, name
 
-    def test_comparison_matches_per_row_writer(self, cli_bundle, tmp_path, capsys):
+    def test_comparison_matches_per_row_writer(self, tmp_path, capsys):
         def reference_write(path, stamps, estimated, measured):
             # the per-row writer it replaced
             with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -280,14 +280,18 @@ class TestCli:
                 for stamp, est, meas in zip(stamps, estimated, measured):
                     writer.writerow([stamp, repr(float(est)), repr(float(meas))])
 
-        conf = _damaged(cli_bundle, tmp_path, lambda work: None)
+        # the impact building over 15 days, so the file spans write blocks
+        spec = _write(tmp_path / "s.conf", "[scenario]\npreset = impact\nduration_days = 15\n")
+        conf = str(tmp_path / "bundle" / "run.conf")
+        assert main(["synth", "--config", spec, "--out", str(tmp_path / "bundle")]) == 0
         assert main(["fit", "--config", conf]) == 0
         assert main(["estimate", "--config", conf]) == 0
         capsys.readouterr()
         path = os.path.join(load_run_config(conf).output_dir, "cooling_vav_comparison.csv")
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
-        assert len(rows) > _BLOCK_ROWS and len(rows) % _BLOCK_ROWS  # ends on a short block
+        block = _block_rows(3)
+        assert len(rows) > block and len(rows) % block  # ends on a short block
         stamps = np.array([r[0] for r in rows], dtype=object)
         estimated, measured = (np.array([float(r[i]) for r in rows]) for i in (1, 2))
         want = tmp_path / "want.csv"
@@ -304,7 +308,7 @@ class TestCli:
         # stamps as text, as estimate passes them, which must come out
         # unquoted, or epochs; row counts around the write block
         rng = np.random.default_rng(9)
-        for n in BLOCK_EDGE_LENGTHS:
+        for n in block_edge_lengths(3):
             epochs = parse_timestamp("2026-01-05T00:00:00+00:00") + 900 * np.arange(n)
             texts = np.array([format_timestamp(e) for e in epochs.tolist()], dtype=object)
             estimated, measured = extreme_column(n, rng), extreme_column(n, rng)
@@ -421,22 +425,33 @@ class TestCli:
             fh.write("\r\n")
         assert report() == want
 
-    @pytest.mark.parametrize("filename, line", [
-        ("trends.csv", b"2026-01-05T00:00:00+00:00,B1.caf\xe9,1.0\r\n"),
-        ("run.conf", b"; caf\xe9\n"),
-    ], ids=["csv", "ini"])
-    def test_non_utf8_input_exits_one(self, cli_bundle, tmp_path, capsys, filename, line):
-        def append(work):
-            shutil.rmtree(work / "out", ignore_errors=True)
-            with open(work / filename, "ab") as fh:
-                fh.write(line)
-
-        conf = _damaged(cli_bundle, tmp_path, append)
-        rc = main(["validate", "--config", conf])
+    @pytest.mark.parametrize("filename, line, command", [
+        ("trends.csv", b"2026-01-05T00:00:00+00:00,B1.caf\xe9,1.0\r\n", "validate"),
+        ("run.conf", b"; caf\xe9\n", "validate"),
+        ("topology.ini", b"; caf\xe9\n", "validate"),
+        ("points.csv", b"B1.caf\xe9,caf\xe9,degF\r\n", "validate"),
+        ("model.ini", b"; caf\xe9\n", "estimate"),
+        ("findings.csv", b"caf\xe9\r\n", "report"),
+        ("reference_year.csv", b"1,caf\xe9\r\n", "report"),
+    ], ids=["csv", "ini", "topology", "points", "model", "findings", "reference-year"])
+    def test_non_utf8_input_exits_one(self, cli_bundle, tmp_path, capsys, filename, line,
+                                      command):
+        # each reader refuses its own file by name; the model and the
+        # findings are written by the commands before the one that reads them
+        conf = _damaged(cli_bundle, tmp_path,
+                        lambda work: shutil.rmtree(work / "out", ignore_errors=True))
+        for earlier in {"estimate": ["fit"], "report": ["fit", "detect"]}.get(command, []):
+            assert main([earlier, "--config", conf]) == 0
+        path = Path(conf).parent / filename
+        with open(path, "ab") as fh:
+            fh.write(line)
+        capsys.readouterr()
+        rc = main([command, "--config", conf])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error:") and "can't decode byte 0xe9" in err
-        assert not (Path(conf).parent / "out" / TRENDS_CACHE_NAME).exists()
+        assert err.startswith(f"error: {path}: ") and "can't decode byte 0xe9" in err
+        if command == "validate":  # refused before or while the trends are parsed
+            assert not (Path(conf).parent / "out" / TRENDS_CACHE_NAME).exists()
 
     @pytest.mark.parametrize("filename", ["model.ini", "run.conf"])
     @pytest.mark.parametrize("key, value", [("air_power_k", "-1.08"), ("mode_deadband_f", "-3")])

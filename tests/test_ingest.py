@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BLOCK_EDGE_LENGTHS, counted_parses, extreme_column, traced_peak_bytes
+from conftest import block_edge_lengths, counted_parses, extreme_column, traced_peak_bytes
 from hvacdisagg.building import PointBinding, PointRole
 from hvacdisagg.errors import IngestError
 from hvacdisagg.ingest import (
     TREND_HEADER,
     TRENDS_CACHE_NAME,
     IngestStats,
+    _block_rows,
     _write_numeric_csv,
     format_timestamp,
     parse_timestamp,
@@ -233,7 +234,7 @@ class TestRoundTrip:
         series.append(TimeSeries("EXTREMES", T0, GRID, Unit.CFM, np.array(extremes)))
         # long enough to end several write blocks inside one series
         series.append(TimeSeries("LONG", T0, GRID, Unit.CFM, rng.normal(0.0, 1.0, 777)))
-        for n in BLOCK_EDGE_LENGTHS:
+        for n in block_edge_lengths(len(TREND_HEADER)):
             series.append(TimeSeries(f"EDGE{n}", T0, GRID, Unit.CFM, extreme_column(n, rng)))
         for name, case in [("mixed", series), ("empty", []), ("all-gaps", [gaps])]:
             got, want = tmp_path / f"got-{name}.csv", tmp_path / f"want-{name}.csv"
@@ -260,7 +261,7 @@ class TestNumericCsv:
         # quoted; two groups in one file share the stamps
         rng = np.random.default_rng(12)
         header = ["timestamp", "value", "stamp_text", "stamp_str", "id"]
-        for n in BLOCK_EDGE_LENGTHS:
+        for n in block_edge_lengths(len(header)):
             epochs = T0 + GRID * np.arange(n, dtype=np.int64)
             stamps = np.array([format_timestamp(e) for e in epochs.tolist()], dtype=object)
             groups = [(epochs, extreme_column(n, rng), stamps, stamps.astype(str),
@@ -277,6 +278,19 @@ class TestNumericCsv:
                         writer.writerow([format_timestamp(int(e)), repr(float(v)), t, t, i])
             assert got.read_bytes() == want.read_bytes(), n
             assert "'" not in got.read_text(encoding="utf-8")
+
+    def test_unequal_columns_raise(self, tmp_path):
+        # one column short by less than a block, by more than one, or a
+        # text column that runs out: never a file silently cut to the
+        # shortest column
+        rows = _block_rows(3)
+        epochs = T0 + GRID * np.arange(3 * rows, dtype=np.int64)
+        values = np.zeros(3 * rows)
+        for group in [(epochs, values, values[:-1]),
+                      (epochs, values[:rows], values),
+                      (epochs, values, iter(["x"] * (len(epochs) - 5)))]:
+            with pytest.raises(ValueError):
+                _write_numeric_csv(str(tmp_path / "u.csv"), ["a", "b", "c"], [group])
 
     def test_write_trends_memory_is_set_by_the_block(self, tmp_path):
         """Peak traced bytes of write_trends on 200 series of 1,100 rows

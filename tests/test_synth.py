@@ -16,13 +16,13 @@ back from the ground-truth file.
 
 import csv
 import dataclasses
+import gc
 import os
-import types
 
 import numpy as np
 import pytest
 
-from conftest import BLOCK_EDGE_LENGTHS, extreme_column, load_ground_truth, traced_peak_bytes
+from conftest import block_edge_lengths, extreme_column, load_ground_truth, traced_peak_bytes
 from hvacdisagg import synth
 from hvacdisagg.building import PointInfo
 from hvacdisagg.energy import Powers
@@ -112,6 +112,36 @@ class TestTruthFrame:
         monkeypatch.setattr(synth, "assemble", counted)
         generate(scenario_impact(), str(tmp_path / "b"))
         assert len(calls) == 1
+
+    def test_no_traces_alive_while_pricing_or_writing(self, tmp_path, monkeypatch):
+        # the traces are freed once the written series and the wastes are
+        # out, before the frame is assembled or any file written
+        def traces():
+            return sum(isinstance(o, synth.TraceSet) for o in gc.get_objects())
+
+        alive = []
+
+        def counted(real):
+            def call(*args, **kwargs):
+                alive.append(traces())
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("assemble", "write_trends", "_write_truth_powers"):
+            monkeypatch.setattr(synth, name, counted(getattr(synth, name)))
+        before = traces()
+        generate(synth.scenario_faulted(), str(tmp_path / "b"))
+        assert alive == [before] * 3
+
+    def test_generate_memory_on_a_wide_building(self, tmp_path):
+        """Peak traced bytes of generate on the recovery building at 8 AHUs
+        x 10 VAVs, 10 days at 1800 s (480 rows, 183 truth-power columns):
+        measured 4.62 MB. Generate that held its traces to the end and
+        wrote 256 rows at a time whatever the width peaked at 9.06 MB."""
+        spec = dataclasses.replace(scenario_recovery(), n_ahus=8, n_vavs_per_ahu=10,
+                                   duration_days=10, interval_s=1800)
+        peak = traced_peak_bytes(lambda: generate(spec, str(tmp_path / "b")))
+        assert peak <= 6_000_000, peak
 
 
 class TestGroundTruth:
@@ -228,10 +258,11 @@ class TestMeterIdentities:
 
 class TestTruthPowersFile:
     def test_matches_per_row_writer(self, tmp_path):
-        # row counts around the write block, extreme floats in every column
+        # row counts around the write block of a timestamp and twelve
+        # columns, extreme floats in every column
         rng = np.random.default_rng(8)
-        for n in BLOCK_EDGE_LENGTHS:
-            tr = types.SimpleNamespace(ts=START + 900 * np.arange(n, dtype=np.int64))
+        for n in block_edge_lengths(13):
+            ts = START + 900 * np.arange(n, dtype=np.int64)
 
             def col():
                 return extreme_column(n, rng)
@@ -246,7 +277,7 @@ class TestTruthPowersFile:
                 cooling_rows=np.ones(n, dtype=bool), heating_rows=np.ones(n, dtype=bool))
             cooling, heating = col(), col()
             got, want = tmp_path / f"got-{n}.csv", tmp_path / f"want-{n}.csv"
-            synth._write_truth_powers(str(got), tr, powers, cooling, heating)
+            synth._write_truth_powers(str(got), ts, powers, cooling, heating)
 
             # the per-row writer it replaced
             arrays = {
@@ -265,7 +296,7 @@ class TestTruthPowersFile:
             with open(want, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["timestamp"] + columns)
-                for i, epoch in enumerate(tr.ts):
+                for i, epoch in enumerate(ts):
                     writer.writerow([format_timestamp(int(epoch))]
                                     + [repr(float(arrays[c][i])) for c in columns])
             assert got.read_bytes() == want.read_bytes(), n
@@ -284,7 +315,7 @@ class TestTruthPowersFile:
         def col():
             return rng.normal(0.0, 0.05, n)
 
-        tr = types.SimpleNamespace(ts=START + 900 * np.arange(n, dtype=np.int64))
+        ts = START + 900 * np.arange(n, dtype=np.int64)
         powers = Powers(
             vav_cooling={"VAV1-01": col(), "VAV1-02": col()}, vav_heating={},
             ahu_coil={"AH1": (col(), col())}, economizer={"AH1": col()},
@@ -293,8 +324,34 @@ class TestTruthPowersFile:
             cooling_rows=np.ones(n, dtype=bool), heating_rows=np.ones(n, dtype=bool))
         cooling, heating = col(), col()
         peak = traced_peak_bytes(lambda: synth._write_truth_powers(
-            str(tmp_path / "t.csv"), tr, powers, cooling, heating))
+            str(tmp_path / "t.csv"), ts, powers, cooling, heating))
         assert peak <= 200 * n + (1 << 20), peak
+
+    def test_memory_is_set_by_the_block_not_the_width(self, tmp_path):
+        """Peak traced bytes of _write_truth_powers on 300 rows of 300
+        VAVs with reheat (609 columns): measured 0.82 MB, one block of six
+        rows and the state of 609 column readers. The writer that turned 256
+        rows into text at a time, whatever the width, peaked at 12.0 MB."""
+        n = 300
+        rng = np.random.default_rng(15)
+
+        def col():
+            return rng.normal(0.0, 0.05, n)
+
+        vavs = [f"VAV1-{i:03d}" for i in range(300)]
+        powers = Powers(
+            vav_cooling={v: col() for v in vavs}, vav_heating={v: col() for v in vavs},
+            ahu_coil={"AH1": (col(), col())}, economizer={"AH1": col()},
+            sum_vav_cooling=col(), sum_economizer=col(), sum_ahu_cooling=col(),
+            sum_ahu_heating=col(), sum_vav_heating=col(),
+            cooling_rows=np.ones(n, dtype=bool), heating_rows=np.ones(n, dtype=bool))
+        cooling, heating = col(), col()
+        path = tmp_path / "t.csv"
+        peak = traced_peak_bytes(lambda: synth._write_truth_powers(
+            str(path), START + 900 * np.arange(n, dtype=np.int64), powers, cooling, heating))
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert len(next(csv.reader(fh))) >= 600
+        assert peak <= 1_500_000, peak
 
 
 class TestDerivePhysics:

@@ -77,7 +77,8 @@ def test_fit_imports_neither_scipy_nor_zipfile(impact_bundle, tmp_path):
 def _run_each_command(tmp_path, *flags):
     """Synth the impact bundle, then run every command on it, each in its
     own `python -S *flags` child (as in the scipy check above) that prints
-    whether numpy.ma was imported; returns (command, CompletedProcess)."""
+    the sorted list of numpy.ma and numpy.random it imported as its last
+    line; returns (command, CompletedProcess)."""
     (tmp_path / "scenario.conf").write_text("[scenario]\npreset = impact\n",
                                             encoding="utf-8")
     bundle = tmp_path / "bundle"
@@ -85,7 +86,7 @@ def _run_each_command(tmp_path, *flags):
     code = ("import sys\n"
             "from hvacdisagg.cli import main\n"
             "assert main(sys.argv[1:]) == 0\n"
-            "print('numpy.ma' in sys.modules)\n")
+            "print(sorted(m for m in ('numpy.ma', 'numpy.random') if m in sys.modules))\n")
     path = os.pathsep.join([str(ROOT / "src")] + [p for p in sys.path if p])
     runs = []
     for argv in (["synth", "--config", str(tmp_path / "scenario.conf"), "--out", str(bundle)],
@@ -101,10 +102,13 @@ def _run_each_command(tmp_path, *flags):
 def test_no_command_imports_numpy_ma(tmp_path):
     # numpy.ma costs about 1.6 MB of RSS and 19 ms of CPU per process; the
     # plain np.unique(x), with no return_* flag, is one way to import it.
+    # numpy.random costs about 6 MB, 3.5 MB of it the OpenSSL that secrets
+    # and hmac load; synth draws its noise from it, and no other command may.
     runs = _run_each_command(tmp_path)
     assert [(command, done.returncode) for command, done in runs if done.returncode] == []
-    assert [command for command, done in runs
-            if done.stdout.splitlines()[-1] == "True"] == []
+    assert {command: done.stdout.splitlines()[-1] for command, done in runs} == {
+        "synth": "['numpy.random']", "validate": "[]", "fit": "[]", "detect": "[]",
+        "report": "[]", "estimate": "[]"}
 
 
 def test_no_command_opens_text_in_the_locale_encoding(tmp_path):
