@@ -184,6 +184,15 @@ def _parse_rule(key: str, text: str) -> BindRule:
     return BindRule(pattern=pattern, kind=kind, role=role)
 
 
+def _typed(path: str, section, key: str, get, fallback):
+    """section[key] through get, one of section's typed getters; a value that
+    does not convert is a TopologyError naming path, section and key."""
+    try:
+        return get(key, fallback=fallback)
+    except ValueError as exc:
+        raise TopologyError(f"{path}: [{section.name}] {key}: {exc}") from None
+
+
 def load_metadata(path: str) -> EquipmentGraph:
     """Parse a topology file into a validated EquipmentGraph.
 
@@ -241,8 +250,9 @@ def load_metadata(path: str) -> EquipmentGraph:
                     vav_id=equip_id,
                     ahu_id=sec.get("ahu", "").strip() or None,
                     zone=sec.get("zone", "").strip() or None,
-                    min_flow_cfm=sec.getfloat("min_flow_cfm", fallback=None),
-                    zone_upper_limit_f=sec.getfloat("zone_upper_limit_f", fallback=None),
+                    min_flow_cfm=_typed(path, sec, "min_flow_cfm", sec.getfloat, None),
+                    zone_upper_limit_f=_typed(path, sec, "zone_upper_limit_f",
+                                              sec.getfloat, None),
                 )
             )
 
@@ -277,7 +287,7 @@ def load_metadata(path: str) -> EquipmentGraph:
         hot_water_temp_point=b.get("hot_water_temp_point", "").strip() or None,
         occupied_start_s=occ_start,
         occupied_end_s=occ_end,
-        occupied_weekdays_only=b.getboolean("occupied_weekdays_only", fallback=True),
+        occupied_weekdays_only=_typed(path, b, "occupied_weekdays_only", b.getboolean, True),
         bind_rules=tuple(rules),
         warnings=tuple(warnings),
     )

@@ -10,7 +10,6 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
@@ -25,7 +24,7 @@ from .errors import ConfigError, DisaggError
 from .faults import read_findings, run_all, write_findings
 from .impact import build_report, estimate_all, format_report, format_table, prioritize, \
     write_report_csv
-from .ingest import _write_numeric_csv, format_timestamp, read_points, \
+from .ingest import _write_numeric_csv, _write_rows, format_timestamp, read_points, \
     read_reference_year, read_trends_cached, write_trends
 from .synth import generate
 from .timeseries import TimeSeries, Unit, rmse
@@ -215,17 +214,12 @@ def _write_impacts(impacts, path: str) -> None:
     def cell(value):
         return "" if value is None else repr(float(value))
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(IMPACTS_HEADER)
-        for est in impacts:
-            f = est.finding
-            writer.writerow([f.rule, f.equipment, est.method,
-                             format_timestamp(f.window_start),
-                             format_timestamp(f.window_end),
-                             cell(est.observed_mmbtu), cell(est.annual_mmbtu),
-                             cell(est.slope), cell(est.intercept), cell(est.r),
-                             est.notes])
+    _write_rows(path, IMPACTS_HEADER, (
+        [est.finding.rule, est.finding.equipment, est.method,
+         format_timestamp(est.finding.window_start), format_timestamp(est.finding.window_end),
+         cell(est.observed_mmbtu), cell(est.annual_mmbtu),
+         cell(est.slope), cell(est.intercept), cell(est.r), est.notes]
+        for est in impacts))
 
 
 def cmd_report(cfg, data, *_) -> int:

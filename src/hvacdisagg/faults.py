@@ -29,22 +29,14 @@ of the window would give.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .energy import BuildingData
-from .errors import (
-    ConfigError,
-    DegenerateSeriesError,
-    DisaggError,
-    FaultRuleError,
-    IngestError,
-    utf8_text,
-)
-from .ingest import format_timestamp, parse_timestamp
+from .errors import ConfigError, DegenerateSeriesError, DisaggError, FaultRuleError
+from .ingest import _Records, _write_rows, format_timestamp, parse_timestamp
 from .timeseries import mpe_of, pearson, percent_errors, rmspe_of
 
 __all__ = [
@@ -432,43 +424,28 @@ FINDINGS_HEADER = ["rule", "rule_name", "equipment", "window_start",
 
 
 def write_findings(findings, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FINDINGS_HEADER)
-        for f in findings:
-            writer.writerow([
-                f.rule, f.rule_name, f.equipment,
-                format_timestamp(f.window_start), format_timestamp(f.window_end),
-                repr(float(f.statistic)), repr(float(f.threshold)), f.detail,
-            ])
+    _write_rows(path, FINDINGS_HEADER, (
+        [f.rule, f.rule_name, f.equipment,
+         format_timestamp(f.window_start), format_timestamp(f.window_end),
+         repr(float(f.statistic)), repr(float(f.threshold)), f.detail]
+        for f in findings))
 
 
 def read_findings(path: str):
-    """The findings write_findings wrote. Blank lines are skipped; a row with
-    an unparsable cell or a rule id outside RULE_NAMES is refused, naming
-    its path:line."""
+    """The findings write_findings wrote. Besides the refusals every CSV
+    input shares (ingest._Records), a file without the exact header is
+    refused, and so is a row with an unparsable cell or a rule id outside
+    RULE_NAMES, naming its path:line."""
     findings = []
-    with utf8_text(path, IngestError), open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FINDINGS_HEADER:
-            raise IngestError(f"{path}: not a findings file")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(FINDINGS_HEADER):
-                raise IngestError(f"{where}: malformed findings row: {row!r}")
-            try:
-                finding = FaultFinding(
-                    rule=int(row[0]), rule_name=row[1], equipment=row[2],
-                    window_start=parse_timestamp(row[3]),
-                    window_end=parse_timestamp(row[4]),
-                    statistic=float(row[5]), threshold=float(row[6]), detail=row[7],
-                )
-            except ValueError as exc:
-                raise IngestError(f"{where}: unreadable findings row: {exc}") from exc
-            if finding.rule not in RULE_NAMES:
-                raise IngestError(f"{where}: unknown rule {finding.rule}")
-            findings.append(finding)
+    records = _Records(path, FINDINGS_HEADER, required="not a findings file")
+    for rule, rule_name, equipment, start, end, statistic, threshold, detail in records:
+        try:
+            finding = FaultFinding(int(rule), rule_name, equipment, parse_timestamp(start),
+                                   parse_timestamp(end), float(statistic), float(threshold),
+                                   detail)
+        except ValueError as exc:
+            raise records.error(f"unreadable findings row: {exc}") from exc
+        if finding.rule not in RULE_NAMES:
+            raise records.error(f"unknown rule {finding.rule}")
+        findings.append(finding)
     return findings

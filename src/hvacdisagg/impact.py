@@ -15,7 +15,6 @@ counterfactual carries no number at all rather than a zero; a zero means
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .calibrate import CalibratedModel
 from .energy import BuildingData, ahu_power, vav_cooling_power, vav_heating_power
 from .errors import DegenerateSeriesError, FitError
 from .faults import RULE_NAMES, FaultFinding, Thresholds
+from .ingest import _write_rows
 from .timeseries import pearson
 
 __all__ = [
@@ -308,13 +308,10 @@ REPORT_HEADER = ["rule", "possible_fault", "count", "mmbtu_per_year", "not_estim
 
 
 def write_report_csv(rows, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_HEADER)
-        for row in rows:
-            energy = "" if row.annual_mmbtu is None else f"{row.annual_mmbtu:.3f}"
-            writer.writerow([row.rule, row.possible_fault, row.count,
-                             energy, row.not_estimable])
+    _write_rows(path, REPORT_HEADER, (
+        [row.rule, row.possible_fault, row.count,
+         "" if row.annual_mmbtu is None else f"{row.annual_mmbtu:.3f}", row.not_estimable]
+        for row in rows))
 
 
 def format_table(header, rows) -> str:

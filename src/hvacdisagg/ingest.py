@@ -1,5 +1,10 @@
 """Reading and writing the on-disk CSV formats.
 
+Every CSV input, the findings of ``faults`` included, is read through
+``_Records``, which holds the one refusal policy: a file that is not UTF-8,
+a record of the wrong width, a cell the csv module cannot read. The
+readers keep only their own field parsing.
+
 Trend logs are long-format CSV with header ``timestamp,point,value``;
 timestamps are ISO-8601 with a UTC offset and values are plain decimals.
 Raw samples land on the canonical grid by bucket: mean for analog points,
@@ -15,12 +20,12 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 from array import array
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from itertools import chain, islice, repeat
+from math import isfinite
 
 import numpy as np
 
@@ -82,14 +87,56 @@ class IngestStats:
 _NORMALIZED_UNIT = {Unit.PERCENT: Unit.FRACTION}
 
 
-def _records(reader, header: list[str]):
-    """reader's rows, less the first when it is header (cells stripped and
-    lowercased). A refusal names reader.line_num, the physical line the
-    current row ends on, so a quoted cell spanning lines keeps the count."""
-    first = next(reader, None)
-    if first is None or [c.strip().lower() for c in first] == header:
-        return reader
-    return chain((first,), reader)
+class _Records:
+    """The records of the CSV input file at path, under one refusal policy.
+
+    Iterating yields each record as wide as header, skipping blank records
+    and a first record equal to header (cells stripped and lowercased). With
+    required set, the first record must be header exactly, or the file is
+    refused with that text. A file that is not UTF-8 is refused naming
+    path. A record of another width, or one the csv module cannot read (a
+    cell over its field limit), goes to bad(): refused naming path:line,
+    the physical line the record ends on, or counted in skipped when
+    lenient, reading going on at the next line.
+    """
+
+    def __init__(self, path: str, header: list[str], lenient: bool = False,
+                 required: str = ""):
+        self.path, self.header, self.lenient, self.required = path, header, lenient, required
+        self.skipped = 0
+
+    def error(self, what: str) -> IngestError:
+        return IngestError(f"{self.path}:{self._reader.line_num}: {what}")
+
+    def bad(self, what: str) -> None:
+        if not self.lenient:
+            raise self.error(what)
+        self.skipped += 1
+
+    def __iter__(self):
+        width = len(self.header)
+        with utf8_text(self.path, IngestError), \
+                open(self.path, "r", encoding="utf-8", newline="") as fh:
+            rows = self._reader = csv.reader(fh)
+            # csv.Error is caught around the loop, so a good row costs nothing
+            # more; after one, the reader picks up again at the next line
+            while True:
+                try:
+                    if self._reader.line_num == 0:
+                        first = next(rows, None)
+                        if self.required:
+                            if first != self.header:
+                                raise IngestError(f"{self.path}: {self.required}")
+                        elif first and [c.strip().lower() for c in first] != self.header:
+                            rows = chain((first,), rows)
+                    for row in rows:
+                        if len(row) == width:
+                            yield row
+                        elif row:
+                            self.bad(f"expected {width} columns, got {len(row)}")
+                    return
+                except csv.Error as exc:
+                    self.bad(str(exc))
 
 
 def _slots_by_point(binding: PointBinding) -> dict:
@@ -121,45 +168,30 @@ def read_trends(
     # each distinct timestamp text repeats once per point; parse it once
     epoch_of: dict = {}
     unknown: set = set()
-    stats = IngestStats()
+    rows = 0
 
-    with utf8_text(path, IngestError), open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row in _records(reader, TREND_HEADER):
-            if not row:
-                continue
-            if len(row) != 3:
-                if strict:
-                    raise IngestError(
-                        f"{path}:{reader.line_num}: expected 3 columns, got {len(row)}")
-                stats.skipped += 1
-                continue
-            stats.rows += 1
-            point_id = row[1].strip()
-            append = appenders.get(point_id)
-            if append is None:
-                unknown.add(point_id)
-                continue
-            text = row[0]
-            try:
-                epoch = epoch_of.get(text)
-                if epoch is None:
-                    epoch = epoch_of[text] = parse_timestamp(text)
-                value = float(row[2])
-            except ValueError as exc:
-                if strict:
-                    raise IngestError(f"{path}:{reader.line_num}: {exc}") from exc
-                stats.skipped += 1
-                continue
-            if not math.isfinite(value):
-                if strict:
-                    raise IngestError(f"{path}:{reader.line_num}: non-finite value")
-                stats.skipped += 1
-                continue
-            append[0](epoch)
-            append[1](value)
+    records = _Records(path, TREND_HEADER, lenient=not strict)
+    for text, point, value in records:
+        rows += 1
+        point_id = point.strip()
+        append = appenders.get(point_id)
+        if append is None:
+            unknown.add(point_id)
+            continue
+        try:
+            epoch = epoch_of.get(text)
+            if epoch is None:
+                epoch = epoch_of[text] = parse_timestamp(text)
+            value = float(value)
+            if not isfinite(value):
+                raise ValueError("non-finite value")
+        except ValueError as exc:
+            records.bad(str(exc))
+            continue
+        append[0](epoch)
+        append[1](value)
 
-    stats.unknown_points = len(unknown)
+    stats = IngestStats(rows=rows, skipped=records.skipped, unknown_points=len(unknown))
     if unknown:
         shown = ", ".join(sorted(unknown)[:5])
         stats.messages.append(f"{len(unknown)} unbound point(s) ignored ({shown} ...)")
@@ -294,36 +326,31 @@ def read_points(path: str) -> list[PointInfo]:
     """Point inventory CSV: point_id, display name, unit tag."""
     points: list[PointInfo] = []
     seen: set[str] = set()
-    with utf8_text(path, IngestError), open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row in _records(reader, POINTS_HEADER):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise IngestError(
-                    f"{path}:{reader.line_num}: expected 3 columns, got {len(row)}")
-            point_id, name, unit_text = (c.strip() for c in row)
-            if point_id in seen:
-                raise IngestError(
-                    f"{path}:{reader.line_num}: duplicate point id '{point_id}'")
-            seen.add(point_id)
-            try:
-                unit = Unit(unit_text)
-            except ValueError:
-                raise IngestError(
-                    f"{path}:{reader.line_num}: "
-                    f"unknown unit '{unit_text}' for point '{point_id}'"
-                ) from None
-            points.append(PointInfo(point_id=point_id, raw_name=name, unit=unit))
+    records = _Records(path, POINTS_HEADER)
+    for row in records:
+        point_id, name, unit_text = (c.strip() for c in row)
+        if point_id in seen:
+            raise records.error(f"duplicate point id '{point_id}'")
+        seen.add(point_id)
+        try:
+            unit = Unit(unit_text)
+        except ValueError:
+            raise records.error(f"unknown unit '{unit_text}' for point '{point_id}'") from None
+        points.append(PointInfo(point_id=point_id, raw_name=name, unit=unit))
     return points
 
 
-def write_points(points, path: str) -> None:
+def _write_rows(path: str, header, rows) -> None:
+    """Write header, then rows, through csv.writer: the files with free text."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(POINTS_HEADER)
-        for p in sorted(points, key=lambda p: p.point_id):
-            writer.writerow([p.point_id, p.raw_name, p.unit.value])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_points(points, path: str) -> None:
+    _write_rows(path, POINTS_HEADER, ([p.point_id, p.raw_name, p.unit.value]
+                                      for p in sorted(points, key=lambda p: p.point_id)))
 
 
 def _csv_cell(text: str) -> str:
@@ -404,24 +431,18 @@ def write_trends(series_list, path: str) -> None:
 def read_reference_year(path: str) -> np.ndarray:
     """Daily outdoor temps for a reference year, indexed day-of-year 1..365."""
     out = np.full(365, np.nan)
-    with utf8_text(path, IngestError), open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row in _records(reader, REFERENCE_YEAR_HEADER):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise IngestError(f"{path}:{reader.line_num}: expected 2 columns")
-            try:
-                day = int(row[0])
-                oat = float(row[1])
-            except ValueError as exc:
-                raise IngestError(f"{path}:{reader.line_num}: {exc}") from exc
-            if day == 366:
-                continue  # leap day has no slot in the 365-day reference
-            if not 1 <= day <= 365:
-                raise IngestError(
-                    f"{path}:{reader.line_num}: day_of_year {day} out of range")
-            out[day - 1] = oat
+    records = _Records(path, REFERENCE_YEAR_HEADER)
+    for day_text, oat_text in records:
+        try:
+            day = int(day_text)
+            oat = float(oat_text)
+        except ValueError as exc:
+            raise records.error(str(exc)) from exc
+        if day == 366:
+            continue  # leap day has no slot in the 365-day reference
+        if not 1 <= day <= 365:
+            raise records.error(f"day_of_year {day} out of range")
+        out[day - 1] = oat
     missing = int(np.isnan(out).sum())
     if missing:
         raise IngestError(f"{path}: reference year incomplete, {missing} day(s) missing")

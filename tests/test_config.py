@@ -453,6 +453,52 @@ class TestCli:
         if command == "validate":  # refused before or while the trends are parsed
             assert not (Path(conf).parent / "out" / TRENDS_CACHE_NAME).exists()
 
+    @pytest.mark.parametrize("filename, record, command", [
+        ("trends.csv", "2026-01-05T00:00:00+00:00,{cell},1.0", ["validate", "--strict"]),
+        ("points.csv", "B1.X,{cell},degF", ["validate"]),
+        ("reference_year.csv", "1,{cell}", ["report"]),
+        ("findings.csv", "2,{cell},AH1,2026-01-05T00:00:00+00:00,"
+                         "2026-01-12T00:00:00+00:00,-13.0,-5.0,x", ["report"]),
+    ], ids=["trends", "points", "reference-year", "findings"])
+    def test_cell_over_the_field_limit_exits_one(self, cli_bundle, tmp_path, capsys,
+                                                 filename, record, command):
+        # csv's own error becomes the reader's refusal, naming path:line
+        conf = _damaged(cli_bundle, tmp_path,
+                        lambda work: shutil.rmtree(work / "out", ignore_errors=True))
+        if command == ["report"]:
+            assert main(["fit", "--config", conf]) == 0
+            assert main(["detect", "--config", conf]) == 0
+        path = Path(conf).parent / filename
+        line = path.read_bytes().count(b"\n") + 1
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            fh.write(record.format(cell="x" * 140_000) + "\r\n")
+        capsys.readouterr()
+        rc = main([*command, "--config", conf])
+        err = capsys.readouterr().err
+        assert (rc, err) == (1, f"error: {path}:{line}: field larger than field limit "
+                                f"(131072)\n")
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("vav VAV1-01", "min_flow_cfm", "lots", "could not convert string to float: 'lots'"),
+        ("vav VAV1-01", "zone_upper_limit_f", "7 6",
+         "could not convert string to float: '7 6'"),
+        ("building", "occupied_weekdays_only", "maybe", "Not a boolean: maybe"),
+    ], ids=["min-flow", "zone-limit", "weekdays-only"])
+    def test_bad_typed_topology_value_exits_one(self, cli_bundle, tmp_path, capsys,
+                                                section, key, value, message):
+        # the first occurrence of key is in section
+        conf = _damaged(cli_bundle, tmp_path, lambda work: None)
+        path = Path(conf).parent / "topology.ini"
+        text, n = re.subn(f"^{key} = .*$", f"{key} = {value}",
+                          path.read_text(encoding="utf-8"), count=1, flags=re.M)
+        assert n == 1
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        for command in ("validate", "fit"):
+            rc = main([command, "--config", conf])
+            assert (rc, capsys.readouterr().err) == (
+                1, f"error: {path}: [{section}] {key}: {message}\n")
+
     @pytest.mark.parametrize("filename", ["model.ini", "run.conf"])
     @pytest.mark.parametrize("key, value", [("air_power_k", "-1.08"), ("mode_deadband_f", "-3")])
     def test_constants_out_of_range_refused(self, cli_bundle, tmp_path, capsys,

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import block_edge_lengths, counted_parses, extreme_column, traced_peak_bytes
 from hvacdisagg.building import PointBinding, PointRole
 from hvacdisagg.errors import IngestError
+from hvacdisagg.faults import FINDINGS_HEADER, read_findings
 from hvacdisagg.ingest import (
     TREND_HEADER,
     TRENDS_CACHE_NAME,
@@ -739,3 +740,69 @@ def test_missing_trend_file_with_warm_cache_is_os_error(cache_case):
     path.unlink()
     with pytest.raises(OSError):
         read_trends_cached(str(path), ORACLE_BINDING, GRID, False, str(out))
+
+
+# -- one refusal policy for every CSV reader ----------------------------------
+
+# reader, header, one good record; the records' cells hold no comma
+_CSV_READERS = {
+    "trends": (functools.partial(read_trends, binding=ORACLE_BINDING, interval_s=GRID,
+                                 strict=True),
+               TREND_HEADER, [format_timestamp(T0), "A", "1.0"]),
+    "points": (read_points, ["point_id", "name", "unit"], ["A", "a", "degF"]),
+    "reference-year": (read_reference_year, ["day_of_year", "oat_f"], ["1", "50.0"]),
+    "findings": (read_findings, FINDINGS_HEADER,
+                 ["2", "cooling valve leak", "AH1", format_timestamp(T0),
+                  format_timestamp(T0 + 7 * 86400), "-13.0", "-5.0", "x"]),
+}
+_READER_IDS = list(_CSV_READERS)
+
+
+def _csv_file(path, name, bad):
+    """header, a good record, a blank line, then bad on line 4."""
+    _, header, good = _CSV_READERS[name]
+    path.write_bytes(b"".join(",".join(r).encode("utf-8") + b"\r\n"
+                              for r in (header, good, [])) + bad + b"\r\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("name", _READER_IDS)
+def test_cell_over_the_field_limit_is_refused_with_its_line(tmp_path, name):
+    read, _, good = _CSV_READERS[name]
+    bad = ",".join([good[0], "x" * 140_000] + good[2:]).encode("utf-8")
+    path = _csv_file(tmp_path / "f.csv", name, bad)
+    with pytest.raises(IngestError, match=f"^{re.escape(path)}:4: field larger than field "
+                                          r"limit \(131072\)$"):
+        read(path)
+
+
+@pytest.mark.parametrize("name", _READER_IDS)
+def test_every_reader_refuses_bad_width_and_bad_utf8_alike(tmp_path, name):
+    read, _, good = _CSV_READERS[name]
+    for bad, got in [(good + ["extra"], len(good) + 1), (good[:1], 1)]:
+        path = _csv_file(tmp_path / f"w{got}.csv", name, ",".join(bad).encode("utf-8"))
+        with pytest.raises(IngestError, match=f"^{re.escape(path)}:4: expected {len(good)} "
+                                              f"columns, got {got}$"):
+            read(path)
+    path = _csv_file(tmp_path / "latin1.csv", name, "caf\xe9".encode("latin-1"))
+    with pytest.raises(IngestError, match=f"^{re.escape(path)}: 'utf-8' codec can't "
+                                          "decode byte 0xe9"):
+        read(path)
+
+
+def test_lenient_read_skips_an_unreadable_record_and_reads_on(tmp_path):
+    # the record csv cannot tokenize counts as skipped, like any malformed
+    # row, and every row after it is read as if it were not there
+    rows = [[format_timestamp(T0 + 300 * i), point, str(float(i))]
+            for i in range(6) for point in ("A", "P", "B")]
+    plain, huge = tmp_path / "plain.csv", tmp_path / "huge.csv"
+    _write_rows(plain, True, rows)
+    _write_rows(huge, True, rows[:4] + [[format_timestamp(T0), "A", "9" * 140_000]]
+                + rows[4:])
+    want_series, want_stats = read_trends(str(plain), ORACLE_BINDING, interval_s=GRID)
+    got_series, got_stats = read_trends(str(huge), ORACLE_BINDING, interval_s=GRID)
+    assert got_stats == dataclasses.replace(want_stats, skipped=want_stats.skipped + 1)
+    assert_same_read((got_series, want_stats), (want_series, want_stats))
+    # the strict read refuses it on its own line, the header being line 1
+    with pytest.raises(IngestError, match=f"^{re.escape(str(huge))}:6: field larger"):
+        read_trends(str(huge), ORACLE_BINDING, interval_s=GRID, strict=True)

@@ -180,3 +180,19 @@ def test_every_public_name_has_a_caller_outside_tests():
               for qualname, name in _public_definitions(tree)
               if name not in used and f"{module}.{qualname}" not in UNREFERENCED_OK]
     assert unused == []
+
+
+def test_only_ingest_uses_the_csv_module():
+    # the CSV format is ingest's alone: every input is read through one
+    # csv.reader in _Records, so a fifth reader cannot skip its refusals
+    # (not UTF-8, a record of the wrong width, a cell csv cannot read)
+    importers, readers = [], []
+    for path in sorted((ROOT / "src" / "hvacdisagg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "csv"):
+                importers.append(path.stem)
+            if (isinstance(node, ast.Attribute) and node.attr == "reader"
+                    and isinstance(node.value, ast.Name) and node.value.id == "csv"):
+                readers.append(path.stem)
+    assert (importers, readers) == (["ingest"], ["ingest"])
