@@ -8,12 +8,11 @@ rules that bind the rest of the inventory.
 
 from __future__ import annotations
 
-import configparser
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import BindingError, TopologyError, UnitMismatchError, utf8_text
+from .errors import BindingError, TopologyError, UnitMismatchError, _Ini
 from .timeseries import Unit
 
 __all__ = [
@@ -158,39 +157,33 @@ class EquipmentGraph:
         return [v.vav_id for v in self.vavs]
 
 
-def _parse_schedule(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(\d{2}):(\d{2})-(\d{2}):(\d{2})", text.strip())
+def _parse_schedule(text: str) -> tuple[int, int] | None:
+    """(start, end) seconds of day of 'HH:MM-HH:MM'; None for empty text."""
+    if not text:
+        return None
+    m = re.fullmatch(r"(\d{2}):(\d{2})-(\d{2}):(\d{2})", text)
     if not m:
-        raise TopologyError(f"bad occupied_schedule '{text}', expected HH:MM-HH:MM")
+        raise ValueError(f"expected HH:MM-HH:MM, got '{text}'")
     start = int(m.group(1)) * 3600 + int(m.group(2)) * 60
     end = int(m.group(3)) * 3600 + int(m.group(4)) * 60
     if not 0 <= start < end <= 24 * 3600:
-        raise TopologyError(f"occupied_schedule '{text}' out of order")
+        raise ValueError(f"'{text}' out of order")
     return start, end
 
 
-def _parse_rule(key: str, text: str) -> BindRule:
-    m = re.fullmatch(r"(\S+)\s*->\s*(vav|ahu|building)\s+(\S+)", text.strip())
+def _parse_rule(text: str) -> BindRule:
+    m = re.fullmatch(r"(\S+)\s*->\s*(vav|ahu|building)\s+(\S+)", text)
     if not m:
-        raise TopologyError(f"rule '{key}': expected 'PATTERN -> kind Role', got '{text}'")
+        raise ValueError(f"expected 'PATTERN -> kind Role', got '{text}'")
     pattern, kind, role_name = m.groups()
     try:
         role = PointRole(role_name)
     except ValueError:
-        raise TopologyError(f"rule '{key}': unknown role '{role_name}'") from None
+        raise ValueError(f"unknown role '{role_name}'") from None
     expected = {"vav": VAV_ROLES, "ahu": AHU_ROLES, "building": BUILDING_ROLES}[kind]
     if role not in expected:
-        raise TopologyError(f"rule '{key}': role {role.value} is not a {kind} role")
+        raise ValueError(f"role {role.value} is not a {kind} role")
     return BindRule(pattern=pattern, kind=kind, role=role)
-
-
-def _typed(path: str, section, key: str, get, fallback):
-    """section[key] through get, one of section's typed getters; a value that
-    does not convert is a TopologyError naming path, section and key."""
-    try:
-        return get(key, fallback=fallback)
-    except ValueError as exc:
-        raise TopologyError(f"{path}: [{section.name}] {key}: {exc}") from None
 
 
 def load_metadata(path: str) -> EquipmentGraph:
@@ -200,24 +193,12 @@ def load_metadata(path: str) -> EquipmentGraph:
     an assigned air handler is auto-assigned when the building has exactly
     one, otherwise it is left unmapped and later excluded from the sums.
     """
-    cp = configparser.ConfigParser(interpolation=None)
-    try:
-        with utf8_text(path, TopologyError):
-            read = cp.read(path, encoding="utf-8")
-    except configparser.DuplicateSectionError as exc:
-        raise TopologyError(f"{path}: duplicate equipment id (line {exc.lineno})") from exc
-    except configparser.Error as exc:
-        raise TopologyError(f"{path}: {exc}") from exc
-    if not read:
-        raise OSError(f"topology file not found: {path}")
-    if "building" not in cp:
-        raise TopologyError(f"{path}: missing [building] section")
-    b = cp["building"]
-    building_id = b.get("id", "").strip()
+    ini = _Ini(path, TopologyError)
+    building_id = ini.get("building", "id")
     if not building_id:
-        raise TopologyError(f"{path}: [building] needs an id")
-    cooling_meter = b.get("cooling_meter_point", "").strip()
-    heating_meter = b.get("heating_meter_point", "").strip()
+        raise ini.refused("building", "id", "empty")
+    cooling_meter = ini.get("building", "cooling_meter_point", fallback="")
+    heating_meter = ini.get("building", "heating_meter_point", fallback="")
     if not cooling_meter or not heating_meter:
         raise TopologyError(f"{path}: missing building meter point")
 
@@ -227,12 +208,11 @@ def load_metadata(path: str) -> EquipmentGraph:
     rules: list[BindRule] = []
     seen: set[str] = set()
 
-    for section in cp.sections():
+    for section in ini.sections():
         if section == "building":
             continue
         if section == "rules":
-            for key, value in cp.items("rules"):
-                rules.append(_parse_rule(key, value))
+            rules += [ini.get("rules", key, _parse_rule) for key in ini.keys("rules")]
             continue
         parts = section.split(None, 1)
         if len(parts) != 2 or parts[0] not in ("ahu", "vav"):
@@ -241,18 +221,17 @@ def load_metadata(path: str) -> EquipmentGraph:
         if equip_id in seen:
             raise TopologyError(f"{path}: duplicate equipment id '{equip_id}'")
         seen.add(equip_id)
-        sec = cp[section]
         if kind == "ahu":
             ahus.append(AhuNode(ahu_id=equip_id))
         else:
             vavs.append(
                 VavNode(
                     vav_id=equip_id,
-                    ahu_id=sec.get("ahu", "").strip() or None,
-                    zone=sec.get("zone", "").strip() or None,
-                    min_flow_cfm=_typed(path, sec, "min_flow_cfm", sec.getfloat, None),
-                    zone_upper_limit_f=_typed(path, sec, "zone_upper_limit_f",
-                                              sec.getfloat, None),
+                    ahu_id=ini.get(section, "ahu", fallback="") or None,
+                    zone=ini.get(section, "zone", fallback="") or None,
+                    min_flow_cfm=ini.get(section, "min_flow_cfm", float, fallback=None),
+                    zone_upper_limit_f=ini.get(section, "zone_upper_limit_f", float,
+                                               fallback=None),
                 )
             )
 
@@ -273,9 +252,9 @@ def load_metadata(path: str) -> EquipmentGraph:
             raise TopologyError(f"{path}: VAV '{v.vav_id}' references unknown AHU '{v.ahu_id}'")
         fixed.append(v)
 
-    sched = b.get("occupied_schedule", "").strip()
-    occ_start, occ_end = (_parse_schedule(sched) if sched else
-                          (EquipmentGraph.occupied_start_s, EquipmentGraph.occupied_end_s))
+    occ_start, occ_end = (
+        ini.get("building", "occupied_schedule", _parse_schedule, fallback=None)
+        or (EquipmentGraph.occupied_start_s, EquipmentGraph.occupied_end_s))
 
     return EquipmentGraph(
         building_id=building_id,
@@ -283,11 +262,12 @@ def load_metadata(path: str) -> EquipmentGraph:
         vavs=tuple(fixed),
         cooling_meter_point=cooling_meter,
         heating_meter_point=heating_meter,
-        oat_point=b.get("oat_point", "").strip() or None,
-        hot_water_temp_point=b.get("hot_water_temp_point", "").strip() or None,
+        oat_point=ini.get("building", "oat_point", fallback="") or None,
+        hot_water_temp_point=ini.get("building", "hot_water_temp_point", fallback="") or None,
         occupied_start_s=occ_start,
         occupied_end_s=occ_end,
-        occupied_weekdays_only=_typed(path, b, "occupied_weekdays_only", b.getboolean, True),
+        occupied_weekdays_only=ini.get("building", "occupied_weekdays_only", bool,
+                                       fallback=True),
         bind_rules=tuple(rules),
         warnings=tuple(warnings),
     )

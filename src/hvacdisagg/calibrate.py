@@ -15,14 +15,13 @@ it; fitting, scoring and `estimate` take `Powers` once per window.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .energy import DEFAULT_CONSTANTS, PhysicalConstants, Powers
-from .errors import ConfigError, FitError, RankDeficiencyError, utf8_text
+from .errors import ConfigError, FitError, RankDeficiencyError, _finite, _Ini
 from .ingest import format_timestamp, parse_timestamp
 from .timeseries import rmse
 
@@ -89,8 +88,8 @@ def fit_linear(features: np.ndarray, target: np.ndarray,
     n, p = x.shape
     if y.shape != (n,):
         raise FitError("feature and target row counts differ")
-    if np.isnan(x).any() or np.isnan(y).any():
-        raise FitError("fit inputs contain gaps; drop incomplete rows first")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise FitError("fit inputs contain gaps or non-finite values; drop incomplete rows first")
     if n < p + 2:
         raise FitError(f"need at least {p + 2} rows to fit {p + 1} coefficients, got {n}")
     if column_names is None:
@@ -153,9 +152,9 @@ class SubModelFit:
 def _fit_submodel(name: str, columns: list[tuple[str, np.ndarray]],
                   target: np.ndarray, mask: np.ndarray | bool = True) -> SubModelFit:
     """Shared drop/fit/diagnose path for the three balance fits."""
-    keep = mask & ~np.isnan(target)
+    keep = mask & np.isfinite(target)
     for _, col in columns:
-        keep &= ~np.isnan(col)
+        keep &= np.isfinite(col)
     n = int(keep.sum())
     if n < MIN_FIT_ROWS:
         raise FitError(
@@ -311,7 +310,7 @@ def predictions(model: CalibratedModel, powers: Powers) -> dict[str, np.ndarray]
 
 def _evaluate_sub(sub: SubModelFit, pred: np.ndarray, target: np.ndarray,
                   mask: np.ndarray | bool = True) -> SubModelFit:
-    keep = mask & ~np.isnan(target) & ~np.isnan(pred)
+    keep = mask & np.isfinite(target) & np.isfinite(pred)
     n = int(keep.sum())
     if n == 0:
         return sub
@@ -343,15 +342,24 @@ def evaluate(model: CalibratedModel, data) -> CalibratedModel:
     return dataclasses.replace(model, submodels=subs, test_window=(data.start, data.end))
 
 
-def _format_float(value: float) -> str:
-    return f"{value:.12g}"
+# a sub-model's diagnostics in model.ini: the train scores always, the test
+# scores all or none
+_TRAIN_KEYS = ("n_train", "train_rmse", "baseline_train_rmse", "train_target_mean")
+_TEST_KEYS = ("n_test", "test_rmse", "baseline_test_rmse", "improvement_pct")
+
+
+def _format_value(value: int | float | None) -> str:
+    """A number as model.ini holds it: an int as it is, a float to 12
+    significant digits, None as n/a."""
+    if value is None:
+        return "n/a"
+    return str(value) if isinstance(value, int) else f"{value:.12g}"
 
 
 def save_model(model: CalibratedModel, path: str) -> None:
-    cp = configparser.ConfigParser(interpolation=None)
-    cp["model"] = {
+    meta = {
         "format": str(MODEL_FORMAT),
-        **{f.name: _format_float(getattr(model.constants, f.name))
+        **{f.name: _format_value(getattr(model.constants, f.name))
            for f in dataclasses.fields(PhysicalConstants)},
         "interval_s": str(model.interval_s),
         "train_start": format_timestamp(model.train_window[0]),
@@ -359,120 +367,62 @@ def save_model(model: CalibratedModel, path: str) -> None:
         "reheat_fitted": str(model.reheat_fitted).lower(),
     }
     if model.test_window is not None:
-        cp["model"]["test_start"] = format_timestamp(model.test_window[0])
-        cp["model"]["test_end"] = format_timestamp(model.test_window[1])
-    cp["coefficients"] = {name: _format_float(model.coefficients[name])
-                          for name in COEFFICIENT_NAMES}
+        meta["test_start"] = format_timestamp(model.test_window[0])
+        meta["test_end"] = format_timestamp(model.test_window[1])
+    sections = {"model": meta,
+                "coefficients": {name: _format_value(model.coefficients[name])
+                                 for name in COEFFICIENT_NAMES}}
     for name, sub in model.submodels.items():
-        section = f"diagnostics {name}"
-        cp[section] = {
-            "n_train": str(sub.n_train),
-            "train_rmse": _format_float(sub.train_rmse),
-            "baseline_train_rmse": _format_float(sub.baseline_train_rmse),
-            "train_target_mean": _format_float(sub.train_target_mean),
-        }
-        if sub.n_test is not None:
-            cp[section]["n_test"] = str(sub.n_test)
-            cp[section]["test_rmse"] = _format_float(sub.test_rmse)
-            cp[section]["baseline_test_rmse"] = _format_float(sub.baseline_test_rmse)
-            cp[section]["improvement_pct"] = (
-                "n/a" if sub.improvement_pct is None
-                else _format_float(sub.improvement_pct))
+        keys = _TRAIN_KEYS + (_TEST_KEYS if sub.n_test is not None else ())
+        diagnostics = sections[f"diagnostics {name}"] = {
+            key: _format_value(getattr(sub, key)) for key in keys}
         if sub.warnings:
-            cp[section]["warnings"] = " ; ".join(sub.warnings)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        cp.write(fh)
+            diagnostics["warnings"] = " ; ".join(sub.warnings)
+    _Ini.write(path, sections)
 
 
-def _required(cp: configparser.ConfigParser, path: str, section: str, key: str, get=None):
-    """A value the model file at path must hold, read by get(section, key)
-    (cp.get when None); a missing or unreadable one is a ConfigError."""
-    if not cp.has_option(section, key):
-        raise ConfigError(f"bad model file: {path}: no '{key}' in [{section}]")
-    try:
-        return (get or cp.get)(section, key)
-    except ValueError as exc:
-        raise ConfigError(f"bad model file: {path}: [{section}] {key}: {exc}") from exc
-
-
-def _read_sub(cp: configparser.ConfigParser, path: str, name: str,
-              coefficient_names: tuple[str, ...],
+def _read_sub(ini: _Ini, name: str, coefficient_names: tuple[str, ...],
               coefficients: tuple[float, ...]) -> SubModelFit:
     section = f"diagnostics {name}"
-
-    def number(key):
-        return _required(cp, path, section, key, cp.getfloat)
-
-    n_test = test_rmse = baseline_test_rmse = improvement = None
-    if any(cp.has_option(section, key)
-           for key in ("n_test", "test_rmse", "baseline_test_rmse", "improvement_pct")):
-        n_test = _required(cp, path, section, "n_test", cp.getint)
-        test_rmse, baseline_test_rmse = number("test_rmse"), number("baseline_test_rmse")
-        if _required(cp, path, section, "improvement_pct") != "n/a":
-            improvement = number("improvement_pct")
-    warnings = tuple(w.strip() for w in cp.get(section, "warnings", fallback="").split(" ; ")
-                     if w.strip())
-    return SubModelFit(
-        name=name,
-        coefficient_names=coefficient_names,
-        coefficients=coefficients,
-        n_train=_required(cp, path, section, "n_train", cp.getint),
-        train_rmse=number("train_rmse"),
-        baseline_train_rmse=number("baseline_train_rmse"),
-        train_target_mean=number("train_target_mean"),
-        warnings=warnings,
-        n_test=n_test,
-        test_rmse=test_rmse,
-        baseline_test_rmse=baseline_test_rmse,
-        improvement_pct=improvement,
-    )
+    tested = any(ini.has(section, key) for key in _TEST_KEYS)
+    scores = ini.fields(SubModelFit, section, _TRAIN_KEYS + (_TEST_KEYS if tested else ()),
+                        improvement_pct=lambda text: None if text == "n/a" else _finite(text))
+    warnings = ini.get(section, "warnings", fallback="").split(" ; ")
+    return SubModelFit(name=name, coefficient_names=coefficient_names,
+                       coefficients=coefficients,
+                       warnings=tuple(w.strip() for w in warnings if w.strip()), **scores)
 
 
 def load_model(path: str) -> CalibratedModel:
     """Read a file save_model wrote. Every key but a sub-model's warnings is
     required, the test window and test scores as all-or-none groups; a
-    missing, unreadable or unknown part is a ConfigError."""
-    cp = configparser.ConfigParser(interpolation=None)
-    with utf8_text(path, ConfigError), open(path, encoding="utf-8") as fh:
-        try:
-            cp.read_file(fh, source=path)
-        except configparser.Error as exc:
-            raise ConfigError(f"bad model file: {exc}") from exc
-    if not cp.has_section("model") or not cp.has_section("coefficients"):
-        raise ConfigError(f"bad model file: {path} missing [model] or [coefficients]")
-    model_format = _required(cp, path, "model", "format", cp.getint)
+    missing, unreadable or unknown part is a ConfigError naming path and,
+    where it has them, the section and key."""
+    ini = _Ini(path, ConfigError)
+    model_format = ini.get("model", "format", int)
     if model_format != MODEL_FORMAT:
-        raise ConfigError(f"bad model file: {path}: unsupported model format {model_format}")
-    for section in cp.sections():
+        raise ini.refused("model", "format", f"unsupported model format {model_format}")
+    for section in ini.sections():
         name = section.removeprefix("diagnostics ")
         if name != section and name not in SUBMODELS:
-            raise ConfigError(f"bad model file: {path}: unknown diagnostics section '{name}'")
+            raise ini.refused(section, None, f"unknown diagnostics section '{name}'")
 
-    def stamp(section, key):
-        return parse_timestamp(cp.get(section, key))
-
-    coefficients = {name: _required(cp, path, "coefficients", name, cp.getfloat)
-                    for name in COEFFICIENT_NAMES}
-    try:
-        constants = PhysicalConstants(**{f.name: _required(cp, path, "model", f.name, cp.getfloat)
-                                         for f in dataclasses.fields(PhysicalConstants)})
-    except ValueError as exc:
-        raise ConfigError(f"bad model file: {path}: {exc}") from exc
-    train_window = (_required(cp, path, "model", "train_start", stamp),
-                    _required(cp, path, "model", "train_end", stamp))
+    coefficients = {name: ini.get("coefficients", name, float) for name in COEFFICIENT_NAMES}
+    constants = ini.build(PhysicalConstants, "model")
+    train_window = (ini.get("model", "train_start", parse_timestamp),
+                    ini.get("model", "train_end", parse_timestamp))
     test_window = None
-    if cp.has_option("model", "test_start") or cp.has_option("model", "test_end"):
-        test_window = (_required(cp, path, "model", "test_start", stamp),
-                       _required(cp, path, "model", "test_end", stamp))
-    reheat_fitted = _required(cp, path, "model", "reheat_fitted", cp.getboolean)
+    if ini.has("model", "test_start") or ini.has("model", "test_end"):
+        test_window = (ini.get("model", "test_start", parse_timestamp),
+                       ini.get("model", "test_end", parse_timestamp))
+    reheat_fitted = ini.get("model", "reheat_fitted", bool)
 
     submodels: dict[str, SubModelFit] = {}
     for name, spec in SUBMODELS.items():
         names = tuple(c for c in spec.coefficients if reheat_fitted or c != "c7")
-        submodels[name] = _read_sub(cp, path, name, names,
-                                    tuple(coefficients[c] for c in names))
+        submodels[name] = _read_sub(ini, name, names, tuple(coefficients[c] for c in names))
 
-    interval_s = _required(cp, path, "model", "interval_s", cp.getint)
+    interval_s = ini.get("model", "interval_s", int)
     warnings = tuple(w for sub in submodels.values() for w in sub.warnings)
     return CalibratedModel(
         coefficients=coefficients,

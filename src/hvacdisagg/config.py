@@ -9,13 +9,12 @@ from the file alone.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import os
 from dataclasses import dataclass
 
 from .energy import PhysicalConstants
-from .errors import ConfigError, utf8_text
+from .errors import ConfigError, _Ini
 from .faults import Thresholds
 from .ingest import parse_timestamp
 from .synth import FaultInjection, ScenarioSpec, scenario_faulted, \
@@ -55,69 +54,17 @@ class RunConfig:
             raise ConfigError("missing input file(s): " + ", ".join(missing))
 
 
-def _section(cp: configparser.ConfigParser, name: str, path: str):
-    if not cp.has_section(name):
-        raise ConfigError(f"{path}: missing [{name}] section")
-    return cp[name]
-
-
-def _get(section, key: str, path: str) -> str:
-    if key not in section:
-        raise ConfigError(f"{path}: [{section.name}] is missing '{key}'")
-    return section[key]
-
-
-def _read(path: str, what: str) -> configparser.ConfigParser:
-    """The sectioned file at path; a missing or unparsable one is a
-    ConfigError naming it."""
-    cp = configparser.ConfigParser(interpolation=None)
-    try:
-        with utf8_text(path, ConfigError):
-            read = cp.read(path, encoding="utf-8")
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if not read:
-        raise ConfigError(f"cannot read {what} file: {path}")
-    return cp
-
-
 def load_run_config(path: str) -> RunConfig:
-    cp = _read(path, "config")
+    ini = _Ini(path, ConfigError, "config")
     base = os.path.dirname(os.path.abspath(path))
-
-    paths = _section(cp, "paths", path)
-    resolved = {}
-    for key in _INPUT_PATH_KEYS + _OUTPUT_PATH_KEYS:
-        value = _get(paths, key, path)
-        resolved[key] = os.path.normpath(os.path.join(base, value))
-
-    th_sec = _section(cp, "thresholds", path)
-    th_kwargs = {}
-    for f in dataclasses.fields(Thresholds):
-        raw = _get(th_sec, f.name, path)
-        try:
-            # field types are postponed-evaluation strings here
-            th_kwargs[f.name] = int(raw) if f.type in (int, "int") else float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: thresholds.{f.name}: {exc}") from exc
-    thresholds = Thresholds(**th_kwargs)
-
-    const_sec = _section(cp, "constants", path)
-    try:
-        constants = PhysicalConstants(**{
-            f.name: float(_get(const_sec, f.name, path))
-            for f in dataclasses.fields(PhysicalConstants)})
-        interval_s = int(_get(const_sec, "interval_s", path))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: constants: {exc}") from exc
+    resolved = {key: os.path.normpath(os.path.join(base, ini.get("paths", key)))
+                for key in _INPUT_PATH_KEYS + _OUTPUT_PATH_KEYS}
+    thresholds = ini.build(Thresholds, "thresholds")
+    constants = ini.build(PhysicalConstants, "constants")
+    interval_s = ini.get("constants", "interval_s", int)
     if interval_s <= 0:
-        raise ConfigError(f"{path}: constants.interval_s must be positive")
-
-    fit_sec = _section(cp, "fit", path)
-    try:
-        split_fraction = float(_get(fit_sec, "split_fraction", path))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: fit.split_fraction: {exc}") from exc
+        raise ini.refused("constants", "interval_s", "must be positive")
+    split_fraction = ini.get("fit", "split_fraction", float)
 
     return RunConfig(
         topology_path=resolved["topology"],
@@ -145,25 +92,10 @@ SCENARIO_PRESETS = {
     "impact": scenario_impact,
 }
 
-_SPEC_SKIP = {"faults"}
 
-
-def _parse_spec_value(field: dataclasses.Field, raw: str):
-    if field.name == "coefficients":
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        return tuple(float(p) for p in parts)
-    if field.type in (bool, "bool"):
-        lowered = raw.strip().lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    if field.type in (int, "int"):
-        return int(raw)
-    if field.type in (float, "float"):
-        return float(raw)
-    return raw
+def _injection_start(text: str) -> int:
+    """An injection's start: epoch seconds, or an ISO-8601 timestamp."""
+    return int(text) if text.lstrip("-").isdigit() else parse_timestamp(text)
 
 
 def load_scenario_spec(path: str, seed: int | None = None) -> ScenarioSpec:
@@ -173,53 +105,19 @@ def load_scenario_spec(path: str, seed: int | None = None) -> ScenarioSpec:
     fields; [injection N] sections replace the preset's fault list when
     present. A seed argument (the --seed flag) wins over everything.
     """
-    cp = _read(path, "scenario")
-    sec = _section(cp, "scenario", path)
-
-    overrides = {}
-    preset = None
-    fields = {f.name: f for f in dataclasses.fields(ScenarioSpec)}
-    for key, raw in sec.items():
-        if key == "preset":
-            if raw not in SCENARIO_PRESETS:
-                known = ", ".join(sorted(SCENARIO_PRESETS))
-                raise ConfigError(f"{path}: unknown preset '{raw}' (known: {known})")
-            preset = raw
-            continue
-        if key in _SPEC_SKIP or key not in fields:
-            raise ConfigError(f"{path}: unknown scenario field '{key}'")
-        try:
-            overrides[key] = _parse_spec_value(fields[key], raw)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: scenario.{key}: {exc}") from exc
-
-    injections = []
-    for name in cp.sections():
-        if not name.startswith("injection"):
-            continue
-        inj = cp[name]
-        raw_start = _get(inj, "start", path)
-        try:
-            start = int(raw_start) if raw_start.lstrip("-").isdigit() \
-                else parse_timestamp(raw_start)
-            injections.append(FaultInjection(
-                fault=_get(inj, "fault", path),
-                equipment=_get(inj, "equipment", path),
-                start=start,
-                duration_s=int(_get(inj, "duration_s", path)),
-                magnitude=float(_get(inj, "magnitude", path)),
-            ))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [{name}]: {exc}") from exc
-
-    if preset is not None:
-        spec = SCENARIO_PRESETS[preset]()
-    else:
-        spec = ScenarioSpec()
+    ini = _Ini(path, ConfigError, "scenario")
+    names = [key for key in ini.keys("scenario") if key != "preset"]
+    preset = ini.get("scenario", "preset", fallback=None)
+    if preset is not None and preset not in SCENARIO_PRESETS:
+        known = ", ".join(sorted(SCENARIO_PRESETS))
+        raise ini.refused("scenario", "preset", f"unknown preset '{preset}' (known: {known})")
+    overrides = ini.fields(ScenarioSpec, "scenario", names)
+    injections = tuple(FaultInjection(**ini.fields(FaultInjection, name,
+                                                   start=_injection_start))
+                       for name in ini.sections() if name.startswith("injection"))
     if injections:
-        overrides["faults"] = tuple(injections)
+        overrides["faults"] = injections
     if seed is not None:
         overrides["seed"] = seed
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
-    return spec
+    spec = SCENARIO_PRESETS[preset]() if preset is not None else ScenarioSpec()
+    return dataclasses.replace(spec, **overrides) if overrides else spec

@@ -436,6 +436,8 @@ def read_reference_year(path: str) -> np.ndarray:
         try:
             day = int(day_text)
             oat = float(oat_text)
+            if not isfinite(oat):
+                raise ValueError("non-finite value")
         except ValueError as exc:
             raise records.error(str(exc)) from exc
         if day == 366:

@@ -26,7 +26,6 @@ Mode transitions are steps, never drifting through the deadband.
 
 from __future__ import annotations
 
-import configparser
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -38,7 +37,7 @@ from .calibrate import COEFFICIENT_NAMES, DEFAULT_SPLIT_FRACTION, predict_coolin
     predict_heating
 from .energy import _MMBTU, DEFAULT_CONSTANTS, PhysicalConstants, Powers, assemble, \
     estimate_mixed_air, occupancy_schedule, vav_cooling_power
-from .errors import ScenarioError
+from .errors import ScenarioError, _Ini
 from .faults import Thresholds
 from .ingest import _write_numeric_csv, format_timestamp, parse_timestamp, write_points, \
     write_reference_year, write_trends
@@ -95,7 +94,7 @@ class ScenarioSpec:
     start: str = "2026-01-05T00:00:00+00:00"
     interval_s: int = 900
     # c1..c8; defaults all positive and comfortably independent
-    coefficients: tuple = (1.1, 0.9, 0.05, 1.2, 0.06, 1.15, 0.95, 0.012)
+    coefficients: tuple[float, ...] = (1.1, 0.9, 0.05, 1.2, 0.06, 1.15, 0.95, 0.012)
     meter_noise_rel: float = 0.0
     sensor_noise_rel: float = 0.0
     oat_base_f: float = 48.0
@@ -617,28 +616,28 @@ def _write_truth_powers(path: str, ts: np.ndarray, powers: Powers,
 
 def _write_ground_truth(path: str, spec: ScenarioSpec, wastes,
                         n_cooling: int, n_heating: int) -> None:
-    cp = configparser.ConfigParser(interpolation=None)
-    cp["generator"] = {"rng": RNG_NAME, "seed": str(spec.seed)}
-    cp["scenario"] = {
-        "start": spec.start,
-        "interval_s": str(spec.interval_s),
-        "duration_days": str(spec.duration_days),
-        "n_ahus": str(spec.n_ahus),
-        "n_vavs_per_ahu": str(spec.n_vavs_per_ahu),
-        "meter_noise_rel": repr(spec.meter_noise_rel),
-        "sensor_noise_rel": repr(spec.sensor_noise_rel),
-        "reheat": str(spec.reheat).lower(),
-    }
-    cp["coefficients"] = {f"c{i + 1}": repr(float(c))
-                          for i, c in enumerate(spec.coefficients)}
-    cp["economizer split"] = {"alpha": repr(spec.alpha), "beta": repr(spec.beta)}
-    cp["rows"] = {
-        "n_rows": str(spec.n_rows),
-        "n_cooling_rows": str(n_cooling),
-        "n_heating_rows": str(n_heating),
+    sections = {
+        "generator": {"rng": RNG_NAME, "seed": str(spec.seed)},
+        "scenario": {
+            "start": spec.start,
+            "interval_s": str(spec.interval_s),
+            "duration_days": str(spec.duration_days),
+            "n_ahus": str(spec.n_ahus),
+            "n_vavs_per_ahu": str(spec.n_vavs_per_ahu),
+            "meter_noise_rel": repr(spec.meter_noise_rel),
+            "sensor_noise_rel": repr(spec.sensor_noise_rel),
+            "reheat": str(spec.reheat).lower(),
+        },
+        "coefficients": {f"c{i + 1}": repr(float(c)) for i, c in enumerate(spec.coefficients)},
+        "economizer split": {"alpha": repr(spec.alpha), "beta": repr(spec.beta)},
+        "rows": {
+            "n_rows": str(spec.n_rows),
+            "n_cooling_rows": str(n_cooling),
+            "n_heating_rows": str(n_heating),
+        },
     }
     for i, (inj, waste) in enumerate(zip(spec.faults, wastes), start=1):
-        cp[f"injection {i}"] = {
+        sections[f"injection {i}"] = {
             "fault": inj.fault,
             "equipment": inj.equipment,
             "start": format_timestamp(inj.start),
@@ -646,27 +645,25 @@ def _write_ground_truth(path: str, spec: ScenarioSpec, wastes,
             "magnitude": repr(float(inj.magnitude)),
             "waste_mmbtu": repr(waste),
         }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        cp.write(fh)
+    _Ini.write(path, sections)
 
 
 def _write_run_config(path: str, spec: ScenarioSpec) -> None:
-    cp = configparser.ConfigParser(interpolation=None)
-    cp["paths"] = {
-        "topology": "topology.ini",
-        "points": "points.csv",
-        "trends": "trends.csv",
-        "reference_year": "reference_year.csv",
-        "model": "model.ini",
-        "findings": "findings.csv",
-        "output_dir": "out",
-    }
-    cp["thresholds"] = {f.name: repr(f.default) for f in fields(Thresholds)}
-    cp["constants"] = {f.name: repr(f.default) for f in fields(PhysicalConstants)}
-    cp["constants"]["interval_s"] = str(spec.interval_s)
-    cp["fit"] = {"split_fraction": repr(DEFAULT_SPLIT_FRACTION)}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        cp.write(fh)
+    _Ini.write(path, {
+        "paths": {
+            "topology": "topology.ini",
+            "points": "points.csv",
+            "trends": "trends.csv",
+            "reference_year": "reference_year.csv",
+            "model": "model.ini",
+            "findings": "findings.csv",
+            "output_dir": "out",
+        },
+        "thresholds": {f.name: repr(f.default) for f in fields(Thresholds)},
+        "constants": {**{f.name: repr(f.default) for f in fields(PhysicalConstants)},
+                      "interval_s": str(spec.interval_s)},
+        "fit": {"split_fraction": repr(DEFAULT_SPLIT_FRACTION)},
+    })
 
 
 def generate(spec: ScenarioSpec, out_dir: str) -> ScenarioBundle:

@@ -131,6 +131,14 @@ class TestFitLinear:
         with pytest.raises(FitError, match="gaps"):
             fit_linear(x, np.ones(4))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        x = np.array([[1.0], [bad], [3.0], [4.0]])
+        with pytest.raises(FitError, match="non-finite"):
+            fit_linear(x, np.ones(4))
+        with pytest.raises(FitError, match="non-finite"):
+            fit_linear(np.ones((4, 1)), x[:, 0])
+
     def test_residuals_orthogonal_to_features(self):
         rng = np.random.default_rng(99)
         for _ in range(20):
@@ -324,6 +332,19 @@ class TestFitModel:
         data.heating_meter = (1.2 * data.powers().sum_ahu_heating
                               + 0.8 * data.powers().sum_vav_heating + 0.01)
         return data
+
+    @pytest.mark.parametrize("big", [np.inf, 1.7e308])
+    def test_overflowing_row_is_dropped_like_a_gap(self, big):
+        # a flow whose cooling power overflows to inf leaves its row out of
+        # every fit and score, exactly as a gap in that flow does
+        gap, huge = self._prepared(), self._prepared()
+        for row in (100, 900):  # one training row, one test row
+            gap.vavs["V1"].flow[row] = np.nan
+            huge.vavs["V1"].flow[row] = big
+        # the power sums overflow on those rows, which numpy warns about
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isinf(huge.powers().sum_vav_cooling[[100, 900]]).all()
+            assert fit_model(huge) == fit_model(gap)
 
     def test_split_is_chronological(self):
         data = self._prepared()
@@ -526,9 +547,12 @@ class TestModelFile:
             broken = tmp_path / "broken.ini"
             with open(broken, "w") as fh:
                 cp.write(fh)
-            with pytest.raises(ConfigError, match="bad model file") as refused:
+            with pytest.raises(ConfigError) as refused:
                 load_model(str(broken))
-            assert str(broken) in str(refused.value), (section, key)
+            message = str(refused.value)
+            assert message.startswith(f"{broken}: [{section}] {key}: "), message
+            if damage == "drop":
+                assert message == f"{broken}: [{section}] {key}: missing key"
 
     @pytest.mark.parametrize("damage, message", [
         (lambda cp: cp.set("model", "format", "99"), "unsupported model format 99"),
@@ -544,13 +568,16 @@ class TestModelFile:
             cp.write(fh)
         with pytest.raises(ConfigError) as refused:
             load_model(str(path))
-        assert str(refused.value) == f"bad model file: {path}: {message}"
+        # the format is refused at its key, an unknown section as a whole
+        where = "[model] format" if "format" in message else "[diagnostics fan]"
+        assert str(refused.value) == f"{path}: {where}: {message}"
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "model.ini"
         path.write_text("[not-a-model]\nx = 1\n")
-        with pytest.raises(ConfigError, match="model file"):
+        with pytest.raises(ConfigError) as refused:
             load_model(str(path))
+        assert str(refused.value) == f"{path}: [model] format: missing section"
 
 
 class TestEvaluate:

@@ -86,14 +86,16 @@ class TestRunConfig:
             load_run_config(str(tmp_path / "nope.conf"))
 
     def test_missing_section(self, tmp_path):
-        text = BASE_CONF.replace("[thresholds]", "[limits]")
-        with pytest.raises(ConfigError, match=r"missing \[thresholds\] section"):
-            load_run_config(_write(tmp_path / "run.conf", text))
+        path = _write(tmp_path / "run.conf", BASE_CONF.replace("[thresholds]", "[limits]"))
+        with pytest.raises(ConfigError) as refused:
+            load_run_config(path)
+        assert str(refused.value) == f"{path}: [thresholds] correlation_min: missing section"
 
     def test_missing_threshold_key(self, tmp_path):
-        text = BASE_CONF.replace("correlation_min = 0.5\n", "")
-        with pytest.raises(ConfigError, match="missing 'correlation_min'"):
-            load_run_config(_write(tmp_path / "run.conf", text))
+        path = _write(tmp_path / "run.conf", BASE_CONF.replace("correlation_min = 0.5\n", ""))
+        with pytest.raises(ConfigError) as refused:
+            load_run_config(path)
+        assert str(refused.value) == f"{path}: [thresholds] correlation_min: missing key"
 
     def test_unparseable_threshold(self, tmp_path):
         text = BASE_CONF.replace("correlation_min = 0.5", "correlation_min = high")
@@ -102,13 +104,33 @@ class TestRunConfig:
 
     def test_threshold_validation_applies(self, tmp_path):
         text = BASE_CONF.replace("cooling_mpe_pct = -5.0", "cooling_mpe_pct = 5.0")
-        with pytest.raises(ConfigError, match="must be < 0"):
-            load_run_config(_write(tmp_path / "run.conf", text))
+        path = _write(tmp_path / "run.conf", text)
+        with pytest.raises(ConfigError) as refused:
+            load_run_config(path)
+        assert str(refused.value) == (f"{path}: [thresholds]: cooling_mpe_pct is a floor "
+                                      "on a negative bias; must be < 0")
 
     def test_bad_interval(self, tmp_path):
-        text = BASE_CONF.replace("interval_s = 900", "interval_s = 0")
-        with pytest.raises(ConfigError, match="interval_s must be positive"):
-            load_run_config(_write(tmp_path / "run.conf", text))
+        path = _write(tmp_path / "run.conf", BASE_CONF.replace("interval_s = 900",
+                                                               "interval_s = 0"))
+        with pytest.raises(ConfigError) as refused:
+            load_run_config(path)
+        assert str(refused.value) == f"{path}: [constants] interval_s: must be positive"
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("constants", "mode_deadband_f", "-inf"),
+        ("fit", "split_fraction", "nan"),
+    ])
+    def test_non_finite_number_refused(self, tmp_path, section, key, value):
+        # the thresholds and air_power_k are refused through the CLI in
+        # TestCli.test_non_finite_setting_exits_one
+        text, n = re.subn(f"^{key} = .*$", f"{key} = {value}", BASE_CONF, flags=re.M)
+        assert n == 1
+        path = _write(tmp_path / "run.conf", text)
+        with pytest.raises(ConfigError) as refused:
+            load_run_config(path)
+        assert str(refused.value) == (f"{path}: [{section}] {key}: "
+                                      f"not a finite number: '{value}'")
 
     def test_inputs_must_exist(self, tmp_path):
         cfg = load_run_config(_write(tmp_path / "run.conf", BASE_CONF))
@@ -144,14 +166,36 @@ class TestScenarioSpecFile:
                                       "[scenario]\npreset = winter\n"))
 
     def test_unknown_field(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown scenario field 'chillers'"):
-            load_scenario_spec(_write(tmp_path / "s.conf",
-                                      "[scenario]\nchillers = 2\n"))
+        path = _write(tmp_path / "s.conf", "[scenario]\nchillers = 2\n")
+        with pytest.raises(ConfigError) as refused:
+            load_scenario_spec(path)
+        assert str(refused.value) == f"{path}: [scenario] chillers: unknown field"
 
     def test_bad_boolean(self, tmp_path):
-        with pytest.raises(ConfigError, match="not a boolean"):
-            load_scenario_spec(_write(tmp_path / "s.conf",
-                                      "[scenario]\nreheat = maybe\n"))
+        path = _write(tmp_path / "s.conf", "[scenario]\nreheat = maybe\n")
+        with pytest.raises(ConfigError) as refused:
+            load_scenario_spec(path)
+        assert str(refused.value) == f"{path}: [scenario] reheat: Not a boolean: maybe"
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("scenario", "oat_base_f", "nan", "not a finite number: 'nan'"),
+        ("scenario", "coefficients", "1.1, 0.9, inf, 1.2, 0.06, 1.15, 0.95, 0.012",
+         "not a finite number: 'inf'"),
+        ("scenario", "faults", "none", "unknown field"),
+        ("injection 1", "magnitude", "nan", "not a finite number: 'nan'"),
+        ("injection 1", "duration_s", "1.5", "invalid literal for int() with base 10: '1.5'"),
+    ], ids=["oat", "coefficients", "faults", "magnitude", "duration"])
+    def test_bad_scenario_value_refused(self, tmp_path, section, key, value, message):
+        text = ("[scenario]\npreset = impact\n[injection 1]\nfault = config_error\n"
+                "equipment = VAV1-01\nstart = 1767657600\nduration_s = 604800\n"
+                "magnitude = 2\n")
+        text, n = re.subn(f"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        if not n:
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        path = _write(tmp_path / "s.conf", text)
+        with pytest.raises(ConfigError) as refused:
+            load_scenario_spec(path)
+        assert str(refused.value) == f"{path}: [{section}] {key}: {message}"
 
     def test_injections_replace_preset_faults(self, tmp_path):
         start = scenario_impact().start_epoch + 86400
@@ -443,13 +487,18 @@ class TestCli:
         for earlier in {"estimate": ["fit"], "report": ["fit", "detect"]}.get(command, []):
             assert main([earlier, "--config", conf]) == 0
         path = Path(conf).parent / filename
+        before = path.read_bytes()
         with open(path, "ab") as fh:
             fh.write(line)
         capsys.readouterr()
         rc = main([command, "--config", conf])
         err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith(f"error: {path}: ") and "can't decode byte 0xe9" in err
+        # the appended line is the file's last, and the position its byte
+        # offset in the whole file
+        lineno = before.count(b"\n") + 1
+        offset = len(before) + line.index(b"\xe9")
+        assert (rc, err) == (1, f"error: {path}:{lineno}: 'utf-8' codec can't decode byte "
+                                f"0xe9 in position {offset}: invalid continuation byte\n")
         if command == "validate":  # refused before or while the trends are parsed
             assert not (Path(conf).parent / "out" / TRENDS_CACHE_NAME).exists()
 
@@ -483,7 +532,10 @@ class TestCli:
         ("vav VAV1-01", "zone_upper_limit_f", "7 6",
          "could not convert string to float: '7 6'"),
         ("building", "occupied_weekdays_only", "maybe", "Not a boolean: maybe"),
-    ], ids=["min-flow", "zone-limit", "weekdays-only"])
+        ("building", "occupied_schedule", "7-19", "expected HH:MM-HH:MM, got '7-19'"),
+        ("rules", "rule1", "junk", "expected 'PATTERN -> kind Role', got 'junk'"),
+        ("vav VAV1-01", "min_flow_cfm", "nan", "not a finite number: 'nan'"),
+    ], ids=["min-flow", "zone-limit", "weekdays-only", "schedule", "rule", "min-flow-nan"])
     def test_bad_typed_topology_value_exits_one(self, cli_bundle, tmp_path, capsys,
                                                 section, key, value, message):
         # the first occurrence of key is in section
@@ -527,11 +579,39 @@ class TestCli:
                 fh.write("\n[paths]\ntopology = topology.ini\n")
 
         conf = _damaged(cli_bundle, tmp_path, repeat_paths)
+        line = Path(conf).read_text(encoding="utf-8").splitlines().index("[paths]", 1) + 1
         rc = main(["validate", "--config", conf])
         err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith(f"error: {conf}: ")
-        assert "section 'paths' already exists" in err
+        assert (rc, err) == (1, f"error: {conf}:{line}: duplicate section [paths]\n")
+
+    @pytest.mark.parametrize("filename, section, key, value, command", [
+        *(("run.conf", "thresholds", key, "nan", "detect")
+          for key in ("flow_rmspe_pct", "cooling_mpe_pct", "heating_mpe_pct",
+                      "occupied_flow_slack")),
+        ("run.conf", "constants", "air_power_k", "inf", "fit"),
+        ("model.ini", "coefficients", "c1", "nan", "estimate"),
+        ("scenario.conf", "scenario", "oat_base_f", "nan", "synth"),
+    ])
+    def test_non_finite_setting_exits_one(self, cli_bundle, tmp_path, capsys,
+                                          filename, section, key, value, command):
+        conf = _damaged(cli_bundle, tmp_path, lambda work: None)
+        work = Path(conf).parent
+        (work / "scenario.conf").write_text("[scenario]\npreset = faulted\n",
+                                            encoding="utf-8")
+        if filename == "model.ini":
+            assert main(["fit", "--config", conf]) == 0
+        path = work / filename
+        text, n = re.subn(f"^{key} = .*$", f"{key} = {value}",
+                          path.read_text(encoding="utf-8"), flags=re.M)
+        if not n:
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        path.write_text(text, encoding="utf-8")
+        argv = ([command, "--config", str(path), "--out", str(work / "bundle")]
+                if command == "synth" else [command, "--config", conf])
+        capsys.readouterr()
+        rc = main(argv)
+        assert (rc, capsys.readouterr().err) == (
+            1, f"error: {path}: [{section}] {key}: not a finite number: '{value}'\n")
 
     def test_headerless_scenario_file_exits_one(self, tmp_path, capsys):
         spec = _write(tmp_path / "s.conf", "preset = impact\n")

@@ -6,6 +6,7 @@ import os
 import re
 import stat
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,6 +345,15 @@ class TestReferenceYear:
         p.write_text('day_of_year,oat_f\n"1\n",50.0\n2,oops\n')
         with pytest.raises(IngestError, match=f"^{re.escape(str(p))}:4: "):
             read_reference_year(str(p))
+
+    @pytest.mark.parametrize("oat", ["inf", "nan", "-inf", "1e999"])
+    def test_non_finite_oat_refused_with_its_line(self, tmp_path, oat):
+        p = tmp_path / "ref.csv"
+        p.write_text("day_of_year,oat_f\n" + "".join(f"{d},50.0\n" for d in range(1, 100))
+                     + f"100,{oat}\n" + "".join(f"{d},50.0\n" for d in range(101, 366)))
+        with pytest.raises(IngestError) as refused:
+            read_reference_year(str(p))
+        assert str(refused.value) == f"{p}:101: non-finite value"
 
     def test_out_of_range_day_rejected(self, tmp_path):
         p = tmp_path / "ref.csv"
@@ -785,9 +795,30 @@ def test_every_reader_refuses_bad_width_and_bad_utf8_alike(tmp_path, name):
                                               f"columns, got {got}$"):
             read(path)
     path = _csv_file(tmp_path / "latin1.csv", name, "caf\xe9".encode("latin-1"))
-    with pytest.raises(IngestError, match=f"^{re.escape(path)}: 'utf-8' codec can't "
-                                          "decode byte 0xe9"):
+    offset = Path(path).read_bytes().index(b"\xe9")
+    with pytest.raises(IngestError, match=f"^{re.escape(path)}:4: 'utf-8' codec can't "
+                                          f"decode byte 0xe9 in position {offset}: "
+                                          "invalid continuation byte$"):
         read(path)
+
+
+@pytest.mark.parametrize("tail, reason", [
+    (b"caf\xe9\r\n", "invalid continuation byte"),
+    (b"caf\xc3", "unexpected end of data"),
+])
+def test_utf8_refusal_names_the_byte_offset_in_the_file(tmp_path, tail, reason):
+    # the text decoder reads in chunks; the refusal must give the bad byte's
+    # offset and line in the whole file, far past the first chunk
+    head = b"point_id,name,unit\r\n" + b"".join(b"P%d,caf\xc3\xa9,degF\r\n" % i
+                                                 for i in range(1, 60_000))
+    path = tmp_path / "points.csv"
+    path.write_bytes(head + b"Q,q,degF\r\nR," + tail)
+    offset = len(head) + len(b"Q,q,degF\r\nR,") + 3
+    lineno = head.count(b"\n") + 2
+    with pytest.raises(IngestError) as refused:
+        read_points(str(path))
+    assert str(refused.value) == (f"{path}:{lineno}: 'utf-8' codec can't decode byte "
+                                  f"0x{tail[3]:02x} in position {offset}: {reason}")
 
 
 def test_lenient_read_skips_an_unreadable_record_and_reads_on(tmp_path):

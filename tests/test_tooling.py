@@ -196,3 +196,17 @@ def test_only_ingest_uses_the_csv_module():
                     and isinstance(node.value, ast.Name) and node.value.id == "csv"):
                 readers.append(path.stem)
     assert (importers, readers) == (["ingest"], ["ingest"])
+
+
+def test_only_errors_uses_the_configparser_module():
+    # every sectioned file (run.conf, scenario files, topology.ini,
+    # model.ini) is read and written through errors._Ini, so no reader can
+    # skip its refusals (a missing key, a value that does not convert, a
+    # number that is not finite)
+    importers = []
+    for path in sorted((ROOT / "src" / "hvacdisagg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Import) and any(a.name == "configparser" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "configparser"):
+                importers.append(path.stem)
+    assert importers == ["errors"]
