@@ -98,8 +98,14 @@ def fit_linear(features: np.ndarray, target: np.ndarray,
     design = np.hstack([x, np.ones((n, 1))])
     names = tuple(column_names) + ("intercept",)
 
-    # Scale columns to unit RMS so the rank test is dimensionless.
-    scale = np.sqrt(np.mean(design * design, axis=0))
+    # Scale columns to unit RMS so the rank test is dimensionless. A finite
+    # column whose squares overflow gets its RMS through its largest entry.
+    with np.errstate(over="ignore"):
+        scale = np.sqrt(np.mean(design * design, axis=0))
+    huge = ~np.isfinite(scale)
+    if huge.any():
+        peak = np.max(np.abs(design[:, huge]), axis=0)
+        scale[huge] = peak * np.sqrt(np.mean((design[:, huge] / peak) ** 2, axis=0))
     scale[scale == 0.0] = 1.0
     scaled = design / scale
 
@@ -173,7 +179,10 @@ def _fit_submodel(name: str, columns: list[tuple[str, np.ndarray]],
 
     if active:
         x = np.column_stack([col for _, col in active])
-        beta = fit_linear(x, y, tuple(cname for cname, _ in active))
+        try:
+            beta = fit_linear(x, y, tuple(cname for cname, _ in active))
+        except RankDeficiencyError as exc:
+            raise RankDeficiencyError(f"{name}: {exc}", column=exc.column) from None
     else:
         beta = np.array([float(np.mean(y))])
 

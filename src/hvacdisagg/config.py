@@ -65,6 +65,8 @@ def load_run_config(path: str) -> RunConfig:
     if interval_s <= 0:
         raise ini.refused("constants", "interval_s", "must be positive")
     split_fraction = ini.get("fit", "split_fraction", float)
+    if not 0.0 < split_fraction <= 1.0:
+        raise ini.refused("fit", "split_fraction", f"must be in (0, 1], got {split_fraction!r}")
 
     return RunConfig(
         topology_path=resolved["topology"],
@@ -93,9 +95,25 @@ SCENARIO_PRESETS = {
 }
 
 
-def _injection_start(text: str) -> int:
-    """An injection's start: epoch seconds, or an ISO-8601 timestamp."""
+def _instant(text: str) -> int:
+    """An injection's start or end: epoch seconds, or an ISO-8601 timestamp."""
     return int(text) if text.lstrip("-").isdigit() else parse_timestamp(text)
+
+
+def _injection(ini: _Ini, section: str) -> FaultInjection:
+    """One [injection N] section: fault, equipment, start, magnitude, and
+    exactly one of duration_s and end, the form ground_truth.ini writes."""
+    has_end = ini.has(section, "end")
+    if has_end == ini.has(section, "duration_s"):
+        raise ini.refused(section, None, "needs exactly one of end and duration_s")
+    names = ["fault", "equipment", "start", "magnitude"] + ([] if has_end else ["duration_s"])
+    values = ini.fields(FaultInjection, section, names, start=_instant)
+    if has_end:
+        end = ini.get(section, "end", _instant)
+        if end <= values["start"]:
+            raise ini.refused(section, "end", "must be after start")
+        values["duration_s"] = end - values["start"]
+    return FaultInjection(**values)
 
 
 def load_scenario_spec(path: str, seed: int | None = None) -> ScenarioSpec:
@@ -112,8 +130,7 @@ def load_scenario_spec(path: str, seed: int | None = None) -> ScenarioSpec:
         known = ", ".join(sorted(SCENARIO_PRESETS))
         raise ini.refused("scenario", "preset", f"unknown preset '{preset}' (known: {known})")
     overrides = ini.fields(ScenarioSpec, "scenario", names)
-    injections = tuple(FaultInjection(**ini.fields(FaultInjection, name,
-                                                   start=_injection_start))
+    injections = tuple(_injection(ini, name)
                        for name in ini.sections() if name.startswith("injection"))
     if injections:
         overrides["faults"] = injections

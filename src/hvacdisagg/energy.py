@@ -42,6 +42,10 @@ __all__ = [
 
 _MMBTU = 1e6
 
+# the estimators' decorator: a finite reading whose power overflows gives an
+# inf row, which every consumer drops as non-finite, without a numpy warning
+_overflow_to_inf = np.errstate(over="ignore")
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -57,6 +61,7 @@ class PhysicalConstants:
 DEFAULT_CONSTANTS = PhysicalConstants()
 
 
+@_overflow_to_inf
 def vav_cooling_power(flow_cfm, zone_temp_f, supply_temp_f,
                       k: float = DEFAULT_CONSTANTS.air_power_k):
     """Cooling delivered to a zone, clamped at zero (Btu balance, MMBTU/hr)."""
@@ -66,6 +71,7 @@ def vav_cooling_power(flow_cfm, zone_temp_f, supply_temp_f,
     return np.maximum(p, 0.0)
 
 
+@_overflow_to_inf
 def economizer_term(flow_cfm, return_temp_f, mixed_temp_f,
                     k: float = DEFAULT_CONSTANTS.air_power_k):
     """Signed outside-air credit: positive when the mix is cooler than return."""
@@ -118,6 +124,7 @@ def rows_in_mode(modes, n_rows: int, sign: float) -> np.ndarray:
     return mask
 
 
+@_overflow_to_inf
 def ahu_power(mixed_temp_f, supply_temp_f, flow_cfm,
               k: float = DEFAULT_CONSTANTS.air_power_k,
               deadband_f: float = DEFAULT_CONSTANTS.mode_deadband_f, mode=None):
@@ -141,6 +148,7 @@ def ahu_power(mixed_temp_f, supply_temp_f, flow_cfm,
     return cooling, heating
 
 
+@_overflow_to_inf
 def vav_heating_power(hot_water_f, supply_air_f, flow_cfm, valve_fraction,
                       k: float = DEFAULT_CONSTANTS.air_power_k):
     """Reheat power scaled by valve position, clamped at zero."""
@@ -247,13 +255,17 @@ class BuildingData:
             if a.mixed_temp is None:
                 raise DisaggError(f"AHU '{a.ahu_id}': no mixed-air temperature available")
         k, deadband = constants.air_power_k, constants.mode_deadband_f
+        # each VAV sum, whose stacked copy is the widest, is taken before
+        # the next units' powers exist
         vav_cooling = {v.vav_id: vav_cooling_power(v.flow, v.zone_temp, v.supply_temp, k)
                        for v in self.vavs.values()}
+        sum_vav_cooling = np.sum(list(vav_cooling.values()), axis=0)
         vav_heating = {}
         if self.hot_water_temp is not None:
             vav_heating = {v.vav_id: vav_heating_power(self.hot_water_temp, v.supply_temp,
                                                        v.flow, v.heating_valve, k)
                            for v in self.vavs.values() if v.heating_valve is not None}
+        sum_vav_heating = np.sum(list(vav_heating.values()), axis=0) if vav_heating else None
         modes = {a.ahu_id: ahu_mode(a.mixed_temp, a.supply_temp, deadband)
                  for a in self.ahus.values()}
         ahu_coil = {a.ahu_id: ahu_power(a.mixed_temp, a.supply_temp, a.flow_sum, k, deadband,
@@ -266,11 +278,11 @@ class BuildingData:
             vav_heating=vav_heating,
             ahu_coil=ahu_coil,
             economizer=economizer,
-            sum_vav_cooling=np.sum(list(vav_cooling.values()), axis=0),
+            sum_vav_cooling=sum_vav_cooling,
             sum_economizer=np.sum(list(economizer.values()), axis=0),
             sum_ahu_cooling=np.sum([c for c, _ in ahu_coil.values()], axis=0),
             sum_ahu_heating=np.sum([h for _, h in ahu_coil.values()], axis=0),
-            sum_vav_heating=np.sum(list(vav_heating.values()), axis=0) if vav_heating else None,
+            sum_vav_heating=sum_vav_heating,
             cooling_rows=rows_in_mode(modes.values(), self.n_rows, 1.0),
             heating_rows=rows_in_mode(modes.values(), self.n_rows, -1.0),
         )
@@ -380,12 +392,13 @@ def assemble(
             occ = schedule
             fell_back(vid, PointRole.OCCUPIED_CMD)
 
+        # a configured constant is one read-only value broadcast to every row
         min_flow = col(vid, PointRole.VAV_MIN_FLOW)
         if min_flow is None and node.min_flow_cfm is not None:
-            min_flow = np.full(frame.n_rows, float(node.min_flow_cfm))
+            min_flow = np.broadcast_to(float(node.min_flow_cfm), frame.n_rows)
         zone_upper = col(vid, PointRole.ZONE_UPPER_LIMIT)
         if zone_upper is None and node.zone_upper_limit_f is not None:
-            zone_upper = np.full(frame.n_rows, float(node.zone_upper_limit_f))
+            zone_upper = np.broadcast_to(float(node.zone_upper_limit_f), frame.n_rows)
 
         vavs[vid] = VavData(
             vav_id=vid,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .building import PointBinding, PointInfo
 from .errors import IngestError, utf8_text
-from .timeseries import TimeSeries, Unit, bucket
+from .timeseries import TimeSeries, Unit, bucket, frozen
 
 __all__ = [
     "IngestStats",
@@ -196,8 +196,12 @@ def read_trends(
         shown = ", ".join(sorted(unknown)[:5])
         stats.messages.append(f"{len(unknown)} unbound point(s) ignored ({shown} ...)")
 
+    # the parse's lookups go first, and each point's sample columns as
+    # soon as its series is built
+    del appenders, epoch_of
     result: dict = {}
-    for point_id, (epoch_col, value_col) in columns.items():
+    for point_id in list(columns):
+        epoch_col, value_col = columns.pop(point_id)
         if not epoch_col:
             continue
         unit = binding.units[point_id]
@@ -221,7 +225,7 @@ def read_trends(
             start=first,
             interval_s=interval_s,
             unit=_NORMALIZED_UNIT.get(unit, unit),
-            values=out,
+            values=frozen(out),
         )
         for slot in slots_by_point[point_id]:
             result[slot] = series

@@ -41,7 +41,7 @@ from .errors import ScenarioError, _Ini
 from .faults import Thresholds
 from .ingest import _write_numeric_csv, format_timestamp, parse_timestamp, write_points, \
     write_reference_year, write_trends
-from .timeseries import TimeSeries, Unit
+from .timeseries import TimeSeries, Unit, frozen
 
 RNG_NAME = "numpy-PCG64"
 
@@ -534,14 +534,20 @@ def _graph_for(spec: ScenarioSpec) -> EquipmentGraph:
 def _written_series(tr: TraceSet, rng: np.random.Generator) -> dict:
     """point_id -> TimeSeries of each written signal, sensor noise applied
     where a real sensor would sit; commands, setpoints, and schedules stay
-    exact."""
+    exact. Each series takes over its trace array, noise added in place, so
+    tr must not be read afterwards; the one schedule every VAV writes is
+    copied per point, so no two points share an array."""
     spec = tr.spec
     rel = spec.sensor_noise_rel
 
     def noisy(values: np.ndarray) -> np.ndarray:
-        if rel <= 0.0:
-            return values
-        return values * (1.0 + rel * rng.standard_normal(tr.n))
+        # values * (1.0 + rel * z) without the temporaries: the same bits
+        if rel > 0.0:
+            gain = rng.standard_normal(tr.n)
+            gain *= rel
+            gain += 1.0
+            values *= gain
+        return values
 
     out = [(f"{BUILDING_ID}.OAT", Unit.DEG_F, noisy(tr.oat))]
     if spec.reheat:
@@ -560,11 +566,11 @@ def _written_series(tr: TraceSet, rng: np.random.Generator) -> dict:
                 (_point(vav, "ZN-T"), Unit.DEG_F, noisy(tr.zone_temp[vav])),
                 (_point(vav, "FLOW"), Unit.CFM, noisy(tr.flow[vav])),
                 (_point(vav, "FLOW-SP"), Unit.CFM, tr.flow_sp[vav]),
-                (_point(vav, "OCC"), Unit.BOOL, tr.occupied),
+                (_point(vav, "OCC"), Unit.BOOL, tr.occupied.copy()),
             ]
             if spec.reheat:
                 out.append((_point(vav, "RH-VLV"), Unit.FRACTION, tr.reheat_valve[vav]))
-    return {pid: TimeSeries(pid, tr.start, spec.interval_s, unit, values)
+    return {pid: TimeSeries(pid, tr.start, spec.interval_s, unit, frozen(values))
             for pid, unit, values in out}
 
 
@@ -610,8 +616,10 @@ def _write_truth_powers(path: str, ts: np.ndarray, powers: Powers,
     columns = sorted(per_unit) + sorted(sums) + ["cooling_meter", "heating_meter"]
     arrays = {**per_unit, **sums,
               "cooling_meter": cooling_meter, "heating_meter": heating_meter}
+    # each stamp is written once, so it is formatted as its row is written
     _write_numeric_csv(path, ["timestamp"] + columns,
-                       [[ts] + [np.asarray(arrays[c], dtype=float) for c in columns]])
+                       [[map(format_timestamp, ts)]
+                        + [np.asarray(arrays[c], dtype=float) for c in columns]])
 
 
 def _write_ground_truth(path: str, spec: ScenarioSpec, wastes,
@@ -682,7 +690,7 @@ def generate(spec: ScenarioSpec, out_dir: str) -> ScenarioBundle:
               graph.heating_meter_point: predict_heating}
     for pid in meters:
         series[pid] = TimeSeries(pid, spec.start_epoch, spec.interval_s, Unit.MMBTU_HR,
-                                 np.full(n, np.nan))
+                                 frozen(np.full(n, np.nan)))
     points = [PointInfo(pid, pid, s.unit) for pid, s in series.items()]
     powers = _truth_powers(graph, points, series)
     truth = dict(zip(COEFFICIENT_NAMES, spec.coefficients))
@@ -691,7 +699,7 @@ def generate(spec: ScenarioSpec, out_dir: str) -> ScenarioBundle:
         if spec.meter_noise_rel > 0.0:
             sigma = spec.meter_noise_rel * float(np.mean(np.abs(meter)))
             meter += rng.normal(0.0, sigma, n)
-        series[pid] = replace(series[pid], values=meter)
+        series[pid] = replace(series[pid], values=frozen(meter))
 
     os.makedirs(out_dir, exist_ok=True)
     bundle = ScenarioBundle(
@@ -707,13 +715,16 @@ def generate(spec: ScenarioSpec, out_dir: str) -> ScenarioBundle:
 
     dump_metadata(graph, bundle.topology_path)
     write_points(points, bundle.points_path)
-    write_trends(list(series.values()), bundle.trends_path)
-    write_reference_year(_reference_year(spec), bundle.reference_year_path)
     _write_ground_truth(bundle.ground_truth_path, spec, wastes,
                         int(powers.cooling_rows.sum()), int(powers.heating_rows.sum()))
+    # truth_powers.csv goes before trends.csv, so the frame's powers are
+    # freed before the widest file is written
     cooling_meter, heating_meter = (series[pid] for pid in meters)
     _write_truth_powers(bundle.truth_powers_path, cooling_meter.timestamps(), powers,
                         cooling_meter.values, heating_meter.values)
+    del powers
+    write_trends(list(series.values()), bundle.trends_path)
+    write_reference_year(_reference_year(spec), bundle.reference_year_path)
     _write_run_config(bundle.run_config_path, spec)
     return bundle
 

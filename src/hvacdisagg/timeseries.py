@@ -19,6 +19,7 @@ __all__ = [
     "Unit",
     "TimeSeries",
     "AlignedFrame",
+    "frozen",
     "bucket",
     "resample",
     "align",
@@ -44,8 +45,12 @@ class TimeSeries:
     """One point's samples on a regular grid.
 
     start is the epoch second of the first sample, interval_s the grid step.
-    values is a float array with NaN where the sample is missing. The array is
-    frozen on construction; derive new series instead of mutating.
+    values is a float array with NaN where the sample is missing, and it is
+    read-only: derive new series instead of mutating. A read-only float64
+    array that no other array can write, because it owns its memory or
+    views immutable bytes, is taken over as it is; anything else is copied
+    and the copy frozen. A producer hands an array over with frozen() and
+    keeps no writeable view of it.
     """
 
     point_id: str
@@ -59,9 +64,8 @@ class TimeSeries:
             raise SeriesError(
                 f"{self.point_id}: interval must be positive, got {self.interval_s}"
             )
-        vals = np.array(self.values, dtype=float)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        if not _handed_over(self.values):
+            object.__setattr__(self, "values", frozen(np.array(self.values, dtype=float)))
         object.__setattr__(self, "start", int(self.start))
         object.__setattr__(self, "interval_s", int(self.interval_s))
 
@@ -75,6 +79,25 @@ class TimeSeries:
 
     def timestamps(self) -> np.ndarray:
         return self.start + self.interval_s * np.arange(len(self.values), dtype=np.int64)
+
+
+def frozen(values: np.ndarray) -> np.ndarray:
+    """values, made read-only in place: how a producer hands an array it
+    owns to a TimeSeries without a copy."""
+    values.flags.writeable = False
+    return values
+
+
+def _handed_over(values) -> bool:
+    """values is a read-only float64 array that owns its memory or views
+    immutable bytes, so nothing else can write it."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and not values.flags.writeable):
+        return False
+    base = values.base
+    while isinstance(base, np.ndarray) and not base.flags.owndata:
+        base = base.base
+    return base is None or type(base) is bytes
 
 
 @dataclass(frozen=True, eq=False)

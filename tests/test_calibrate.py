@@ -109,6 +109,25 @@ class TestFitLinear:
             fit_linear(x, rng.normal(size=30), ("flow", "flow_twice"))
         assert err.value.column in ("flow", "flow_twice")
 
+    def test_huge_finite_column_is_fitted(self):
+        # its squares overflow, so its RMS comes through its largest entry;
+        # the fit is the unscaled one's, with that coefficient scaled back
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(40, 2))
+        y = 3.0 * x[:, 0] - 2.0 * x[:, 1] + 0.5 + rng.normal(0.0, 0.01, 40)
+        huge = x * np.array([1e300, 1.0])
+        got, want = fit_linear(huge, y), fit_linear(x, y)
+        np.testing.assert_allclose(got * np.array([1e300, 1.0, 1.0]), want, rtol=1e-9)
+
+    def test_submodel_refusal_names_the_submodel(self):
+        rng = np.random.default_rng(3)
+        x1 = rng.normal(size=MIN_FIT_ROWS)
+        with pytest.raises(RankDeficiencyError) as err:
+            _fit_submodel("cooling_vav", [("c1", x1), ("c2", 2.0 * x1)],
+                          rng.normal(size=MIN_FIT_ROWS))
+        assert str(err.value).startswith("cooling_vav: features are collinear or constant: ")
+        assert err.value.column in ("c1", "c2")
+
     def test_zero_column_named(self):
         rng = np.random.default_rng(4)
         x = np.column_stack([rng.normal(size=30), np.zeros(30)])

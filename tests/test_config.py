@@ -11,6 +11,8 @@ import csv
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from hvacdisagg.errors import ConfigError
 from hvacdisagg.faults import FaultFinding, Thresholds, write_findings
 from hvacdisagg.ingest import TRENDS_CACHE_NAME, _block_rows, format_timestamp, \
     parse_timestamp
-from hvacdisagg.synth import scenario_impact
+from hvacdisagg.synth import scenario_faulted, scenario_impact
 
 BASE_CONF = """\
 [paths]
@@ -116,6 +118,20 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as refused:
             load_run_config(path)
         assert str(refused.value) == f"{path}: [constants] interval_s: must be positive"
+
+    @pytest.mark.parametrize("value", ["0", "-0.5", "1.0000001", "2"])
+    def test_split_fraction_out_of_range(self, tmp_path, value):
+        path = _write(tmp_path / "run.conf", BASE_CONF.replace("split_fraction = 0.7",
+                                                               f"split_fraction = {value}"))
+        with pytest.raises(ConfigError) as refused:
+            load_run_config(path)
+        assert str(refused.value) == (f"{path}: [fit] split_fraction: "
+                                      f"must be in (0, 1], got {float(value)!r}")
+
+    def test_whole_history_split_fraction_accepted(self, tmp_path):
+        path = _write(tmp_path / "run.conf", BASE_CONF.replace("split_fraction = 0.7",
+                                                               "split_fraction = 1"))
+        assert load_run_config(path).split_fraction == 1.0
 
     @pytest.mark.parametrize("section, key, value", [
         ("constants", "mode_deadband_f", "-inf"),
@@ -221,6 +237,41 @@ class TestScenarioSpecFile:
                 f"start = {start + 86400}\nduration_s = 604800\nmagnitude = 2\n")
         spec = load_scenario_spec(_write(tmp_path / "s.conf", text))
         assert spec.faults[0].start == start + 86400
+
+    def test_injection_end_accepted_in_place_of_duration(self, tmp_path):
+        start = scenario_impact().start_epoch + 86400
+        text = ("[scenario]\npreset = impact\n[injection 1]\n"
+                "fault = config_error\nequipment = VAV1-01\nmagnitude = 2\n"
+                f"start = {format_timestamp(start)}\n"
+                f"end = {format_timestamp(start + 604800)}\n")
+        (inj,) = load_scenario_spec(_write(tmp_path / "s.conf", text)).faults
+        assert (inj.start, inj.duration_s) == (start, 604800)
+
+    def test_ground_truth_injections_regenerate_the_spec(self, faulted_bundle, tmp_path):
+        # every [injection N] section ground_truth.ini writes, waste_mmbtu
+        # included, pasted into a scenario file gives the same injections
+        text = Path(faulted_bundle.ground_truth_path).read_text(encoding="utf-8")
+        sections = text[text.index("[injection 1]"):]
+        assert sections.count("[injection") == len(scenario_faulted().faults)
+        path = _write(tmp_path / "s.conf", "[scenario]\npreset = healthy\n\n" + sections)
+        assert load_scenario_spec(path).faults == scenario_faulted().faults
+
+    @pytest.mark.parametrize("window, where, message", [
+        ("duration_s = 604800\nend = 2026-01-13T00:00:00+00:00\n", "",
+         "needs exactly one of end and duration_s"),
+        ("", "", "needs exactly one of end and duration_s"),
+        ("end = 2026-01-06T00:00:00+00:00\n", " end", "must be after start"),
+        ("end = 2026-01-05T00:00:00+00:00\n", " end", "must be after start"),
+        ("end = soon\n", " end", "Invalid isoformat string: 'soon'"),
+    ], ids=["both", "neither", "before-start", "at-start", "garbled"])
+    def test_bad_injection_window_refused(self, tmp_path, window, where, message):
+        text = ("[scenario]\npreset = impact\n[injection 1]\n"
+                "fault = config_error\nequipment = VAV1-01\nmagnitude = 2\n"
+                "start = 2026-01-06T00:00:00+00:00\n" + window)
+        path = _write(tmp_path / "s.conf", text)
+        with pytest.raises(ConfigError) as refused:
+            load_scenario_spec(path)
+        assert str(refused.value) == f"{path}: [injection 1]{where}: {message}"
 
     def test_seed_argument_wins(self, tmp_path):
         text = "[scenario]\npreset = impact\nseed = 11\n"
@@ -572,6 +623,42 @@ class TestCli:
         assert rc == 1
         assert err.startswith("error:")
         assert path in err and "physical constants out of range" in err
+
+    def test_split_fraction_out_of_range_fails_validate(self, cli_bundle, tmp_path, capsys):
+        def whole_and_more(work):
+            path = work / "run.conf"
+            text = re.sub("^split_fraction = .*$", "split_fraction = 2",
+                          path.read_text(encoding="utf-8"), flags=re.M)
+            path.write_text(text, encoding="utf-8")
+
+        conf = _damaged(cli_bundle, tmp_path, whole_and_more)
+        rc = main(["validate", "--config", conf])
+        assert (rc, capsys.readouterr().err) == (
+            1, f"error: {conf}: [fit] split_fraction: must be in (0, 1], got 2.0\n")
+
+    @pytest.mark.parametrize("value, commands, code, err", [
+        # the power overflows to inf and the row drops out like a gap
+        ("1.7e308", ("fit", "estimate"), 0, ""),
+        # the power is finite, but this one row then sets both features of
+        # the VAV-side balance, which leaves them collinear to the last bit
+        ("1e307", ("fit",), 1, "error: cooling_vav: features are collinear or constant: "
+                               "column 'c1' adds no independent information\n"),
+    ], ids=["overflow", "huge"])
+    def test_huge_flow_reading_prints_no_warning(self, faulted_bundle, tmp_path,
+                                                 value, commands, code, err):
+        work = tmp_path / "bundle"
+        shutil.copytree(faulted_bundle.out_dir, work)
+        trends = work / "trends.csv"
+        text = trends.read_text(encoding="utf-8")
+        row = re.search(r"^(.*,B1\.VAV1-01\.FLOW,).*$", text, flags=re.M)
+        trends.write_text(text[:row.start()] + row.group(1) + value + text[row.end():],
+                          encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        for command in commands:
+            done = subprocess.run(
+                [sys.executable, "-m", "hvacdisagg.cli", command, "--config",
+                 str(work / "run.conf")], capture_output=True, text=True, env=env)
+            assert (done.returncode, done.stderr) == (code, err), command
 
     def test_repeated_config_section_exits_one(self, cli_bundle, tmp_path, capsys):
         def repeat_paths(work):

@@ -200,6 +200,18 @@ class TestAssemble:
         # VAV discharge fell back to the AHU supply temp
         np.testing.assert_allclose(data.vavs["VAV11"].supply_temp, 55.0)
 
+    def test_configured_constants_are_read_only_columns(self):
+        # one value broadcast to every row, not an n-row array per VAV; a
+        # window cuts it like any other column
+        data = assemble(_graph(), _binding(), _series_map(n=8))
+        for vav in data.vavs.values():
+            for column, value in ((vav.min_flow, 100.0), (vav.zone_upper_limit, 76.0)):
+                assert not column.flags.writeable
+                assert column.shape == (8,) and column.tolist() == [value] * 8
+                assert column.strides == (0,)
+        window = data.window(T0 + 2 * GRID, T0 + 5 * GRID)
+        assert window.vavs["VAV11"].min_flow.tolist() == [100.0] * 3
+
     def test_power_sums(self):
         data = assemble(_graph(), _binding(), _series_map())
         total = data.powers().sum_vav_cooling

@@ -182,6 +182,24 @@ class TestReadTrends:
         with pytest.raises(OSError):
             read_trends("/nonexistent/trends.csv", b, GRID)
 
+    def test_read_trends_memory_per_row_on_a_long_file(self, tmp_path):
+        """Peak traced bytes per row of read_trends on 40 points over 2,000
+        timestamps (80,000 rows): measured 20.9 B/row, about the 16 B/row
+        of sample columns the parse fills plus one point's working arrays,
+        since the timestamp lookup and each point's columns are freed as
+        the series are built, and each series takes its array over. The
+        reader that kept all of them to the end and copied each series'
+        array peaked at 31.0 B/row."""
+        rng = np.random.default_rng(17)
+        points = [(f"V{i:02d}", PointRole.VAV_SUPPLY_FLOW, f"B1.V{i:02d}.FLOW", Unit.CFM)
+                  for i in range(40)]
+        path = str(tmp_path / "t.csv")
+        write_trends([TimeSeries(pid, T0, GRID, unit, rng.normal(400.0, 50.0, 2000))
+                      for _, _, pid, unit in points], path)
+        rows = 40 * 2000
+        peak = traced_peak_bytes(lambda: read_trends(path, binding_for(points), GRID))
+        assert peak <= 25 * rows, (peak / rows, rows)
+
 
 class TestRoundTrip:
     def test_write_read_identity(self, tmp_path):

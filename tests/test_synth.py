@@ -133,10 +133,40 @@ class TestTruthFrame:
         generate(synth.scenario_faulted(), str(tmp_path / "b"))
         assert alive == [before] * 3
 
+    def test_powers_freed_before_trends_are_written(self, tmp_path, monkeypatch):
+        # truth_powers.csv is written first, so no Powers is alive while
+        # the widest file is
+        def powers():
+            return sum(isinstance(o, Powers) for o in gc.get_objects())
+
+        alive = []
+        real = synth.write_trends
+
+        def counted(*args, **kwargs):
+            alive.append(powers())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "write_trends", counted)
+        before = powers()
+        generate(synth.scenario_faulted(), str(tmp_path / "b"))
+        assert alive == [before]
+
+    def test_generate_memory_on_the_faulted_preset(self, tmp_path):
+        """Peak traced bytes of generate on the faulted preset (3 AHUs x 4
+        VAVs, 21 days at 900 s, 2% sensor noise on every sensor signal),
+        numpy.random already imported: measured 2.28 MB. Generate that
+        noised each signal into a new array, copied every signal into its
+        series and wrote trends.csv while the frame's powers were alive
+        peaked at 3.43 MB."""
+        np.random.default_rng(0)  # its first import is not generate's cost
+        peak = traced_peak_bytes(
+            lambda: generate(synth.scenario_faulted(), str(tmp_path / "b")))
+        assert peak <= 2_900_000, peak
+
     def test_generate_memory_on_a_wide_building(self, tmp_path):
         """Peak traced bytes of generate on the recovery building at 8 AHUs
         x 10 VAVs, 10 days at 1800 s (480 rows, 183 truth-power columns):
-        measured 4.62 MB. Generate that held its traces to the end and
+        measured 3.93 MB. Generate that held its traces to the end and
         wrote 256 rows at a time whatever the width peaked at 9.06 MB."""
         spec = dataclasses.replace(scenario_recovery(), n_ahus=8, n_vavs_per_ahu=10,
                                    duration_days=10, interval_s=1800)
@@ -370,6 +400,45 @@ class TestDerivePhysics:
         assert _same_traces(twin, want)
         assert _same_traces(base, built)
         assert base.flow == {} and derived.flow != {}
+
+
+class TestWrittenSeries:
+    @staticmethod
+    def _traces(spec):
+        rng = np.random.default_rng(spec.seed)
+        return synth._derive_physics(synth._build_base(spec, rng)), rng
+
+    @pytest.mark.parametrize("spec", [synth.scenario_faulted(), synth.scenario_recovery()],
+                             ids=["noisy", "exact"])
+    def test_no_two_points_share_an_array(self, spec):
+        # each series takes its array over without a copy, and the noise
+        # goes in place, so one array handed to two points would be noised
+        # twice and either point's values would be the other's
+        values = [s.values for s in synth._written_series(*self._traces(spec)).values()]
+        assert all(not v.flags.writeable for v in values)
+        for i, a in enumerate(values):
+            assert not any(np.may_share_memory(a, b) for b in values[i + 1:])
+
+    def test_noise_in_place_has_the_bits_of_the_product(self):
+        # values *= 1 + rel * z step by step gives exactly values * (1.0 +
+        # rel * z), on the same draws in the same order
+        spec = synth.scenario_faulted()
+        tr, rng = self._traces(spec)
+        clean = [("B1.OAT", tr.oat.copy()), ("B1.HWS-T", tr.hot_water.copy())]
+        for ahu in tr.ahu_ids:
+            clean += [(f"B1.{ahu}.SAT", tr.sat_actual[ahu].copy()),
+                      (f"B1.{ahu}.MAT", tr.mixed_actual[ahu].copy()),
+                      (f"B1.{ahu}.RAT", tr.return_temp[ahu].copy())]
+            for vav in tr.children[ahu]:
+                clean += [(f"B1.{vav}.ZN-T", tr.zone_temp[vav].copy()),
+                          (f"B1.{vav}.FLOW", tr.flow[vav].copy())]
+        state = rng.bit_generator.state
+        got = synth._written_series(tr, rng)
+        rng.bit_generator.state = state
+        rel = spec.sensor_noise_rel
+        for pid, values in clean:
+            want = values * (1.0 + rel * rng.standard_normal(tr.n))
+            assert np.array_equal(got[pid].values, want), pid
 
 
 def _same_traces(a, b):

@@ -17,6 +17,7 @@ from hvacdisagg.timeseries import (
     TimeSeries,
     Unit,
     align,
+    frozen,
     pearson,
     resample,
     rmse,
@@ -289,3 +290,43 @@ class TestTimeSeriesBasics:
         s = series([1.0, 2.0])
         with pytest.raises(ValueError):
             s.values[0] = 9.0
+
+    def test_frozen_array_it_owns_is_taken_over(self):
+        values = frozen(np.array([1.0, 2.0, 3.0]))
+        assert TimeSeries("P", T0, 900, Unit.CFM, values).values is values
+
+    def test_view_of_immutable_bytes_is_taken_over(self):
+        payload = np.array([1.0, 2.0, 3.0, 4.0]).tobytes()
+        values = np.frombuffer(payload, dtype="<f8")[1:3]
+        s = TimeSeries("P", T0, 900, Unit.CFM, values)
+        assert s.values is values
+        assert s.values.tolist() == [2.0, 3.0]
+
+    def test_writeable_array_is_copied(self):
+        values = np.array([1.0, 2.0])
+        s = TimeSeries("P", T0, 900, Unit.CFM, values)
+        values[0] = 9.0
+        assert not np.shares_memory(s.values, values)
+        assert s.values.tolist() == [1.0, 2.0]
+        assert values.flags.writeable
+
+    def test_read_only_view_of_a_writeable_base_is_copied(self):
+        base = np.array([1.0, 2.0, 3.0])
+        view = base[1:]
+        view.flags.writeable = False
+        s = TimeSeries("P", T0, 900, Unit.CFM, view)
+        base[1] = 9.0
+        assert not np.shares_memory(s.values, base)
+        assert s.values.tolist() == [2.0, 3.0]
+
+    @pytest.mark.parametrize("values", [
+        frozen(np.array([1, 2])),
+        frozen(np.array([1.0, 2.0], dtype=">f8")),
+        frozen(np.frombuffer(bytearray(np.array([1.0, 2.0]).tobytes()))),
+    ], ids=["int", "big-endian", "bytearray"])
+    def test_other_read_only_arrays_are_copied(self, values):
+        s = TimeSeries("P", T0, 900, Unit.CFM, values)
+        assert not np.shares_memory(s.values, values)
+        assert s.values.dtype == np.float64
+        assert s.values.tolist() == [1.0, 2.0]
+        assert not s.values.flags.writeable
