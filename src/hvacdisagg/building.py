@@ -275,37 +275,31 @@ def load_metadata(path: str) -> EquipmentGraph:
 
 def dump_metadata(graph: EquipmentGraph, path: str) -> None:
     """Write a graph back out in the topology file format."""
-    lines = ["[building]", f"id = {graph.building_id}"]
-    lines.append(f"cooling_meter_point = {graph.cooling_meter_point}")
-    lines.append(f"heating_meter_point = {graph.heating_meter_point}")
-    if graph.oat_point:
-        lines.append(f"oat_point = {graph.oat_point}")
-    if graph.hot_water_temp_point:
-        lines.append(f"hot_water_temp_point = {graph.hot_water_temp_point}")
+    def present(keys: dict) -> dict:
+        """The keys whose value is set, as text; numbers in %g."""
+        return {key: f"{value:g}" if isinstance(value, (int, float)) else value
+                for key, value in keys.items() if value not in (None, "")}
+
     start, end = graph.occupied_start_s, graph.occupied_end_s
-    lines.append(
-        "occupied_schedule = %02d:%02d-%02d:%02d"
-        % (start // 3600, start % 3600 // 60, end // 3600, end % 3600 // 60)
-    )
-    lines.append(f"occupied_weekdays_only = {'true' if graph.occupied_weekdays_only else 'false'}")
-    for a in graph.ahus:
-        lines += ["", f"[ahu {a.ahu_id}]"]
+    sections = {"building": present({
+        "id": graph.building_id,
+        "cooling_meter_point": graph.cooling_meter_point,
+        "heating_meter_point": graph.heating_meter_point,
+        "oat_point": graph.oat_point,
+        "hot_water_temp_point": graph.hot_water_temp_point,
+        "occupied_schedule": "%02d:%02d-%02d:%02d"
+        % (start // 3600, start % 3600 // 60, end // 3600, end % 3600 // 60),
+        "occupied_weekdays_only": str(graph.occupied_weekdays_only).lower(),
+    })}
+    sections.update((f"ahu {a.ahu_id}", {}) for a in graph.ahus)
     for v in graph.vavs:
-        lines += ["", f"[vav {v.vav_id}]"]
-        if v.ahu_id:
-            lines.append(f"ahu = {v.ahu_id}")
-        if v.zone:
-            lines.append(f"zone = {v.zone}")
-        if v.min_flow_cfm is not None:
-            lines.append(f"min_flow_cfm = {v.min_flow_cfm:g}")
-        if v.zone_upper_limit_f is not None:
-            lines.append(f"zone_upper_limit_f = {v.zone_upper_limit_f:g}")
+        sections[f"vav {v.vav_id}"] = present({
+            "ahu": v.ahu_id, "zone": v.zone, "min_flow_cfm": v.min_flow_cfm,
+            "zone_upper_limit_f": v.zone_upper_limit_f})
     if graph.bind_rules:
-        lines += ["", "[rules]"]
-        for i, rule in enumerate(graph.bind_rules, start=1):
-            lines.append(f"rule{i} = {rule.pattern} -> {rule.kind} {rule.role.value}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        sections["rules"] = {f"rule{i}": f"{rule.pattern} -> {rule.kind} {rule.role.value}"
+                             for i, rule in enumerate(graph.bind_rules, start=1)}
+    _Ini.write(path, sections)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ from .energy import assemble
 from .errors import ConfigError, DisaggError
 from .faults import read_findings, run_all, write_findings
 from .impact import build_report, estimate_all, format_report, format_table, prioritize, \
-    write_report_csv
-from .ingest import _write_numeric_csv, _write_rows, format_timestamp, read_points, \
-    read_reference_year, read_trends_cached, write_trends
+    write_impacts_csv, write_report_csv
+from .ingest import _write_numeric_csv, format_timestamp, read_points, read_reference_year, \
+    read_trends_cached, write_trends
 from .synth import generate
 from .timeseries import TimeSeries, Unit, rmse
 
@@ -205,23 +205,6 @@ def cmd_detect(cfg, data, *_) -> int:
     return 0
 
 
-IMPACTS_HEADER = ["rule", "equipment", "method", "window_start", "window_end",
-                  "observed_mmbtu", "annual_mmbtu", "slope", "intercept", "r",
-                  "notes"]
-
-
-def _write_impacts(impacts, path: str) -> None:
-    def cell(value):
-        return "" if value is None else repr(float(value))
-
-    _write_rows(path, IMPACTS_HEADER, (
-        [est.finding.rule, est.finding.equipment, est.method,
-         format_timestamp(est.finding.window_start), format_timestamp(est.finding.window_end),
-         cell(est.observed_mmbtu), cell(est.annual_mmbtu),
-         cell(est.slope), cell(est.intercept), cell(est.r), est.notes]
-        for est in impacts))
-
-
 def cmd_report(cfg, data, *_) -> int:
     """rank findings by annual energy waste"""
     model = load_model(cfg.model_path)
@@ -231,7 +214,7 @@ def cmd_report(cfg, data, *_) -> int:
     ordered = prioritize(estimate_all(findings, model, data, reference, cfg.thresholds))
     os.makedirs(cfg.output_dir, exist_ok=True)
     impacts_path = os.path.join(cfg.output_dir, "impacts.csv")
-    _write_impacts(ordered, impacts_path)
+    write_impacts_csv(ordered, impacts_path)
     rows = build_report(ordered)
     report_path = os.path.join(cfg.output_dir, "report.csv")
     write_report_csv(rows, report_path)

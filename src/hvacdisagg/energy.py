@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .building import EquipmentGraph, PointBinding, PointRole
-from .errors import DisaggError, SeriesError
-from .timeseries import align
+from .errors import AlignmentError, DisaggError, SeriesError
+from .timeseries import _overflow_to_inf
 
 __all__ = [
     "PhysicalConstants",
@@ -41,10 +41,6 @@ __all__ = [
 ]
 
 _MMBTU = 1e6
-
-# the estimators' decorator: a finite reading whose power overflows gives an
-# inf row, which every consumer drops as non-finite, without a numpy warning
-_overflow_to_inf = np.errstate(over="ignore")
 
 
 @dataclass(frozen=True)
@@ -327,22 +323,35 @@ def assemble(
     binding: PointBinding,
     series_map: dict,
 ) -> BuildingData:
-    """Align all bound series and take the FALLBACKS for missing inputs.
+    """Cut all bound series to their common span and take the FALLBACKS for
+    missing inputs. Each series keeps its own gaps.
 
-    A VAV without an air handler in the graph, a zone temperature or a
-    supply flow is excluded from the sums, with the reason. Refuses to run when a required
-    input has neither a series nor a fallback: air handler supply
-    temperature, the two building meters, and a mixed-air story (measured,
-    or outside air plus damper to estimate one); or when an air handler has
-    no usable VAV.
+    Refuses series on mixed intervals or grid phases, and series whose
+    spans do not overlap. A VAV without an air handler in the graph, a zone
+    temperature or a supply flow is excluded from the sums, with the reason.
+    Refuses to run when a required input has neither a series nor a
+    fallback: air handler supply temperature, the two building meters, and a
+    mixed-air story (measured, or outside air plus damper to estimate one);
+    or when an air handler has no usable VAV.
     """
     if not series_map:
         raise DisaggError("no trend data to assemble")
 
-    frame = align(series_map)
+    intervals = {s.interval_s for s in series_map.values()}
+    if len(intervals) != 1:
+        raise AlignmentError(f"mixed intervals {sorted(intervals)}")
+    interval = intervals.pop()
+    if len({s.start % interval for s in series_map.values()}) != 1:
+        raise AlignmentError("grid phase mismatch between series")
+    start = max(s.start for s in series_map.values())
+    n_rows = (min(s.end for s in series_map.values()) - start) // interval
+    if n_rows <= 0:
+        raise AlignmentError("no temporal overlap between series")
+    columns = {key: s.values[(start - s.start) // interval:][:n_rows]
+               for key, s in series_map.items()}
 
     def col(equipment_id, role):
-        return frame.columns.get((equipment_id, role))
+        return columns.get((equipment_id, role))
 
     bid = graph.building_id
     cooling_meter = col(bid, PointRole.BUILDING_COOLING_POWER)
@@ -353,7 +362,8 @@ def assemble(
     hot_water = col(bid, PointRole.HOT_WATER_SUPPLY_TEMP)
 
     schedule = occupancy_schedule(
-        frame.timestamps(), graph.occupied_start_s, graph.occupied_end_s, graph.occupied_weekdays_only
+        start + interval * np.arange(n_rows, dtype=np.int64),
+        graph.occupied_start_s, graph.occupied_end_s, graph.occupied_weekdays_only
     )
 
     fallbacks: list = []
@@ -395,10 +405,10 @@ def assemble(
         # a configured constant is one read-only value broadcast to every row
         min_flow = col(vid, PointRole.VAV_MIN_FLOW)
         if min_flow is None and node.min_flow_cfm is not None:
-            min_flow = np.broadcast_to(float(node.min_flow_cfm), frame.n_rows)
+            min_flow = np.broadcast_to(float(node.min_flow_cfm), n_rows)
         zone_upper = col(vid, PointRole.ZONE_UPPER_LIMIT)
         if zone_upper is None and node.zone_upper_limit_f is not None:
-            zone_upper = np.broadcast_to(float(node.zone_upper_limit_f), frame.n_rows)
+            zone_upper = np.broadcast_to(float(node.zone_upper_limit_f), n_rows)
 
         vavs[vid] = VavData(
             vav_id=vid,
@@ -461,9 +471,9 @@ def assemble(
 
     return BuildingData(
         graph=graph,
-        start=frame.start,
-        interval_s=frame.interval_s,
-        n_rows=frame.n_rows,
+        start=start,
+        interval_s=interval,
+        n_rows=n_rows,
         cooling_meter=cooling_meter,
         heating_meter=heating_meter,
         vavs=vavs,

@@ -23,7 +23,7 @@ from .calibrate import CalibratedModel
 from .energy import BuildingData, ahu_power, vav_cooling_power, vav_heating_power
 from .errors import DegenerateSeriesError, FitError
 from .faults import RULE_NAMES, FaultFinding, Thresholds
-from .ingest import _write_rows
+from .ingest import _write_rows, format_timestamp
 from .timeseries import pearson
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "estimate_all",
     "prioritize",
     "build_report",
+    "write_impacts_csv",
     "write_report_csv",
     "format_report",
     "format_table",
@@ -302,6 +303,23 @@ def build_report(impacts) -> tuple:
     rows.sort(key=lambda r: (r.annual_mmbtu is None,
                              -(r.annual_mmbtu or 0.0), r.rule))
     return tuple(rows)
+
+
+IMPACTS_HEADER = ["rule", "equipment", "method", "window_start", "window_end",
+                  "observed_mmbtu", "annual_mmbtu", "slope", "intercept", "r",
+                  "notes"]
+
+
+def write_impacts_csv(impacts, path: str) -> None:
+    def cell(value):
+        return "" if value is None else repr(float(value))
+
+    _write_rows(path, IMPACTS_HEADER, (
+        [est.finding.rule, est.finding.equipment, est.method,
+         format_timestamp(est.finding.window_start), format_timestamp(est.finding.window_end),
+         cell(est.observed_mmbtu), cell(est.annual_mmbtu),
+         cell(est.slope), cell(est.intercept), cell(est.r), est.notes]
+        for est in impacts))
 
 
 REPORT_HEADER = ["rule", "possible_fault", "count", "mmbtu_per_year", "not_estimable"]

@@ -1,34 +1,36 @@
 """Gap-aware regular time series plus the error statistics used everywhere else.
 
 Timestamps are UTC epoch seconds on a fixed-interval grid. Gaps are explicit
-NaN markers in the value array; nothing in this module fills one in unless the
-caller asked for interpolation. All statistics drop incomplete rows first.
+NaN markers in the value array; nothing in this module fills one in. The
+statistics see complete rows only: rmse and pearson drop incomplete and
+non-finite rows themselves.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import AlignmentError, DegenerateSeriesError, SeriesError
+from .errors import DegenerateSeriesError, SeriesError
 
 __all__ = [
     "Unit",
     "TimeSeries",
-    "AlignedFrame",
     "frozen",
     "bucket",
-    "resample",
-    "align",
     "rmse",
     "percent_errors",
     "rmspe_of",
     "mpe_of",
     "pearson",
 ]
+
+
+# a finite reading whose square, sum or power overflows gives inf, which
+# every consumer treats as non-finite, without a numpy warning
+_overflow_to_inf = np.errstate(over="ignore")
 
 
 class Unit(Enum):
@@ -100,24 +102,6 @@ def _handed_over(values) -> bool:
     return base is None or type(base) is bytes
 
 
-@dataclass(frozen=True, eq=False)
-class AlignedFrame:
-    """Several series on one shared grid. Columns keep their NaN gaps."""
-
-    start: int
-    interval_s: int
-    columns: dict
-
-    @property
-    def n_rows(self) -> int:
-        if not self.columns:
-            return 0
-        return len(next(iter(self.columns.values())))
-
-    def timestamps(self) -> np.ndarray:
-        return self.start + self.interval_s * np.arange(self.n_rows, dtype=np.int64)
-
-
 def bucket(idx, values, n_out: int, policy: str) -> np.ndarray:
     """Samples into n_out slots by slot index: "mean" averages each slot,
     "last" keeps its final sample; a slot with no sample is a gap."""
@@ -134,108 +118,19 @@ def bucket(idx, values, n_out: int, policy: str) -> np.ndarray:
     return out
 
 
-def resample(
-    series: TimeSeries,
-    target_interval_s: int,
-    policy: str = "mean",
-    max_gap_s: int | None = None,
-) -> TimeSeries:
-    """Move a series onto an epoch-aligned grid of target_interval_s seconds.
-
-    policy "mean" averages the in-bucket samples, "last" keeps the final one,
-    "interp" linearly interpolates between neighbours no further than max_gap_s
-    apart. mean/last only coarsen; a bucket with no values stays a gap.
-    """
-    if target_interval_s <= 0:
-        raise SeriesError(f"target interval must be positive, got {target_interval_s}")
-    if len(series) == 0:
-        raise SeriesError(f"{series.point_id}: cannot resample an empty series")
-
-    if policy in ("mean", "last"):
-        if target_interval_s < series.interval_s:
-            raise SeriesError(
-                f"{series.point_id}: policy '{policy}' cannot upsample "
-                f"{series.interval_s}s data to {target_interval_s}s; use 'interp'"
-            )
-        ts = series.timestamps()
-        first_bucket = (series.start // target_interval_s) * target_interval_s
-        last_bucket = ((series.end - 1) // target_interval_s) * target_interval_s
-        n_out = (last_bucket - first_bucket) // target_interval_s + 1
-        idx = (ts - first_bucket) // target_interval_s
-        valid = ~np.isnan(series.values)
-        out = bucket(idx[valid], series.values[valid], n_out, policy)
-        return TimeSeries(series.point_id, int(first_bucket), int(target_interval_s), series.unit, out)
-
-    if policy == "interp":
-        if max_gap_s is None:
-            raise SeriesError("policy 'interp' requires max_gap_s")
-        ts = series.timestamps().astype(float)
-        valid = ~np.isnan(series.values)
-        if not valid.any():
-            raise SeriesError(f"{series.point_id}: no values to interpolate from")
-        known_t = ts[valid]
-        known_v = series.values[valid]
-        first_out = math.ceil(known_t[0] / target_interval_s) * target_interval_s
-        last_out = math.floor(known_t[-1] / target_interval_s) * target_interval_s
-        if last_out < first_out:
-            raise SeriesError(f"{series.point_id}: span too short for {target_interval_s}s grid")
-        out_t = np.arange(first_out, last_out + 1, target_interval_s, dtype=np.int64)
-        right = np.searchsorted(known_t, out_t, side="left")
-        right = np.clip(right, 0, len(known_t) - 1)
-        left = np.clip(right - 1, 0, len(known_t) - 1)
-        exact = known_t[right] == out_t
-        left[exact] = right[exact]
-        span = known_t[right] - known_t[left]
-        frac = np.zeros(len(out_t))
-        interp_rows = span > 0
-        frac[interp_rows] = (out_t[interp_rows] - known_t[left][interp_rows]) / span[interp_rows]
-        out = known_v[left] + frac * (known_v[right] - known_v[left])
-        out[span > max_gap_s] = np.nan
-        return TimeSeries(series.point_id, int(first_out), int(target_interval_s), series.unit, out)
-
-    raise SeriesError(f"unsupported resample policy '{policy}'")
-
-
-def align(series_by_name: dict) -> AlignedFrame:
-    """Cut a set of same-interval series down to their common span.
-
-    Raises AlignmentError on mixed intervals, mismatched grid phase, or when
-    the spans do not overlap at all.
-    """
-    if not series_by_name:
-        raise AlignmentError("nothing to align")
-    intervals = {s.interval_s for s in series_by_name.values()}
-    if len(intervals) != 1:
-        raise AlignmentError(f"mixed intervals {sorted(intervals)}; resample first")
-    interval = intervals.pop()
-    phases = {s.start % interval for s in series_by_name.values()}
-    if len(phases) != 1:
-        raise AlignmentError("grid phase mismatch between series; resample first")
-    lo = max(s.start for s in series_by_name.values())
-    hi = min(s.end for s in series_by_name.values())
-    if hi <= lo:
-        raise AlignmentError("no temporal overlap between series")
-    cols = {}
-    for name, s in series_by_name.items():
-        i0 = (lo - s.start) // interval
-        i1 = (hi - s.start) // interval
-        cols[name] = s.values[i0:i1]
-    return AlignedFrame(start=int(lo), interval_s=int(interval), columns=cols)
-
-
 def _paired(a, b, what: str):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise SeriesError(f"{what}: length mismatch {a.shape} vs {b.shape}")
-    keep = ~(np.isnan(a) | np.isnan(b))
+    keep = np.isfinite(a) & np.isfinite(b)
     if not keep.any():
         raise DegenerateSeriesError(f"{what}: no overlapping samples")
     return a[keep], b[keep]
 
 
 def rmse(a, b) -> float:
-    """Root mean square difference over complete rows. Symmetric in a and b."""
+    """Root mean square difference over complete, finite rows. Symmetric in a and b."""
     x, y = _paired(a, b, "rmse")
     return float(np.sqrt(np.mean((x - y) ** 2)))
 
@@ -264,6 +159,7 @@ def _check_base(n_ok: int, n_rows: int, eps: float, what: str) -> None:
         )
 
 
+@_overflow_to_inf
 def rmspe_of(errors, n_rows: int, eps: float) -> float:
     """Root mean square percentage error from percent_errors' relative
     errors over n_rows complete rows. More than half the rows below eps
@@ -273,6 +169,7 @@ def rmspe_of(errors, n_rows: int, eps: float) -> float:
     return float(np.sqrt(_mean(pct**2)))
 
 
+@_overflow_to_inf
 def mpe_of(errors, n_rows: int, eps: float) -> float:
     """Signed mean percentage error from percent_errors' relative errors over
     n_rows complete rows; the sign tells which way measured is biased."""
@@ -280,8 +177,9 @@ def mpe_of(errors, n_rows: int, eps: float) -> float:
     return float(_mean(errors) * 100.0)
 
 
+@_overflow_to_inf
 def pearson(a, b) -> float:
-    """Pearson correlation over complete rows.
+    """Pearson correlation over complete, finite rows.
 
     Raises DegenerateSeriesError when either side is constant; a flatlined
     sensor has no correlation, and callers must decide what that means.

@@ -1,4 +1,4 @@
-"""Statistics and grid operations checked against brute-force oracles.
+"""Statistics checked against brute-force oracles, and assemble's common grid.
 
 The oracle functions below are deliberately naive pure-Python loops so the
 vectorized implementations have an independent reference.
@@ -12,16 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import mpe, rmspe
+from hvacdisagg.building import AhuNode, EquipmentGraph, PointBinding, PointRole, VavNode
+from hvacdisagg.energy import assemble
 from hvacdisagg.errors import AlignmentError, DegenerateSeriesError, SeriesError
-from hvacdisagg.timeseries import (
-    TimeSeries,
-    Unit,
-    align,
-    frozen,
-    pearson,
-    resample,
-    rmse,
-)
+from hvacdisagg.timeseries import TimeSeries, Unit, frozen, pearson, rmse
 
 # Hand-computed expectations, frozen before the implementation existed.
 RMSE_3_4_VS_0_0 = 3.5355339059327378  # sqrt((9 + 16) / 2)
@@ -174,111 +168,68 @@ def test_pearson_affine_invariance(xs, scale, shift):
     assert pearson(a, -scale * a + shift) == pytest.approx(-1.0, abs=1e-9)
 
 
-class TestResample:
-    def test_mean_downsample_hand_case(self):
-        # six 5-minute samples starting on a 15-minute boundary collapse to [3, 9]
-        s = series([1, 3, 5, 7, 9, 11], start=1_700_000_100 - 300, interval=300)
-        aligned_start = (s.start // 900) * 900
-        s = series([1, 3, 5, 7, 9, 11], start=aligned_start, interval=300)
-        out = resample(s, 900, "mean")
-        assert out.start == aligned_start
-        assert out.interval_s == 900
-        np.testing.assert_allclose(out.values, [3.0, 9.0])
+def _assembled(cooling, heating):
+    """assemble on a one-AHU, one-VAV building with these two meters and
+    every other input flat across both meters' spans, on the cooling
+    meter's grid."""
+    start, end = min(cooling.start, heating.start), max(cooling.end, heating.end)
+    interval = cooling.interval_s
 
-    def test_identity_when_already_on_grid(self):
-        start = (T0 // 900) * 900
-        s = series([55.2, 55.4, np.nan, 55.9], start=start, interval=900)
-        for policy in ("mean", "last"):
-            out = resample(s, 900, policy)
-            assert out.start == s.start
-            np.testing.assert_array_equal(out.values, s.values)
+    def flat(value):
+        return series(np.full((end - start) // interval, value), start, interval)
 
-    def test_all_gap_bucket_stays_gap(self):
-        start = (T0 // 900) * 900
-        s = series([1.0, np.nan, np.nan, np.nan, 2.0, 4.0], start=start, interval=300)
-        out = resample(s, 900, "mean")
-        assert out.values[0] == pytest.approx(1.0)
-        assert math.isnan(out.values[1]) or out.values[1] == pytest.approx(3.0)
-        # first bucket holds only the first sample; verify bucketing explicitly
-        s2 = series([np.nan, np.nan, np.nan, 2.0, 4.0, 6.0], start=start, interval=300)
-        out2 = resample(s2, 900, "mean")
-        assert math.isnan(out2.values[0])
-        assert out2.values[1] == pytest.approx(4.0)
-
-    def test_last_policy_keeps_final_sample(self):
-        start = (T0 // 900) * 900
-        s = series([1.0, 2.0, 3.0], start=start, interval=300)
-        out = resample(s, 900, "last")
-        np.testing.assert_allclose(out.values, [3.0])
-
-    def test_mean_cannot_upsample(self):
-        s = series([1.0, 2.0], interval=900)
-        with pytest.raises(SeriesError, match="cannot upsample"):
-            resample(s, 300, "mean")
-
-    def test_interp_upsample_respects_max_gap(self):
-        start = (T0 // 900) * 900
-        s = series([0.0, np.nan, np.nan, 30.0], start=start, interval=900)
-        wide = resample(s, 300, "interp", max_gap_s=3600)
-        # 2700 s between known samples, linear ramp
-        idx_1800 = int((start + 1800 - wide.start) // 300)
-        assert wide.values[idx_1800] == pytest.approx(20.0)
-        tight = resample(s, 300, "interp", max_gap_s=900)
-        assert math.isnan(tight.values[idx_1800])
-        # known endpoints survive even inside an over-wide gap
-        assert tight.values[0] == pytest.approx(0.0)
-
-    def test_empty_series_rejected(self):
-        s = series([])
-        with pytest.raises(SeriesError, match="empty"):
-            resample(s, 900, "mean")
-
-    def test_mean_idempotent(self):
-        rng = np.random.default_rng(11)
-        vals = rng.normal(60, 5, 96)
-        vals[rng.random(96) < 0.1] = np.nan
-        s = series(vals, start=(T0 // 300) * 300, interval=300)
-        once = resample(s, 900, "mean")
-        twice = resample(once, 900, "mean")
-        assert once.start == twice.start
-        np.testing.assert_array_equal(once.values, twice.values)
+    graph = EquipmentGraph("B1", (AhuNode("AH1"),), (VavNode("VAV1", "AH1"),),
+                           "B1.CLGMTR", "B1.HTGMTR")
+    series_map = {
+        ("B1", PointRole.BUILDING_COOLING_POWER): cooling,
+        ("B1", PointRole.BUILDING_HEATING_POWER): heating,
+        ("AH1", PointRole.AHU_SUPPLY_AIR_TEMP): flat(55.0),
+        ("AH1", PointRole.AHU_MIXED_AIR_TEMP): flat(70.0),
+        ("VAV1", PointRole.ZONE_TEMP): flat(72.0),
+        ("VAV1", PointRole.VAV_SUPPLY_FLOW): flat(400.0),
+    }
+    return assemble(graph, PointBinding(bindings={}), series_map)
 
 
 class TestAlign:
+    """assemble cuts every series to their common span, and refuses series
+    that share no grid or no time."""
+
     def test_common_span(self):
         a = series(np.arange(10.0), start=900 * 100, interval=900, point="A")
         b = series(np.arange(8.0), start=900 * 103, interval=900, point="B")
-        frame = align({"a": a, "b": b})
-        assert frame.start == 900 * 103
-        assert frame.n_rows == 7
-        np.testing.assert_allclose(frame.columns["a"], np.arange(3.0, 10.0))
-        np.testing.assert_allclose(frame.columns["b"], np.arange(0.0, 7.0))
+        data = _assembled(a, b)
+        assert data.start == 900 * 103
+        assert data.n_rows == 7
+        np.testing.assert_allclose(data.cooling_meter, np.arange(3.0, 10.0))
+        np.testing.assert_allclose(data.heating_meter, np.arange(0.0, 7.0))
+        np.testing.assert_allclose(data.vavs["VAV1"].zone_temp, np.full(7, 72.0))
 
     def test_mixed_intervals_rejected(self):
         a = series([1, 2, 3], interval=900)
         b = series([1, 2, 3], interval=300)
-        with pytest.raises(AlignmentError, match="mixed intervals"):
-            align({"a": a, "b": b})
+        with pytest.raises(AlignmentError, match=r"^mixed intervals \[300, 900\]$"):
+            _assembled(a, b)
 
     def test_phase_mismatch_rejected(self):
         a = series([1, 2, 3], start=900 * 10, interval=900)
         b = series([1, 2, 3], start=900 * 10 + 60, interval=900)
-        with pytest.raises(AlignmentError, match="phase"):
-            align({"a": a, "b": b})
+        with pytest.raises(AlignmentError, match="^grid phase mismatch between series$"):
+            _assembled(a, b)
 
     def test_disjoint_ranges_rejected(self):
         a = series([1, 2, 3], start=900 * 10, interval=900)
         b = series([1, 2, 3], start=900 * 50, interval=900)
         with pytest.raises(AlignmentError, match="no temporal overlap"):
-            align({"a": a, "b": b})
+            _assembled(a, b)
 
     def test_complete_mask(self):
         a = series([1.0, np.nan, 3.0], start=0, interval=900)
         b = series([np.nan, 2.0, 4.0], start=0, interval=900)
-        frame = align({"a": a, "b": b})
-        # align keeps each column's own gaps; it neither fills nor drops rows
-        np.testing.assert_array_equal(frame.columns["a"], [1.0, np.nan, 3.0])
-        np.testing.assert_array_equal(frame.columns["b"], [np.nan, 2.0, 4.0])
+        data = _assembled(a, b)
+        # each column keeps its own gaps; nothing is filled and no row dropped
+        np.testing.assert_array_equal(data.cooling_meter, [1.0, np.nan, 3.0])
+        np.testing.assert_array_equal(data.heating_meter, [np.nan, 2.0, 4.0])
 
 
 class TestTimeSeriesBasics:

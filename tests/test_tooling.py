@@ -24,8 +24,6 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 UNREFERENCED_OK = {
     # perfbench/tracer.py patches it to count masked rows
     "energy.BuildingData.row_mask",
-    # kept for the bounded per-point gap fill before summing
-    "timeseries.resample",
 }
 
 
@@ -168,11 +166,15 @@ def _public_definitions(tree):
                     yield f"{node.name}.{item.name}", item.name
 
 
+def _src_modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src" / "hvacdisagg").glob("*.py"))}
+
+
 def test_every_public_name_has_a_caller_outside_tests():
     # by name only: a use of any attribute called `get` covers every
     # public method called `get`
-    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-               for path in sorted((ROOT / "src" / "hvacdisagg").glob("*.py"))}
+    modules = _src_modules()
     used = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in (*modules.values(), ast.parse(_readme_example()))
             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
@@ -180,6 +182,14 @@ def test_every_public_name_has_a_caller_outside_tests():
               for qualname, name in _public_definitions(tree)
               if name not in used and f"{module}.{qualname}" not in UNREFERENCED_OK]
     assert unused == []
+
+
+def test_every_unreferenced_ok_entry_names_a_definition():
+    # the allowlist cannot outlive what it excuses: an entry whose
+    # definition is gone or renamed fails here
+    defined = {f"{module}.{qualname}" for module, tree in _src_modules().items()
+               for qualname, _ in _public_definitions(tree)}
+    assert sorted(UNREFERENCED_OK - defined) == []
 
 
 def test_only_ingest_uses_the_csv_module():
