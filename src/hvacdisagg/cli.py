@@ -173,7 +173,7 @@ def cmd_estimate(cfg, data, *_) -> int:
     for name, estimated in predictions(model, powers).items():
         spec = SUBMODELS[name]
         measured = getattr(data, spec.meter)
-        keep = spec.mode_rows(powers) & ~np.isnan(estimated) & ~np.isnan(measured)
+        keep = spec.mode_rows(powers) & np.isfinite(estimated) & np.isfinite(measured)
         filename = f"{name}_comparison.csv"
         _write_comparison(os.path.join(cfg.output_dir, filename),
                           stamps[keep], estimated[keep], measured[keep])

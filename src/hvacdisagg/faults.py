@@ -18,13 +18,23 @@ a time, so a fault only surfaces when its signature holds for the configured
 number of consecutive days, and short excursions stay quiet. A rule's row
 masks (usable rows, valve closed, unoccupied below the zone limit, flow over
 the minimum, reference clear of the percentage floor) depend on the row
-alone, so each rule prepares each unit once over the whole frame: it decides
+alone, so each rule's screen takes one unit over the whole frame: it decides
 the reasons no window can change (a missing sensor, valve trend, setpoint or
-min-flow config) and builds its masks, their running counts and the usable
-rows' values. A window is then a row range [i0, i1): counts come from
-differences of running counts, and each statistic is taken over a contiguous
-slice of the usable rows, the same values in the same order a masked copy
-of the window would give.
+min-flow config), builds its masks and their running counts, and judges
+every window at once. A window is a row range [i0, i1), and its counts are
+differences of running counts.
+
+Each statistic is taken over a contiguous slice of the rows a mask keeps,
+the same values in the same order a masked copy of the window would give.
+The windows whose slices have one length are gathered into a C-contiguous
+stack, one row per window and at most _BLOCK_CELLS cells at a time, and the
+statistic reduces each row along the last axis. numpy sums a row of such a
+stack with the same pairwise order as the slice alone, so every window gets
+the bits a call on its own slice gives (tests/test_timeseries.py pins this;
+np.add.reduceat sums left to right and gives other bits). A window the
+stack cannot take, one holding a non-finite pair that pearson drops or a
+flat series, is asked again alone. The percentage statistics take as their
+complete rows those with a finite pair, as pearson does.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ import numpy as np
 
 from .energy import BuildingData
 from .errors import ConfigError, DegenerateSeriesError, DisaggError, FaultRuleError
-from .ingest import _Records, _write_rows, format_timestamp, parse_timestamp
+from .ingest import _BLOCK_CELLS, _Records, _write_rows, format_timestamp, parse_timestamp
 from .timeseries import mpe_of, pearson, percent_errors, rmspe_of
 
 __all__ = [
@@ -163,123 +173,184 @@ def _vav(data: BuildingData, vav_id: str):
         raise FaultRuleError(f"unknown VAV '{vav_id}'") from None
 
 
-def _prefix(mask: np.ndarray) -> list:
-    """Running count of a row mask: entry i is the number of set rows before
-    row i. A list, because judges read it one window at a time."""
-    return [0, *np.cumsum(mask).tolist()]
+# a verdict code per window: OK, FINDING, then the inconclusive reasons.
+# Every screen shares _SHORT and _EMPTY; its own reasons count from _OWN.
+_OK, _FINDING, _SHORT, _EMPTY, _OWN = 0, 1, 2, 3, 4
 
 
-def _always(res: RuleResult):
-    """A judge for a verdict no window can change."""
-    return lambda i0, i1: res
+class _Windows:
+    """The sweep's row ranges [i0, i1), and what every screen derives from
+    them alone."""
+
+    def __init__(self, i0: np.ndarray, i1: np.ndarray):
+        self.i0, self.i1 = i0, i1
+        width = i1 - i0
+        # NaN for a window without rows, so its usable share is never short
+        self.width = np.where(width > 0, width, np.nan)
+        self.blank = np.where(width > 0, _OK, _EMPTY)
+
+    def __len__(self) -> int:
+        return len(self.i0)
+
+    def counts(self, *masks):
+        """Per row mask, how many of its set rows come before each window,
+        and before its end."""
+        run = np.zeros((len(masks), len(masks[0]) + 1), dtype=np.intp)
+        for row, mask in zip(run, masks):
+            row[1:] = mask
+        run.cumsum(axis=1, out=run)
+        return zip(run[:, self.i0], run[:, self.i1])
+
+    def covered(self, a: np.ndarray, b: np.ndarray, floor: float):
+        """Each window's verdict code with the shared reasons set, and its
+        usable share, when a window's usable rows are [a, b) among them."""
+        share = (b - a) / self.width
+        return np.where(share < floor, _SHORT, self.blank), share
 
 
-def _coverage(valid: np.ndarray, floor: float):
-    """Prepare the usable-row check of any row range [i0, i1).
+class _Verdicts:
+    """Every window's verdict for one (rule, unit) pair.
 
-    The returned function gives the inconclusive verdict of a range that
-    falls short of floor (None when it does not) and where the range's
-    valid rows start and stop among valid's set rows.
+    code[k] is _OK, _FINDING or an inconclusive reason, and value[k] the
+    statistic or the number the reason reports. details holds each code's
+    detail: text, or a function of the value. run_all formats a detail only
+    for the windows it reports.
     """
-    count = _prefix(valid)
 
-    def covered(i0: int, i1: int):
-        if i1 <= i0:
-            return RuleResult(INCONCLUSIVE, detail="window holds no rows"), 0, 0
-        a, b = count[i0], count[i1]
-        frac = (b - a) / (i1 - i0)
-        if frac < floor:
-            return RuleResult(INCONCLUSIVE, detail=f"only {frac:.0%} of the window is "
-                                                   f"usable (need {floor:.0%})"), a, b
-        return None, a, b
+    def __init__(self, code: np.ndarray, value: np.ndarray, th: Thresholds, finding,
+                 *own):
+        self.code, self.value = code, value
+        self.details = ("", finding,
+                        lambda v: f"only {v:.0%} of the window is usable "
+                                  f"(need {th.min_coverage:.0%})",
+                        "window holds no rows", *own)
 
-    return covered
+    def result(self, k: int) -> RuleResult:
+        code, value = int(self.code[k]), float(self.value[k])
+        detail = self.details[code]
+        if callable(detail):
+            detail = detail(value)
+        if code >= _SHORT:
+            return RuleResult(INCONCLUSIVE, detail=detail)
+        return RuleResult((OK, FINDING)[code], value, detail)
 
 
-def _economizer_screen(data: BuildingData, ahu_id: str, th: Thresholds):
+def _always(w: _Windows, th: Thresholds, detail: str) -> _Verdicts:
+    """Every window inconclusive for a reason no window can change."""
+    return _Verdicts(np.full(len(w), _OWN), np.full(len(w), np.nan), th, None, detail)
+
+
+def _stacks(lengths: np.ndarray, which: np.ndarray):
+    """The windows `which` grouped by their slice length, at least 1, in
+    chunks of at most _BLOCK_CELLS cells: yields (window indices, length)."""
+    lengths = lengths[which]
+    for n in sorted(set(lengths.tolist())):
+        group = which[lengths == n]
+        step = max(1, _BLOCK_CELLS // n)
+        for j in range(0, len(group), step):
+            yield group[j:j + step], n
+
+
+def _gather(values: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
+    """The slices values[a_k:a_k + n] as the rows of a C-contiguous stack."""
+    return values[a[:, None] + np.arange(n)]
+
+
+def _economizer_screen(data: BuildingData, ahu_id: str, th: Thresholds, w: _Windows):
     """Correlate the measured mixed-air temperature with the one the damper
     command implies. A working economizer keeps the two moving together; a
     stuck damper decouples them."""
     ahu = _ahu(data, ahu_id)
     if ahu.mixed_temp_measured is None:
-        return _always(RuleResult(INCONCLUSIVE, detail="no mixed-air temperature sensor"))
+        return _always(w, th, "no mixed-air temperature sensor")
     if ahu.mixed_temp_estimated is None:
-        return _always(RuleResult(
-            INCONCLUSIVE,
-            detail="no outside-air temp and damper command to estimate the mix"))
+        return _always(w, th, "no outside-air temp and damper command to estimate the mix")
     measured = ahu.mixed_temp_measured
     estimated = ahu.mixed_temp_estimated
-    valid = ~np.isnan(measured) & ~np.isnan(estimated) & ~np.isnan(ahu.damper)
-    covered = _coverage(valid, th.min_coverage)
+    valid = ~(np.isnan(measured) | np.isnan(estimated) | np.isnan(ahu.damper))
+    ((a, b),) = w.counts(valid)
+    code, value = w.covered(a, b, th.min_coverage)
     damper, measured, estimated = ahu.damper[valid], measured[valid], estimated[valid]
-
-    def judge(i0: int, i1: int) -> RuleResult:
-        short, a, b = covered(i0, i1)
-        if short:
-            return short
-        d = damper[a:b]
-        travel = float(d.max() - d.min())
-        if travel < th.damper_range_min:
-            return RuleResult(
-                INCONCLUSIVE,
-                detail=f"damper travelled only {travel:.2f} of its range; "
-                       "correlation says nothing when the command barely moves")
+    left = code == _OK
+    for k, n in _stacks(b - a, left.nonzero()[0]):
+        d = _gather(damper, a[k], n)
+        value[k] = d.max(axis=-1) - d.min(axis=-1)
+    parked = left & (value < th.damper_range_min)
+    code[parked] = _OWN
+    left &= ~parked
+    for k, n in _stacks(b - a, left.nonzero()[0]):
+        value[k] = pearson(_gather(measured, a[k], n), _gather(estimated, a[k], n))
+    for k in (left & np.isnan(value)).nonzero()[0].tolist():
         try:
-            corr = pearson(measured[a:b], estimated[a:b])
+            value[k] = pearson(measured[a[k]:b[k]], estimated[a[k]:b[k]])
         except DegenerateSeriesError:
-            return RuleResult(INCONCLUSIVE, detail="flatlined sensor")
-        if corr < th.correlation_min:
-            return RuleResult(FINDING, corr,
-                              f"mixed-air correlation {corr:.2f} < {th.correlation_min}")
-        return RuleResult(OK, corr)
+            code[k] = _OWN + 1
+    code[left & (value < th.correlation_min)] = _FINDING
+    return _Verdicts(
+        code, value, th, lambda v: f"mixed-air correlation {v:.2f} < {th.correlation_min}",
+        lambda v: f"damper travelled only {v:.2f} of its range; "
+                  "correlation says nothing when the command barely moves",
+        "flatlined sensor")
 
-    return judge
+
+def _relative_errors(base, measured, reference, eps: float):
+    """percent_errors over the rows of base: the rows it keeps, and their
+    relative errors in row order."""
+    ok, errors = percent_errors(measured[base], reference[base], eps)
+    kept = base.copy()
+    kept[base] = ok
+    return kept, errors
 
 
-def _valve_leak_screen(data: BuildingData, ahu_id: str, th: Thresholds, *, heating: bool):
+def _percent_statistic(code, value, left, n_rows, e0, e1, errors, statistic, eps: float,
+                       degenerate: int):
+    """Put statistic in value for every window left: over its n_rows
+    complete rows, whose relative errors are errors[e0:e1]. A window with no
+    complete row, or a mostly near-zero reference, gets reason degenerate
+    instead. Returns the windows judged."""
+    n_ok = e1 - e0
+    refused = left & (n_ok * 2 < np.maximum(n_rows, 1))
+    code[refused] = degenerate
+    left &= ~refused
+    for k, n in _stacks(n_ok, left.nonzero()[0]):
+        value[k] = statistic(_gather(errors, e0[k], n), n_rows[k], eps)
+    return left
+
+
+def _valve_leak_screen(data: BuildingData, ahu_id: str, th: Thresholds, w: _Windows, *,
+                       heating: bool):
     """Supply air biased cold (warm) across the instants the cooling
     (heating) valve is shut."""
     ahu = _ahu(data, ahu_id)
     valve = ahu.heating_valve if heating else ahu.cooling_valve
     side = "heating" if heating else "cooling"
     if valve is None:
-        return _always(RuleResult(INCONCLUSIVE, detail=f"no {side} valve command trend"))
-    valid = ~np.isnan(valve) & ~np.isnan(ahu.supply_temp) & ~np.isnan(ahu.mixed_temp)
-    covered = _coverage(valid, th.min_coverage)
+        return _always(w, th, f"no {side} valve command trend")
+    supply, mixed = ahu.supply_temp, ahu.mixed_temp
+    valid = ~(np.isnan(valve) | np.isnan(supply) | np.isnan(mixed))
     closed = valid & (valve <= th.valve_closed_tolerance)
-    n_closed = _prefix(closed)
-    ok, errors = percent_errors(ahu.supply_temp[closed], ahu.mixed_temp[closed], _TEMP_EPS_F)
-    n_ok = _prefix(ok)
-
-    def judge(i0: int, i1: int) -> RuleResult:
-        short, _, _ = covered(i0, i1)
-        if short:
-            return short
-        c0, c1 = n_closed[i0], n_closed[i1]
-        if c0 == c1:
-            return RuleResult(INCONCLUSIVE,
-                              detail=f"{side} valve never commanded closed in window")
-        try:
-            bias = mpe_of(errors[n_ok[c0]:n_ok[c1]], c1 - c0, _TEMP_EPS_F)
-        except DegenerateSeriesError:
-            return RuleResult(INCONCLUSIVE, detail="mixed-air temperature near zero; "
-                                                   "percentage bias undefined")
-        if heating:
-            if bias > th.heating_mpe_pct:
-                return RuleResult(FINDING, bias,
-                                  f"supply runs {bias:+.1f}% above mixed air with the "
-                                  "heating valve shut")
-        else:
-            if bias < th.cooling_mpe_pct:
-                return RuleResult(FINDING, bias,
-                                  f"supply runs {bias:+.1f}% below mixed air with the "
-                                  "cooling valve shut")
-        return RuleResult(OK, bias)
-
-    return judge
+    # the statistic's complete rows: closed rows with a finite pair
+    base = closed & np.isfinite(supply) & np.isfinite(mixed)
+    kept, errors = _relative_errors(base, supply, mixed, _TEMP_EPS_F)
+    (a, b), (c0, c1), (n0, n1), (e0, e1) = w.counts(valid, closed, base, kept)
+    code, value = w.covered(a, b, th.min_coverage)
+    left = code == _OK
+    never = left & (c0 == c1)
+    code[never] = _OWN
+    left = _percent_statistic(code, value, left & ~never, n1 - n0, e0, e1, errors, mpe_of,
+                              _TEMP_EPS_F, _OWN + 1)
+    if heating:
+        code[left & (value > th.heating_mpe_pct)] = _FINDING
+        finding = "above mixed air with the heating valve shut"
+    else:
+        code[left & (value < th.cooling_mpe_pct)] = _FINDING
+        finding = "below mixed air with the cooling valve shut"
+    return _Verdicts(code, value, th, lambda v: f"supply runs {v:+.1f}% {finding}",
+                     f"{side} valve never commanded closed in window",
+                     "mixed-air temperature near zero; percentage bias undefined")
 
 
-def _config_screen(data: BuildingData, vav_id: str, th: Thresholds):
+def _config_screen(data: BuildingData, vav_id: str, th: Thresholds, w: _Windows):
     """Unoccupied flow pinned above the configured minimum.
 
     Only instants where the zone is below its upper limit count: a warm zone
@@ -289,63 +360,48 @@ def _config_screen(data: BuildingData, vav_id: str, th: Thresholds):
     vav = _vav(data, vav_id)
     if vav.min_flow is None:
         raise FaultRuleError(f"{vav_id}: VAV missing min-flow config")
-    valid = (~np.isnan(vav.flow) & ~np.isnan(vav.zone_temp)
-             & ~np.isnan(vav.occupied) & ~np.isnan(vav.min_flow))
-    covered = _coverage(valid, th.min_coverage)
+    valid = ~(np.isnan(vav.flow) | np.isnan(vav.zone_temp)
+              | np.isnan(vav.occupied) | np.isnan(vav.min_flow))
     eligible = valid & (vav.occupied <= 0.0)
     if vav.zone_upper_limit is not None:
         eligible &= vav.zone_temp < vav.zone_upper_limit
-    n_eligible = _prefix(eligible)
-    n_over = _prefix(eligible & (vav.flow > th.occupied_flow_slack * vav.min_flow))
-
-    def judge(i0: int, i1: int) -> RuleResult:
-        short, _, _ = covered(i0, i1)
-        if short:
-            return short
-        n = n_eligible[i1] - n_eligible[i0]
-        if n == 0:
-            return RuleResult(INCONCLUSIVE,
-                              detail="no unoccupied instants below the zone limit")
-        frac = (n_over[i1] - n_over[i0]) / n
-        if frac > th.config_violation_fraction:
-            return RuleResult(FINDING, frac,
-                              f"{frac:.0%} of unoccupied instants exceed "
-                              f"{th.occupied_flow_slack:g}x the configured minimum")
-        return RuleResult(OK, frac)
-
-    return judge
+    over = eligible & (vav.flow > th.occupied_flow_slack * vav.min_flow)
+    (a, b), (n0, n1), (o0, o1) = w.counts(valid, eligible, over)
+    code, value = w.covered(a, b, th.min_coverage)
+    n = n1 - n0
+    left = code == _OK
+    none = left & (n == 0)
+    code[none] = _OWN
+    left &= ~none
+    np.divide(o1 - o0, n, out=value, where=left)
+    code[left & (value > th.config_violation_fraction)] = _FINDING
+    return _Verdicts(code, value, th,
+                     lambda v: f"{v:.0%} of unoccupied instants exceed "
+                               f"{th.occupied_flow_slack:g}x the configured minimum",
+                     "no unoccupied instants below the zone limit")
 
 
-def _damper_screen(data: BuildingData, vav_id: str, th: Thresholds):
+def _damper_screen(data: BuildingData, vav_id: str, th: Thresholds, w: _Windows):
     """Flow that no longer follows its own setpoint."""
     vav = _vav(data, vav_id)
     if vav.flow_setpoint is None:
-        return _always(RuleResult(INCONCLUSIVE, detail="no flow setpoint trend"))
-    valid = ~np.isnan(vav.flow) & ~np.isnan(vav.flow_setpoint)
-    covered = _coverage(valid, th.min_coverage)
-    ok, errors = percent_errors(vav.flow[valid], vav.flow_setpoint[valid], _FLOW_EPS_CFM)
-    n_ok = _prefix(ok)
-
-    def judge(i0: int, i1: int) -> RuleResult:
-        short, a, b = covered(i0, i1)
-        if short:
-            return short
-        try:
-            err = rmspe_of(errors[n_ok[a]:n_ok[b]], b - a, _FLOW_EPS_CFM)
-        except DegenerateSeriesError:
-            return RuleResult(INCONCLUSIVE,
-                              detail="flow setpoint sits at zero through the window")
-        if err > th.flow_rmspe_pct:
-            return RuleResult(FINDING, err,
-                              f"flow misses setpoint by {err:.0f}% RMS")
-        return RuleResult(OK, err)
-
-    return judge
+        return _always(w, th, "no flow setpoint trend")
+    flow, setpoint = vav.flow, vav.flow_setpoint
+    valid = ~(np.isnan(flow) | np.isnan(setpoint))
+    # the statistic's complete rows: those with a finite pair
+    base = np.isfinite(flow) & np.isfinite(setpoint)
+    kept, errors = _relative_errors(base, flow, setpoint, _FLOW_EPS_CFM)
+    (a, b), (n0, n1), (e0, e1) = w.counts(valid, base, kept)
+    code, value = w.covered(a, b, th.min_coverage)
+    left = _percent_statistic(code, value, code == _OK, n1 - n0, e0, e1, errors, rmspe_of,
+                              _FLOW_EPS_CFM, _OWN)
+    code[left & (value > th.flow_rmspe_pct)] = _FINDING
+    return _Verdicts(code, value, th, lambda v: f"flow misses setpoint by {v:.0f}% RMS",
+                     "flow setpoint sits at zero through the window")
 
 
 # rule id -> (screen, equipment kind, threshold picker, worse-of pair); a
-# screen prepares one unit over the whole frame and returns the judge of any
-# row range [i0, i1)
+# screen judges one unit in every window at once
 _RULES = {
     1: (_economizer_screen, "ahu", lambda t: t.correlation_min, min),
     2: (partial(_valve_leak_screen, heating=False), "ahu", lambda t: t.cooling_mpe_pct, min),
@@ -359,11 +415,10 @@ def run_all(data: BuildingData, th: Thresholds | None = None) -> DetectionResult
     """Evaluate every rule against every matching piece of equipment.
 
     The persistence window slides across the frame in one-day steps. Each
-    (rule, equipment) pair is prepared once and judges every window as a row
-    range. A pair that violates in any window yields exactly one finding
-    spanning the union of its violating windows, carrying the worst statistic
-    seen. Rule errors on one unit degrade to an inconclusive note rather than
-    aborting the sweep.
+    (rule, equipment) pair judges every window at once. A pair that violates
+    in any window yields exactly one finding spanning the union of its
+    violating windows, carrying the worst statistic seen. Rule errors on one
+    unit degrade to an inconclusive note rather than aborting the sweep.
     """
     if th is None:
         th = Thresholds()
@@ -381,39 +436,34 @@ def run_all(data: BuildingData, th: Thresholds | None = None) -> DetectionResult
 
     starts = np.arange(data.start, data.end - persist + 1, day, dtype=np.int64)
     ts = data.timestamps()
-    windows = list(zip(starts.tolist(), (starts + persist).tolist(),
-                       np.searchsorted(ts, starts).tolist(),
-                       np.searchsorted(ts, starts + persist).tolist()))
+    w = _Windows(np.searchsorted(ts, starts), np.searchsorted(ts, starts + persist))
     findings = []
     notes = []
     for rule_id, (screen, kind, pick, worse) in sorted(_RULES.items()):
         for unit in sorted(data.ahus if kind == "ahu" else data.vavs):
             try:
-                judge = screen(data, unit, th)
+                verdicts = screen(data, unit, th, w)
             except DisaggError as exc:
-                judge = _always(RuleResult(INCONCLUSIVE, detail=str(exc)))
-            hits = []
-            reason = None
-            for s, e, i0, i1 in windows:
-                res = judge(i0, i1)
-                if res.verdict == FINDING:
-                    hits.append((s, e, res.statistic, res.detail))
-                elif res.verdict == INCONCLUSIVE and reason is None:
-                    reason = res.detail
+                verdicts = _always(w, th, str(exc))
+            hits = (verdicts.code == _FINDING).nonzero()[0].tolist()
             if hits:
-                stat = worse(h[2] for h in hits)
+                stats = verdicts.value[hits].tolist()
+                stat = worse(stats)
                 findings.append(FaultFinding(
                     rule=rule_id,
                     rule_name=RULE_NAMES[rule_id],
                     equipment=unit,
-                    window_start=hits[0][0],
-                    window_end=hits[-1][1],
+                    window_start=int(starts[hits[0]]),
+                    window_end=int(starts[hits[-1]]) + persist,
                     statistic=stat,
                     threshold=pick(th),
-                    detail=next(h[3] for h in hits if h[2] == stat),
+                    detail=verdicts.result(hits[stats.index(stat)]).detail,
                 ))
-            elif reason is not None:
-                notes.append(InconclusiveNote(rule_id, unit, reason))
+                continue
+            stuck = (verdicts.code >= _SHORT).nonzero()[0]
+            if stuck.size:
+                notes.append(InconclusiveNote(rule_id, unit,
+                                              verdicts.result(stuck[0]).detail))
 
     return DetectionResult(findings=tuple(findings), inconclusive=tuple(notes),
                            warnings=())

@@ -170,11 +170,18 @@ def _delta_series(finding: FaultFinding, model: CalibratedModel,
 def _window_delta(finding: FaultFinding, model: CalibratedModel,
                   data: BuildingData, thresholds: Thresholds):
     """The finding window of data as a view, its delta series and the
-    method tag. Raises _NotEstimable, also for a window under a week."""
+    method tag. Raises _NotEstimable, also for a window under a week or a
+    delta that is not finite on some row (a reading so large that its power
+    overflows)."""
     if finding.window_end - finding.window_start < MIN_WINDOW_DAYS * 86400:
         raise _NotEstimable(f"finding window is shorter than {MIN_WINDOW_DAYS} days")
     view = data.window(finding.window_start, finding.window_end)
-    return (view, *_delta_series(finding, model, view, thresholds))
+    delta, method = _delta_series(finding, model, view, thresholds)
+    broken = np.count_nonzero(~np.isfinite(delta))
+    if broken:
+        raise _NotEstimable(f"energy loss is not finite on {broken} row(s) of the "
+                            "finding window")
+    return view, delta, method
 
 
 def annualize(daily_losses, daily_oat, reference_year_oat) -> AnnualResult:
@@ -183,7 +190,8 @@ def annualize(daily_losses, daily_oat, reference_year_oat) -> AnnualResult:
     Fits loss = slope*OAT + intercept and sums the clamped prediction over
     the reference year. A correlation weaker than the floor falls back to
     mean daily loss times 365; a negative-slope fit on noise must not turn
-    a real loss into phantom savings.
+    a real loss into phantom savings. A day whose loss or OAT is not finite
+    is refused: the fit would turn it into NaN beside a finite r.
     """
     losses = np.asarray(daily_losses, dtype=float)
     oat = np.asarray(daily_oat, dtype=float)
@@ -193,6 +201,8 @@ def annualize(daily_losses, daily_oat, reference_year_oat) -> AnnualResult:
     if len(losses) < MIN_ANNUALIZE_DAYS:
         raise FitError(
             f"annualize needs at least {MIN_ANNUALIZE_DAYS} daily pairs, got {len(losses)}")
+    if not (np.isfinite(losses).all() and np.isfinite(oat).all()):
+        raise FitError("annualize needs finite daily losses and OAT")
     try:
         r = float(pearson(losses, oat))
     except DegenerateSeriesError:
@@ -244,8 +254,12 @@ def estimate_impact(finding: FaultFinding, model: CalibratedModel,
     daily_losses, daily_oat = _daily_pairs(delta, view)
     have_oat = ~np.isnan(daily_oat)
     if have_oat.sum() >= MIN_ANNUALIZE_DAYS:
-        res = annualize(daily_losses[have_oat], daily_oat[have_oat],
-                        reference_year_oat)
+        try:
+            res = annualize(daily_losses[have_oat], daily_oat[have_oat],
+                            reference_year_oat)
+        except FitError as why:
+            return ImpactEstimate(finding=finding, method=METHOD_NOT_ESTIMABLE,
+                                  notes=str(why))
         notes = "weak weather correlation; flat extrapolation" if res.fallback else ""
         return ImpactEstimate(finding=finding, method=method,
                               observed_mmbtu=observed, slope=res.slope,

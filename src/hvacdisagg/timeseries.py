@@ -31,6 +31,10 @@ __all__ = [
 # a finite reading whose square, sum or power overflows gives inf, which
 # every consumer treats as non-finite, without a numpy warning
 _overflow_to_inf = np.errstate(over="ignore")
+# the statistics carry on past an overflow: inf less inf, or a division by
+# a product that underflowed, gives NaN or inf without a warning, and a NaN
+# statistic fires no rule
+_quiet_statistic = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 class Unit(Enum):
@@ -135,13 +139,20 @@ def rmse(a, b) -> float:
     return float(np.sqrt(np.mean((x - y) ** 2)))
 
 
-def _mean(x) -> np.float64:
-    """np.mean of a 1-D float array: the same pairwise sum and division, so
-    the same bits, without its per-call overhead, which dominates on the
-    short slices detection judges by the thousand."""
-    return np.add.reduce(x) / len(x)
+def _mean(x):
+    """np.mean along the last axis: the same pairwise sum and division, so
+    the same bits, without its per-call overhead. Each row of a C-contiguous
+    stack is summed exactly as that row alone would be, so a stack of
+    windows gives every window's own bits; np.add.reduceat does not."""
+    return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
+def _one_or_rows(x):
+    """A single window's statistic as a float, a stack's as an array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+@_overflow_to_inf
 def percent_errors(measured, reference, eps: float):
     """The per-row base of rmspe_of and mpe_of over complete rows: the mask
     of rows whose |reference| >= eps, and the relative error (m - r) / r on
@@ -151,46 +162,72 @@ def percent_errors(measured, reference, eps: float):
     return ok, (measured[ok] - reference[ok]) / reference[ok]
 
 
-def _check_base(n_ok: int, n_rows: int, eps: float, what: str) -> None:
-    """Refuse a mostly near-zero reference."""
-    if n_ok * 2 < n_rows:
+def _check_base(n_ok: int, n_rows, eps: float, what: str) -> None:
+    """Refuse a mostly near-zero reference; in a stack, refuse it when any
+    window's is."""
+    rows = np.asarray(n_rows)
+    short = n_ok * 2 < rows
+    if short.any():
+        n = int(rows[short].max())
         raise DegenerateSeriesError(
-            f"{what}: reference degenerate, {n_rows - n_ok} of {n_rows} rows below eps={eps}"
+            f"{what}: reference degenerate, {n - n_ok} of {n} rows below eps={eps}"
         )
 
 
-@_overflow_to_inf
-def rmspe_of(errors, n_rows: int, eps: float) -> float:
+# rmspe_of, mpe_of and pearson also take a stack of equal-length windows,
+# one window per row of the last axis, and give each window's statistic
+# with the bits the call on that window alone gives.
+
+@_quiet_statistic
+def rmspe_of(errors, n_rows, eps: float):
     """Root mean square percentage error from percent_errors' relative
     errors over n_rows complete rows. More than half the rows below eps
-    means the reference is too close to zero to be a meaningful base."""
-    _check_base(len(errors), n_rows, eps, "rmspe")
+    means the reference is too close to zero to be a meaningful base. For
+    a stack, n_rows holds each window's complete rows."""
+    _check_base(errors.shape[-1], n_rows, eps, "rmspe")
     pct = errors * 100.0
-    return float(np.sqrt(_mean(pct**2)))
+    return _one_or_rows(np.sqrt(_mean(pct**2)))
 
 
-@_overflow_to_inf
-def mpe_of(errors, n_rows: int, eps: float) -> float:
+@_quiet_statistic
+def mpe_of(errors, n_rows, eps: float):
     """Signed mean percentage error from percent_errors' relative errors over
-    n_rows complete rows; the sign tells which way measured is biased."""
-    _check_base(len(errors), n_rows, eps, "mpe")
-    return float(_mean(errors) * 100.0)
+    n_rows complete rows; the sign tells which way measured is biased. For
+    a stack, n_rows holds each window's complete rows."""
+    _check_base(errors.shape[-1], n_rows, eps, "mpe")
+    return _one_or_rows(_mean(errors) * 100.0)
 
 
-@_overflow_to_inf
-def pearson(a, b) -> float:
+def _spread(x):
+    """x less its mean along the last axis, and the root of its sum of
+    squares there."""
+    d = x - _mean(x)[..., None]
+    return d, np.sqrt(np.sum(d**2, axis=-1))
+
+
+@_quiet_statistic
+def pearson(a, b):
     """Pearson correlation over complete, finite rows.
 
     Raises DegenerateSeriesError when either side is constant; a flatlined
     sensor has no correlation, and callers must decide what that means.
+    A stack gives NaN for every window that holds a non-finite pair, is
+    refused, or correlates to NaN: ask each such window alone.
     """
-    x, y = _paired(a, b, "pearson")
-    if len(x) < 2:
-        raise DegenerateSeriesError("pearson: need at least 2 complete rows")
-    dx = x - _mean(x)
-    dy = y - _mean(y)
-    sx = float(np.sqrt(np.sum(dx**2)))
-    sy = float(np.sqrt(np.sum(dy**2)))
-    if sx == 0.0 or sy == 0.0:
-        raise DegenerateSeriesError("pearson: constant series")
-    return float(np.sum(dx * dy) / (sx * sy))
+    stack = np.ndim(a) == 2
+    if stack:
+        x, y = a, b
+    else:
+        x, y = _paired(a, b, "pearson")
+        if len(x) < 2:
+            raise DegenerateSeriesError("pearson: need at least 2 complete rows")
+    dx, sx = _spread(x)
+    dy, sy = _spread(y)
+    flat = (sx == 0.0) | (sy == 0.0)
+    if not stack:
+        if flat:
+            raise DegenerateSeriesError("pearson: constant series")
+        return float(np.sum(dx * dy) / (sx * sy))
+    corr = np.sum(dx * dy, axis=-1) / (sx * sy)
+    corr[flat | ~(np.isfinite(x) & np.isfinite(y)).all(axis=-1)] = np.nan
+    return corr

@@ -291,6 +291,18 @@ def cli_bundle(tmp_path_factory):
     return out
 
 
+def _huge_first_flow(faulted_bundle, tmp_path, value):
+    """A copy of the faulted bundle whose first B1.VAV1-01.FLOW reading is value."""
+    work = tmp_path / "bundle"
+    shutil.copytree(faulted_bundle.out_dir, work)
+    trends = work / "trends.csv"
+    text = trends.read_text(encoding="utf-8")
+    row = re.search(r"^(.*,B1\.VAV1-01\.FLOW,).*$", text, flags=re.M)
+    trends.write_text(text[:row.start()] + row.group(1) + value + text[row.end():],
+                      encoding="utf-8")
+    return work
+
+
 def _damaged(cli_bundle, tmp_path, edit):
     """Copy of the bundle with one file broken; returns its run.conf."""
     work = tmp_path / "broken"
@@ -649,19 +661,48 @@ class TestCli:
                    ("detect", 0, ""))),
     ], ids=["overflow", "huge"])
     def test_huge_flow_reading_prints_no_warning(self, faulted_bundle, tmp_path, value, runs):
-        work = tmp_path / "bundle"
-        shutil.copytree(faulted_bundle.out_dir, work)
-        trends = work / "trends.csv"
-        text = trends.read_text(encoding="utf-8")
-        row = re.search(r"^(.*,B1\.VAV1-01\.FLOW,).*$", text, flags=re.M)
-        trends.write_text(text[:row.start()] + row.group(1) + value + text[row.end():],
-                          encoding="utf-8")
+        work = _huge_first_flow(faulted_bundle, tmp_path, value)
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         for command, code, err in runs:
             done = subprocess.run(
                 [sys.executable, "-m", "hvacdisagg.cli", command, "--config",
                  str(work / "run.conf")], capture_output=True, text=True, env=env)
             assert (done.returncode, done.stderr) == (code, err), command
+
+    def test_overflowing_loss_is_not_estimable(self, faulted_bundle, tmp_path, capsys):
+        # the 1.7e308 row fires VAV1-01's damper rule at an infinite RMS error
+        # and makes its loss inf on that row; report calls that one finding
+        # not estimable instead of writing NaN beside a finite r
+        conf = str(_huge_first_flow(faulted_bundle, tmp_path, "1.7e308") / "run.conf")
+        for command in ("fit", "detect", "report"):
+            assert main([command, "--config", conf]) == 0
+        out = capsys.readouterr().out
+        assert ("not estimable: rule 5 VAV1-01: energy loss is not finite on 1 row(s) "
+                "of the finding window\n") in out
+        with open(tmp_path / "bundle" / "out" / "impacts.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["equipment"], r["method"]) for r in rows if r["rule"] == "5"] == [
+            ("VAV3-02", "setpoint-ideal"), ("VAV1-01", "not-estimable")]
+        numbers = [float(r[key]) for r in rows if r["method"] != "not-estimable"
+                   for key in ("observed_mmbtu", "annual_mmbtu", "slope", "intercept", "r")
+                   if r[key]]
+        assert len(numbers) > 20 and np.isfinite(numbers).all()
+
+    def test_comparison_rows_are_the_scored_rows(self, faulted_bundle, tmp_path, capsys):
+        # rmse leaves out non-finite rows, so a comparison file holds only
+        # finite rows and its printed count is the count rmse scored
+        work = _huge_first_flow(faulted_bundle, tmp_path, "1.7e308")
+        conf = str(work / "run.conf")
+        assert main(["fit", "--config", conf]) == 0
+        assert main(["estimate", "--config", conf]) == 0
+        printed = dict(re.findall(r"^(\w+_comparison\.csv): (\d+) rows", capsys.readouterr().out,
+                                  flags=re.M))
+        assert len(printed) == 3
+        for name, count in printed.items():
+            with open(work / "out" / name, encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))[1:]
+            values = np.array([[float(v) for v in row[1:]] for row in rows])
+            assert len(rows) == int(count) and np.isfinite(values).all(), name
 
     def test_repeated_config_section_exits_one(self, cli_bundle, tmp_path, capsys):
         def repeat_paths(work):

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mpe, rmspe
+from conftest import mpe, rmspe, traced_peak_bytes
+from hvacdisagg import faults
 from hvacdisagg.building import AhuNode, EquipmentGraph, VavNode
 from hvacdisagg.energy import AhuData, BuildingData, VavData
 from hvacdisagg.errors import (
@@ -29,6 +30,7 @@ from hvacdisagg.faults import (
     _FLOW_EPS_CFM,
     _RULES,
     _TEMP_EPS_F,
+    _Windows,
     FINDING,
     INCONCLUSIVE,
     OK,
@@ -109,7 +111,7 @@ def _frame(days=8, seed=5, grid=GRID):
 def judge_whole_frame(rule_id, data, unit, th):
     """Rule rule_id's verdict on the whole frame judged as one window."""
     screen = _RULES[rule_id][0]
-    return screen(data, unit, th)(0, data.n_rows)
+    return screen(data, unit, th, _Windows(np.array([0]), np.array([data.n_rows]))).result(0)
 
 
 class TestEconomizerRule:
@@ -595,11 +597,14 @@ class TestSweepOracle:
         assert run_all(healthy_loaded.data) == reference_run_all(healthy_loaded.data)
 
 
-def _random_frame(grid, days, seed, clg_closed, htg_closed, near_zero, parked, flatlined):
+def _random_frame(grid, days, seed, clg_closed, htg_closed, near_zero, parked, flatlined,
+                  extreme=False):
     """A frame whose inputs change day by day: NaN runs in every input, leaks,
     pinned overnight flow and flow off setpoint that come and go, and
     mixed-air temperatures and flow setpoints that straddle the percentage
-    floors. Any optional input may be missing."""
+    floors. Any optional input may be missing. extreme plants a few rows of
+    +-inf or overflow scale in each input a statistic pairs, so windows hold
+    pairs that _paired drops and sums that overflow."""
     data = _frame(days=days, seed=seed, grid=grid)
     n = data.n_rows
     rng = np.random.default_rng(seed)
@@ -617,6 +622,14 @@ def _random_frame(grid, days, seed, clg_closed, htg_closed, near_zero, parked, f
 
     def maybe(x):
         return None if rng.random() < 0.1 else x
+
+    def planted(x):
+        if not extreme or x is None:
+            return x
+        x = x.copy()
+        rows = rng.integers(0, n, rng.integers(1, 6))
+        x[rows] = rng.choice([np.inf, -np.inf, 1e308, -1e308, 1.7e308], len(rows))
+        return x
 
     ahu = data.ahus["A1"]
     cold = per_day(rng.random(days + 1) < near_zero)
@@ -650,6 +663,10 @@ def _random_frame(grid, days, seed, clg_closed, htg_closed, near_zero, parked, f
         vav.occupied = gappy(vav.occupied)
         vav.min_flow = maybe(gappy(vav.min_flow))
         vav.zone_upper_limit = maybe(gappy(vav.zone_upper_limit))
+        vav.flow, vav.flow_setpoint = planted(vav.flow), planted(vav.flow_setpoint)
+    ahu.supply_temp, ahu.mixed_temp = planted(ahu.supply_temp), planted(ahu.mixed_temp)
+    ahu.mixed_temp_measured = planted(ahu.mixed_temp_measured)
+    ahu.mixed_temp_estimated = planted(ahu.mixed_temp_estimated)
     return data
 
 
@@ -664,14 +681,16 @@ class TestSweepProperty:
            parked=st.booleans(),
            flatlined=st.booleans(),
            persistence=st.integers(1, 10),
-           coverage=st.floats(0.1, 1.0))
+           coverage=st.floats(0.1, 1.0),
+           extreme=st.booleans())
     # 8 days on a 420 s grid span 7.997 days, a hair under an 8-day floor
     @example(grid=420, days=8, seed=0, clg_closed=0.5, htg_closed=0.5, near_zero=0.0,
-             parked=False, flatlined=False, persistence=8, coverage=0.5)
+             parked=False, flatlined=False, persistence=8, coverage=0.5, extreme=False)
     def test_sweep_matches_reference(self, grid, days, seed, clg_closed, htg_closed,
-                                     near_zero, parked, flatlined, persistence, coverage):
+                                     near_zero, parked, flatlined, persistence, coverage,
+                                     extreme):
         data = _random_frame(grid, days, seed, clg_closed, htg_closed, near_zero,
-                             parked, flatlined)
+                             parked, flatlined, extreme)
         th = Thresholds(min_persistence_days=persistence, min_coverage=coverage)
         result = run_all(data, th)
         if data.end - data.start < persistence * 86400:
@@ -710,6 +729,46 @@ class TestSweepProperty:
 
         monkeypatch.setattr(BuildingData, "window", refuse)
         assert run_all(data) == expected
+
+
+class TestSweepCost:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(statistic, windows judged) of every statistic call run_all makes;
+        None for a call on one window alone."""
+        made = []
+        for name in ("pearson", "mpe_of", "rmspe_of"):
+            def counted(first, *args, real=getattr(faults, name), name=name):
+                made.append((name, len(first) if np.ndim(first) == 2 else None))
+                return real(first, *args)
+            monkeypatch.setattr(faults, name, counted)
+        return made
+
+    def test_statistic_calls_scale_with_length_groups(self, calls, faulted_loaded):
+        # a window needs its own call only for a non-finite pair or a flat
+        # series, and the faulted bundle has neither
+        result = run_all(faulted_loaded.data)
+        assert result == reference_run_all(faulted_loaded.data)
+        assert calls and None not in {n for _, n in calls}
+        assert 2 * len(calls) < sum(n for _, n in calls)
+
+    def test_one_call_per_pair_when_every_window_has_one_length(self, calls):
+        # 54 windows of 28 rows: one stack each for A1's three statistics
+        # and V1's and V2's damper rule. On this grid the damper swings once
+        # in 24 days, so 10 windows see it barely move and need no pearson.
+        run_all(_frame(days=60, grid=21600))
+        assert sorted(calls) == [("mpe_of", 54), ("mpe_of", 54), ("pearson", 44),
+                                 ("rmspe_of", 54), ("rmspe_of", 54)]
+
+    def test_memory_is_set_by_the_block(self):
+        """Two years at 3600 s, 17,520 rows and 724 windows a pair, peak at
+        1.0 MB above the frame as tracemalloc sees it, mostly running counts
+        of the row masks. Gathers are bounded by ingest._BLOCK_CELLS cells;
+        unbounded they peaked at 6.5 MB on this frame, and judging each
+        window alone, with running counts kept as lists, at 4.9 MB."""
+        data = _frame(days=730, grid=3600)
+        run_all(data)
+        assert traced_peak_bytes(lambda: run_all(data)) < 1.5e6
 
 
 class TestSweepNotes:

@@ -129,6 +129,16 @@ class TestAnnualize:
         with pytest.raises(FitError, match="equal-length"):
             annualize(np.ones(10), np.ones(9), _reference_year())
 
+    @pytest.mark.parametrize("side", ["losses", "oat"])
+    def test_non_finite_day_refused(self, side):
+        # np.polyfit would give NaN slope and intercept beside the finite r
+        # that pearson finds once it drops the day
+        oat = np.linspace(45.0, 65.0, 30)
+        losses = 0.1 * oat - 4.0
+        (losses if side == "losses" else oat)[3] = np.inf
+        with pytest.raises(FitError, match="finite"):
+            annualize(losses, oat, _reference_year())
+
 
 @given(slope=st.floats(-2.0, 2.0), intercept=st.floats(-50.0, 50.0))
 @settings(max_examples=100, deadline=None)
@@ -322,6 +332,16 @@ class TestEstimateImpact:
                               impact_loaded.reference_oat)
         assert est.annual_mmbtu == pytest.approx(DAMPER_ANNUAL_MMBTU, rel=1e-9)
         assert "outdoor-air" in est.notes
+
+    def test_non_finite_day_of_weather_is_not_estimable(self, impact_loaded, impact_model):
+        oat = impact_loaded.data.oat.copy()
+        oat[100] = np.inf
+        data = dataclasses.replace(impact_loaded.data, oat=oat)
+        (inj,) = impact_loaded.truth.injections
+        est = estimate_impact(_finding(5, inj.equipment, inj.start, inj.end), impact_model,
+                              data, impact_loaded.reference_oat)
+        assert (est.method, est.annual_mmbtu, est.notes) == (
+            METHOD_NOT_ESTIMABLE, None, "annualize needs finite daily losses and OAT")
 
     def test_not_estimable_has_no_numbers(self, impact_loaded, impact_model):
         data = impact_loaded.data

@@ -1,4 +1,5 @@
-"""Statistics checked against brute-force oracles, and assemble's common grid.
+"""Statistics checked against brute-force oracles and, over stacks of
+windows, against the one-window call; and assemble's common grid.
 
 The oracle functions below are deliberately naive pure-Python loops so the
 vectorized implementations have an independent reference.
@@ -8,14 +9,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mpe, rmspe
 from hvacdisagg.building import AhuNode, EquipmentGraph, PointBinding, PointRole, VavNode
 from hvacdisagg.energy import assemble
 from hvacdisagg.errors import AlignmentError, DegenerateSeriesError, SeriesError
-from hvacdisagg.timeseries import TimeSeries, Unit, frozen, pearson, rmse
+from hvacdisagg.timeseries import (
+    TimeSeries,
+    Unit,
+    _mean,
+    frozen,
+    mpe_of,
+    pearson,
+    rmse,
+    rmspe_of,
+)
 
 # Hand-computed expectations, frozen before the implementation existed.
 RMSE_3_4_VS_0_0 = 3.5355339059327378  # sqrt((9 + 16) / 2)
@@ -166,6 +176,81 @@ def test_pearson_affine_invariance(xs, scale, shift):
     assume(np.ptp(a) > 1e-3)
     assert pearson(a, scale * a + shift) == pytest.approx(1.0, abs=1e-9)
     assert pearson(a, -scale * a + shift) == pytest.approx(-1.0, abs=1e-9)
+
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _magnitudes(rng, size):
+    """Readings across six decades, so that summation order shows in the
+    last bits."""
+    return rng.normal(60.0, 15.0, size) * 10.0 ** rng.integers(-3, 4, size)
+
+
+class TestStackedWindows:
+    """A statistic over a stack of equal-length windows, one window per row,
+    gives every window the bits of the call on that window alone. Detection
+    judges its windows in such stacks and rests on this."""
+
+    @given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+    # around the pairwise sum's 8-wide unroll and 128-element blocks
+    @example(n=1, seed=0)
+    @example(n=2, seed=0)
+    @example(n=9, seed=1)
+    @example(n=127, seed=2)
+    @example(n=129, seed=3)
+    @example(n=257, seed=4)
+    @example(n=600, seed=5)
+    @settings(max_examples=100, deadline=None)
+    def test_each_row_is_its_own_call(self, n, seed):
+        rng = np.random.default_rng(seed)
+        x = _magnitudes(rng, n + 400)
+        y = 0.5 * x + _magnitudes(rng, n + 400)
+        # overlapping windows at odd offsets
+        starts = rng.choice(np.arange(1, 400, 2), 12, replace=False)
+        rows = starts[:, None] + np.arange(n)
+        xs, ys = x[rows], y[rows]
+        alone = [slice(s, s + n) for s in starts]
+        assert _bits(_mean(xs)) == _bits([_mean(x[w]) for w in alone])
+        n_rows = np.full(len(starts), n)
+        assert _bits(rmspe_of(xs, n_rows, 1.0)) == _bits([rmspe_of(x[w], n, 1.0)
+                                                          for w in alone])
+        assert _bits(mpe_of(xs, n_rows, 1.0)) == _bits([mpe_of(x[w], n, 1.0) for w in alone])
+        singles = []
+        for w in alone:
+            try:
+                singles.append(pearson(x[w], y[w]))
+            except DegenerateSeriesError:
+                singles.append(np.nan)
+        assert _bits(pearson(xs, ys)) == _bits(singles)
+
+    def test_reduceat_sums_differently(self):
+        # np.add.reduceat adds each segment left to right, not pairwise, so
+        # its bits differ from the call on the slice: a sweep built on it
+        # would move detection's statistics
+        rng = np.random.default_rng(5)
+        x = _magnitudes(rng, 5000)
+        edges = np.arange(0, 5000, 250)
+        alone = [np.add.reduce(x[a:a + 250]) for a in edges]
+        assert _bits(np.add.reduce(x[edges[:, None] + np.arange(250)], axis=-1)) == _bits(alone)
+        assert _bits(np.add.reduceat(x, edges)) != _bits(alone)
+
+    def test_pearson_stack_gives_nan_where_one_window_needs_its_own_call(self):
+        x = np.array([[1.0, 2.0, 3.0], [1.0, np.inf, 3.0], [2.0, 2.0, 2.0], [1e308, -1e308, 1.0]])
+        y = np.array([[1.0, 2.0, 4.0], [1.0, 2.0, 4.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+        corr = pearson(x, y)
+        # an overflowing sum is no reason to ask again
+        assert _bits(corr[[0, 3]]) == _bits([pearson(x[0], y[0]), pearson(x[3], y[3])])
+        assert np.isnan(corr[1:3]).all()
+        assert pearson(x[1], y[1]) == 1.0  # the inf pair dropped
+        with pytest.raises(DegenerateSeriesError, match="constant"):
+            pearson(x[2], y[2])
+
+    def test_a_stack_refuses_a_degenerate_base(self):
+        with pytest.raises(DegenerateSeriesError, match="2 of 3 rows"):
+            rmspe_of(np.ones((2, 1)), np.array([2, 3]), 1.0)
 
 
 def _assembled(cooling, heating):
