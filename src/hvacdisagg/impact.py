@@ -24,7 +24,7 @@ from .energy import BuildingData, ahu_power, vav_cooling_power, vav_heating_powe
 from .errors import DegenerateSeriesError, FitError
 from .faults import RULE_NAMES, FaultFinding, Thresholds
 from .ingest import _write_rows, format_timestamp
-from .timeseries import pearson
+from .timeseries import _quiet_statistic, pearson
 
 __all__ = [
     "ImpactEstimate",
@@ -85,12 +85,15 @@ class _NotEstimable(Exception):
     """Internal: the counterfactual cannot be built from this data."""
 
 
+@_quiet_statistic
 def _delta_series(finding: FaultFinding, model: CalibratedModel,
                   data: BuildingData, thresholds: Thresholds):
     """Per-row (faulty - ideal) energy in MMBTU across data, zero at rows
     the counterfactual cannot use, plus the method tag. The rows are
     signed; clamping happens where a loss is summed. A valve counts as
-    closed at the same tolerance detection used. Raises _NotEstimable."""
+    closed at the same tolerance detection used. An overflowing power is
+    inf, and inf less inf NaN, without a warning: _window_delta refuses a
+    series that is not finite. Raises _NotEstimable."""
     k = model.constants.air_power_k
     deadband = model.constants.mode_deadband_f
     dt_hr = data.interval_s / 3600.0

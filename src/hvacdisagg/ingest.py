@@ -3,7 +3,10 @@
 Every CSV input, the findings of ``faults`` included, is read through
 ``_Records``, which holds the one refusal policy: a file that is not UTF-8,
 a record of the wrong width, a cell the csv module cannot read. The
-readers keep only their own field parsing.
+readers keep only their own field parsing. The one exception is a clean
+trend file, which ``read_trends`` tokenizes in blocks with numpy; a file
+with anything that policy or a row's parse could act on goes through
+``_Records`` whole.
 
 Trend logs are long-format CSV with header ``timestamp,point,value``;
 timestamps are ISO-8601 with a UTC offset and values are plain decimals.
@@ -58,6 +61,13 @@ TRENDS_CACHE_FORMAT = 1
 # cells per write in _write_numeric_csv: one block's text is alive at once,
 # and synth, whose peak RSS the benchmark bounds, writes the widest files
 _BLOCK_CELLS = 4096
+
+# bytes per read of read_trends' block parse, each cut back to whole lines:
+# a block's working arrays stay well under a megabyte
+_TREND_BLOCK_BYTES = 1 << 16
+# a block's cells are gathered as wide as its widest, so a block whose
+# longest line is this many times its average line goes to _Records instead
+_UNEVEN_LINES = 16
 
 
 def parse_timestamp(text: str) -> int:
@@ -147,24 +157,202 @@ def _slots_by_point(binding: PointBinding) -> dict:
     return slots_by_point
 
 
-def read_trends(
-    path: str,
-    binding: PointBinding,
-    interval_s: int,
-    strict: bool = False,
-) -> tuple[dict, IngestStats]:
-    """Load a trend CSV into per-(equipment, role) series on the interval_s grid.
+class _NotClean(Exception):
+    """The trend file holds something the block parse does not read."""
 
-    Duplicate (timestamp, point) rows keep the last occurrence. Unknown points
-    are counted and dropped. Malformed rows raise in strict mode and are
-    skipped (and counted) otherwise.
+
+class _Lexicon:
+    """Each distinct cell text of one file -> its int code, a block at a time.
+
+    code_of(text) gives the code of a text on its first sighting, once per
+    distinct text; later sightings are found by binary search in sorted
+    runs of the texts seen so far. A lexicon of up to SMALL texts is one
+    run. Above that, runs of like size are merged, so a file of many
+    distinct texts costs a few runs to search, not a merge per block.
     """
-    slots_by_point = _slots_by_point(binding)
 
-    # one (epochs, values) column pair per bound point, in file order
-    columns = {pid: (array("q"), array("d")) for pid in slots_by_point}
+    SMALL = 4096
+
+    def __init__(self, code_of):
+        self.code_of = code_of
+        self.runs: list = []
+
+    def codes(self, cells: np.ndarray) -> np.ndarray:
+        codes = np.empty(len(cells), np.int64)
+        todo = np.arange(len(cells))
+        for texts, run_codes in self.runs:
+            if not len(todo):
+                return codes
+            wanted = cells[todo]
+            at = np.searchsorted(texts, wanted)
+            at[at == len(texts)] = 0
+            found = texts[at] == wanted
+            codes[todo[found]] = run_codes[at[found]]
+            todo = todo[~found]
+        if len(todo):
+            texts, inverse = np.unique(cells[todo], return_inverse=True)
+            new = np.array([self.code_of(t) for t in texts.tolist()], np.int64)
+            codes[todo] = new[inverse]
+            self.runs.append((texts, new))
+            while len(self.runs) > 1 and (len(self.runs[-2][0]) < self.SMALL
+                                          or len(self.runs[-2][0]) <= 2 * len(texts)):
+                # the runs hold no text twice, so the later one's texts go
+                # in where a search of the earlier would find them, each
+                # kept whole: the merged run is as wide as the wider
+                (a, a_codes), (b, b_codes) = self.runs[-2:]
+                at = np.searchsorted(a, b)
+                texts = np.insert(a.astype(np.promote_types(a.dtype, b.dtype)), at, b)
+                self.runs[-2:] = [(texts, np.insert(a_codes, at, b_codes))]
+        return codes
+
+
+def _cells(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The bytes buf[begin:end] of each row as one bytes-dtype array, each
+    cell NUL-padded to the widest; buf has that width of padding past its
+    last cell."""
+    lengths = end - begin
+    width = int(lengths.max(initial=1))
+    windows = np.ndarray((len(buf) - width + 1,), f"S{width}", buf, strides=(1,))
+    cells = windows[begin]
+    if lengths.min(initial=width) < width:
+        np.copyto(cells.view(np.uint8).reshape(-1, width), 0,
+                  where=np.arange(width, dtype=lengths.dtype) >= lengths[:, None])
+    return cells
+
+
+def _line_blocks(fh, line_limit: int):
+    """The file's bytes about _TREND_BLOCK_BYTES at a time, each block cut
+    back to whole lines ending in b"\\n" (a last line without one gets one).
+    A line running past line_limit raises _NotClean."""
+    line, held = [], 0  # the reads since the last newline, and their length
+    while chunk := fh.read(_TREND_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            line.append(chunk)
+            held += len(chunk)
+            if held > line_limit + 1:
+                raise _NotClean
+            continue
+        line.append(chunk[:cut])
+        block = b"".join(line)
+        line, held = [chunk[cut:]], len(chunk) - cut
+        del chunk
+        yield block
+    if held:
+        yield b"".join(line) + b"\n"
+
+
+def _tokenize(block: bytes, line_limit: int, header: bool):
+    """The timestamp, point and value cells of the records in block, one
+    bytes-dtype array each; with header set, a first line that is the trend
+    header is left out. Raises _NotClean unless _Records would read every
+    line of block as three plain cells."""
+    if b'"' in block or b"\0" in block or not block.isascii():
+        raise _NotClean
+    buf = np.frombuffer(block, np.uint8)
+    is_sep = buf == 44
+    is_sep |= buf == 10
+    seps = np.flatnonzero(is_sep).astype(np.int32)  # half the working bytes of intp
+    del is_sep
+    if len(seps) % 3 or not (buf[seps].reshape(-1, 3) == (44, 44, 10)).all():
+        raise _NotClean  # a blank line, or a record not three cells wide
+    first_comma, second_comma, ends = seps[0::3], seps[1::3], seps[2::3]
+    starts = np.concatenate((np.zeros(1, np.int32), ends[:-1] + 1))
+    crlf = buf[ends - 1] == 13
+    if np.count_nonzero(buf == 13) != np.count_nonzero(crlf):
+        raise _NotClean  # a CR that does not end its line
+    stops = ends - crlf
+    longest = int((stops - starts).max())
+    if longest > line_limit or longest * len(stops) > _UNEVEN_LINES * len(block):
+        raise _NotClean
+    if header:
+        cells = block[:stops[0]].decode("ascii").split(",")
+        if [c.strip().lower() for c in cells] == TREND_HEADER:
+            starts, first_comma, second_comma, stops = (
+                a[1:] for a in (starts, first_comma, second_comma, stops))
+    # _cells reads up to a row's widest cell past its start
+    buf = np.frombuffer(block + bytes(longest), np.uint8)
+    return (_cells(buf, starts, first_comma), _cells(buf, first_comma + 1, second_comma),
+            _cells(buf, second_comma + 1, stops))
+
+
+def _read_trend_blocks(path: str, point_ids: list):
+    """read_trends' parse of a clean trend file, tokenized a block of lines
+    at a time with numpy: (columns, rows, skipped, unknown point ids), where
+    columns holds an (epochs, values) array pair per point of point_ids.
+
+    Clean means that _Records would read every line as three plain cells
+    and read_trends would keep every row, so no line is skipped or refused.
+    Anything else raises _NotClean before the file's end: a '"', a NUL, a
+    byte outside ASCII, a CR not ending its line, a blank line, a record
+    not three cells wide, a line longer than the csv module's field limit,
+    or a timestamp or value that does not parse or is not finite. A line
+    far longer than its block's average raises too, as the block's cells
+    are as wide as its widest.
+    """
+    index = {pid: i for i, pid in enumerate(point_ids)}
+    columns = [(array("q"), array("d")) for _ in point_ids]
+    unknown: set = set()
+    rows = 0
+
+    def point_code(raw: bytes) -> int:
+        point_id = raw.decode("ascii").strip()
+        code = index.get(point_id, -1)
+        if code < 0:
+            unknown.add(point_id)
+        return code
+
+    def epoch(raw: bytes) -> int:
+        try:
+            return parse_timestamp(raw.decode("ascii"))
+        except ValueError:
+            raise _NotClean from None
+
+    points, stamps = _Lexicon(point_code), _Lexicon(epoch)
+    line_limit = csv.field_size_limit()
+    header_unread = True
+    with open(path, "rb") as fh:
+        for block in _line_blocks(fh, line_limit):
+            rows += _append_block(_tokenize(block, line_limit, header_unread),
+                                  stamps, points, columns)
+            header_unread = False
+    return columns, rows, 0, unknown
+
+
+def _append_block(cells, stamps: _Lexicon, points: _Lexicon, columns: list) -> int:
+    """Append the rows of one block's (timestamp, point, value) cells to
+    their points' columns, in file order; the number of rows."""
+    stamp_cells, point_cells, value_cells = cells
+    del cells  # so that each cell array goes once its codes are found
+    if not len(point_cells):
+        return 0
+    try:
+        values = value_cells.astype(np.float64)
+    except ValueError:
+        raise _NotClean from None
+    if not np.isfinite(values).all():
+        raise _NotClean
+    epochs = stamps.codes(stamp_cells)
+    codes = points.codes(point_cells)
+    del stamp_cells, point_cells, value_cells
+    order = np.argsort(codes, kind="stable")
+    codes, epochs, values = codes[order], epochs[order], values[order]
+    cuts = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), len(codes)]
+    for a, b in zip(cuts, cuts[1:]):
+        code = int(codes[a])
+        if code >= 0:
+            epoch_col, value_col = columns[code]
+            epoch_col.frombytes(epochs[a:b].data.cast("B"))
+            value_col.frombytes(values[a:b].data.cast("B"))
+    return len(codes)
+
+
+def _read_trend_records(path: str, point_ids: list, strict: bool):
+    """read_trends' parse of any trend file through _Records, a row at a
+    time, as _read_trend_blocks returns it."""
+    columns = [(array("q"), array("d")) for _ in point_ids]
     appenders = {pid: (epochs.append, values.append)
-                 for pid, (epochs, values) in columns.items()}
+                 for pid, (epochs, values) in zip(point_ids, columns)}
     # each distinct timestamp text repeats once per point; parse it once
     epoch_of: dict = {}
     unknown: set = set()
@@ -190,15 +378,41 @@ def read_trends(
             continue
         append[0](epoch)
         append[1](value)
+    return columns, rows, records.skipped, unknown
 
-    stats = IngestStats(rows=rows, skipped=records.skipped, unknown_points=len(unknown))
+
+def read_trends(
+    path: str,
+    binding: PointBinding,
+    interval_s: int,
+    strict: bool = False,
+) -> tuple[dict, IngestStats]:
+    """Load a trend CSV into per-(equipment, role) series on the interval_s grid.
+
+    Duplicate (timestamp, point) rows keep the last occurrence. Unknown points
+    are counted and dropped. Malformed rows raise in strict mode and are
+    skipped (and counted) otherwise.
+
+    A clean file (see _read_trend_blocks) is parsed a block at a time; any
+    other is read through _Records from its start, so a result, a count or
+    a refusal is the same whichever parse ran.
+    """
+    slots_by_point = _slots_by_point(binding)
+    point_ids = list(slots_by_point)
+    try:
+        parsed = _read_trend_blocks(path, point_ids)
+    except _NotClean:
+        parsed = None  # a partial parse is dropped with its exception
+    columns, rows, skipped, unknown = parsed or _read_trend_records(path, point_ids, strict)
+    del parsed
+
+    stats = IngestStats(rows=rows, skipped=skipped, unknown_points=len(unknown))
     if unknown:
         shown = ", ".join(sorted(unknown)[:5])
         stats.messages.append(f"{len(unknown)} unbound point(s) ignored ({shown} ...)")
 
-    # the parse's lookups go first, and each point's sample columns as
-    # soon as its series is built
-    del appenders, epoch_of
+    # each point's sample columns go as soon as its series is built
+    columns = dict(zip(point_ids, columns))
     result: dict = {}
     for point_id in list(columns):
         epoch_col, value_col = columns.pop(point_id)

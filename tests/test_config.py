@@ -291,13 +291,14 @@ def cli_bundle(tmp_path_factory):
     return out
 
 
-def _huge_first_flow(faulted_bundle, tmp_path, value):
-    """A copy of the faulted bundle whose first B1.VAV1-01.FLOW reading is value."""
+def _huge_first_flow(faulted_bundle, tmp_path, value, at=".*"):
+    """A copy of the faulted bundle whose first B1.VAV1-01.FLOW reading, or
+    first one at a timestamp matching the pattern at, is value."""
     work = tmp_path / "bundle"
     shutil.copytree(faulted_bundle.out_dir, work)
     trends = work / "trends.csv"
     text = trends.read_text(encoding="utf-8")
-    row = re.search(r"^(.*,B1\.VAV1-01\.FLOW,).*$", text, flags=re.M)
+    row = re.search(rf"^({at},B1\.VAV1-01\.FLOW,).*$", text, flags=re.M)
     trends.write_text(text[:row.start()] + row.group(1) + value + text[row.end():],
                       encoding="utf-8")
     return work
@@ -668,6 +669,22 @@ class TestCli:
                 [sys.executable, "-m", "hvacdisagg.cli", command, "--config",
                  str(work / "run.conf")], capture_output=True, text=True, env=env)
             assert (done.returncode, done.stderr) == (code, err), command
+
+    def test_overflow_in_an_economizer_window_prints_no_warning(self, faulted_bundle, tmp_path):
+        # inside AH1's economizer finding window the overflowing flow sum
+        # makes both coil powers inf on one row; the counterfactual's inf
+        # less inf stays quiet, and that row makes the one finding not
+        # estimable
+        work = _huge_first_flow(faulted_bundle, tmp_path, "1.7e308",
+                                at=re.escape("2026-01-10T04:45:00+00:00"))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        for command in ("fit", "detect", "report"):
+            done = subprocess.run(
+                [sys.executable, "-m", "hvacdisagg.cli", command, "--config",
+                 str(work / "run.conf")], capture_output=True, text=True, env=env)
+            assert (done.returncode, done.stderr) == (0, ""), command
+        assert ("not estimable: rule 1 AH1: energy loss is not finite on 1 row(s) "
+                "of the finding window\n") in done.stdout
 
     def test_overflowing_loss_is_not_estimable(self, faulted_bundle, tmp_path, capsys):
         # the 1.7e308 row fires VAV1-01's damper rule at an infinite RMS error

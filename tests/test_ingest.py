@@ -10,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import block_edge_lengths, counted_parses, extreme_column, traced_peak_bytes
+from hvacdisagg import ingest
 from hvacdisagg.building import PointBinding, PointRole
 from hvacdisagg.errors import IngestError
 from hvacdisagg.faults import FINDINGS_HEADER, read_findings
@@ -184,20 +185,25 @@ class TestReadTrends:
 
     def test_read_trends_memory_per_row_on_a_long_file(self, tmp_path):
         """Peak traced bytes per row of read_trends on 40 points over 2,000
-        timestamps (80,000 rows): measured 20.9 B/row, about the 16 B/row
-        of sample columns the parse fills plus one point's working arrays,
-        since the timestamp lookup and each point's columns are freed as
-        the series are built, and each series takes its array over. The
-        reader that kept all of them to the end and copied each series'
-        array peaked at 31.0 B/row."""
-        rng = np.random.default_rng(17)
-        points = [(f"V{i:02d}", PointRole.VAV_SUPPLY_FLOW, f"B1.V{i:02d}.FLOW", Unit.CFM)
-                  for i in range(40)]
+        timestamps (80,000 rows): measured 21.8 B/row. That is about the
+        17 B/row of sample columns the block parse fills (16 B and the
+        arrays' spare room) plus one 64 KB block's working arrays, which go
+        before the next block is read; each point's columns are freed as
+        its series is built, and each series takes its array over. The
+        row-at-a-time reader peaked at 20.9 B/row, and the one before it,
+        which kept every point's columns to the end and copied each
+        series' array, at 31.0 B/row."""
         path = str(tmp_path / "t.csv")
-        write_trends([TimeSeries(pid, T0, GRID, unit, rng.normal(400.0, 50.0, 2000))
-                      for _, _, pid, unit in points], path)
-        rows = 40 * 2000
-        peak = traced_peak_bytes(lambda: read_trends(path, binding_for(points), GRID))
+        binding, rows = _long_trend_file(path)
+        peak = traced_peak_bytes(lambda: read_trends(path, binding, GRID))
+        assert peak <= 25 * rows, (peak / rows, rows)
+
+    def test_read_trends_memory_per_row_on_a_time_major_file(self, tmp_path):
+        """The same file with its rows re-ordered time-major, so that every
+        block holds every point: measured 21.5 B/row."""
+        path = str(tmp_path / "t.csv")
+        binding, rows = _long_trend_file(path, time_major=True)
+        peak = traced_peak_bytes(lambda: read_trends(path, binding, GRID))
         assert peak <= 25 * rows, (peak / rows, rows)
 
 
@@ -558,6 +564,137 @@ def test_columnar_reader_matches_per_row_oracle(header, rows, strict):
         assert got == want
         return
     assert_same_read(got, want)
+
+
+# -- raw bytes: the block parse and its hand-over to _Records ----------------
+
+def _stamp(step):
+    return _spell(T0 + step * 300, "plain")
+
+
+# (step, line): every line here is one that _Records reads as three plain
+# cells and read_trends keeps, so a file of them takes the block parse
+_clean_line = st.builds(
+    lambda step, spelling, point, value, end: (step, (
+        f"{_spell(T0 + step * 300, spelling)},{point},{value}".encode("ascii") + end)),
+    st.integers(0, 11),
+    st.sampled_from(["plain", "zulu", "offset", "padded"]),
+    st.sampled_from(["A", "P", "B", " A ", "U1", "Bx", "\x1cA\x1f", "\x1dP", "B\x1e"]),
+    st.sampled_from(["0", "1", "2", "-3", " 2.5 ", "1_000", "+.5", "5e-324", "1e-400"])
+    | st.floats(-1e4, 1e4, allow_nan=False).map(repr),
+    st.sampled_from([b"\r\n", b"\n"]),
+)
+
+# the lines that hand a file over to _Records, one list per cause; the
+# long line has no cell over the csv module's field limit, so both readers
+# read it, and the lone CRs keep three cells to the line
+_FALLBACK_LINES = [
+    [f'{_stamp(2)},"A",1.5\r\n', f'"{_stamp(2)}",B,1\n'],          # a quote
+    [f"{_stamp(2)},A,1.5\x00\r\n", f"{_stamp(2)},A\x00,1.5\n"],     # a NUL
+    [f"{_stamp(2)},\u00a0A,1.5\r\n", f"{_stamp(2)},\u00c4,1.5\n"],  # outside ASCII
+    [f"{_stamp(2)},A\r,1.5\n", f"{_stamp(2)}\r,B,1\r\n",             # a lone CR
+     f"{_stamp(2)},A,1.5\r{_stamp(3)},B,1\r\n"],
+    ["\n", "\r\n"],                                                  # a blank line
+    [f"{_stamp(2)},A\n", f"{_stamp(2)},A,1.5,9\r\n", f"{_stamp(2)}\r\n"],  # not 3 wide
+    [f"{_stamp(2)},{' ' * 65_600}A,{'0' * 65_600}1.5\n"],           # over the limit
+    ["not-a-time,A,1.5\n", "2015-06-01T07:15:00,B,1\r\n"],          # no timestamp
+    [f"{_stamp(2)},A,oops\n", f"{_stamp(2)},U1,oops\r\n", f"{_stamp(2)},A,\n"],  # no value
+    [f"{_stamp(2)},P,nan\n", f"{_stamp(2)},B,-inf\r\n", f"{_stamp(2)},A,1e400\n"],  # not finite
+]
+_fallback_line = st.sampled_from(_FALLBACK_LINES).flatmap(st.sampled_from).map(
+    lambda line: (2, line.encode("utf-8")))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    header=st.sampled_from([b"", b"timestamp,point,value\r\n", b" Timestamp ,POINT,value\n"]),
+    clean=st.lists(_clean_line, max_size=40),
+    fallbacks=st.lists(st.tuples(st.integers(0, 40), _fallback_line), max_size=2),
+    time_major=st.booleans(),
+    final_newline=st.booleans(),
+    block_bytes=st.sampled_from([32, 256, 1 << 16]),
+    strict=st.booleans(),
+)
+# a wider id seen after a narrower one, then an id that it starts with: the
+# lexicon of point texts must keep each text whole
+@example(header=b"", clean=[(step, f"{_stamp(step)},{point},1\n".encode())
+                            for step, point in ((1, "A"), (2, "Bx"), (3, "B"))],
+         fallbacks=[], time_major=False, final_newline=True, block_bytes=32, strict=False)
+def test_block_parse_matches_per_row_oracle_on_raw_bytes(
+        header, clean, fallbacks, time_major, final_newline, block_bytes, strict):
+    # small blocks put a file's lines, and what hands it over to _Records,
+    # past its first block
+    lines = list(clean)
+    for at, line in fallbacks:
+        lines.insert(at, line)
+    if time_major:
+        lines.sort(key=lambda step_line: step_line[0])
+    data = header + b"".join(line for _, line in lines)
+    if not final_newline:
+        data = data.rstrip(b"\r\n")
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_TREND_BLOCK_BYTES", block_bytes)
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        got = _outcome(read_trends, path, strict)
+        want = _outcome(reference_read_trends, path, strict)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert_same_read(got, want)
+
+
+def _records_passes(monkeypatch):
+    """The path of every pass _Records makes over a file, in order."""
+    passes = []
+    real = ingest._Records.__iter__
+
+    def counted(self):
+        passes.append(self.path)
+        return real(self)
+
+    monkeypatch.setattr(ingest._Records, "__iter__", counted)
+    return passes
+
+
+def _long_trend_file(path, time_major=False):
+    """40 points over 2,000 timestamps written by write_trends, point-major
+    or re-ordered time-major; (binding, rows)."""
+    rng = np.random.default_rng(17)
+    points = [(f"V{i:02d}", PointRole.VAV_SUPPLY_FLOW, f"B1.V{i:02d}.FLOW", Unit.CFM)
+              for i in range(40)]
+    write_trends([TimeSeries(pid, T0, GRID, unit, rng.normal(400.0, 50.0, 2000))
+                  for _, _, pid, unit in points], path)
+    if time_major:
+        head, *body = Path(path).read_bytes().splitlines(keepends=True)
+        Path(path).write_bytes(head + b"".join(body[p * 2000 + t] for t in range(2000)
+                                               for p in range(40)))
+    return binding_for(points), 40 * 2000
+
+
+def test_a_late_quote_reads_the_file_once_through_records(tmp_path, monkeypatch):
+    # blocks before the quoted cell parse cleanly; their rows must not leak
+    # into the result, and _Records reads the whole file once
+    path = str(tmp_path / "t.csv")
+    binding, _ = _long_trend_file(path)
+    data, cell = Path(path).read_bytes(), b",B1.V39.FLOW,"
+    at = data.rindex(cell, 0, len(data) - 1000)
+    Path(path).write_bytes(data[:at] + b',"B1.V39.FLOW",' + data[at + len(cell):])
+    passes = _records_passes(monkeypatch)
+    got = read_trends(path, binding, GRID)
+    assert passes == [path]
+    assert_same_read(got, reference_read_trends(path, binding, GRID))
+
+
+def test_a_clean_file_never_reaches_records(tmp_path, monkeypatch):
+    # interleaved points in every block still take the block parse
+    path = str(tmp_path / "t.csv")
+    binding, rows = _long_trend_file(path, time_major=True)
+    passes = _records_passes(monkeypatch)
+    got = read_trends(path, binding, GRID)
+    assert passes == [] and got[1].rows == rows
+    assert_same_read(got, reference_read_trends(path, binding, GRID))
 
 
 def assert_same_read(got, want):
