@@ -60,10 +60,6 @@ class RankDeficiencyError(FitError):
         self.column = column
 
 
-class FaultRuleError(DisaggError):
-    """A detection rule cannot run against this equipment's data."""
-
-
 class ScenarioError(DisaggError):
     """Synthetic scenario specification is invalid."""
 

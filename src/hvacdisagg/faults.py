@@ -22,7 +22,9 @@ alone, so each rule's screen takes one unit over the whole frame: it decides
 the reasons no window can change (a missing sensor, valve trend, setpoint or
 min-flow config), builds its masks and their running counts, and judges
 every window at once. A window is a row range [i0, i1), and its counts are
-differences of running counts.
+differences of running counts. A screen returns one verdict code per window
+and states each code's reason in its own words, never naming the unit;
+run_all names the unit and words only the finding and the note it reports.
 
 Each statistic is taken over a contiguous slice of the rows a mask keeps,
 the same values in the same order a masked copy of the window would give.
@@ -45,28 +47,20 @@ from functools import partial
 import numpy as np
 
 from .energy import BuildingData
-from .errors import ConfigError, DegenerateSeriesError, DisaggError, FaultRuleError
+from .errors import ConfigError, DegenerateSeriesError, DisaggError
 from .ingest import _BLOCK_CELLS, _Records, _write_rows, format_timestamp, parse_timestamp
 from .timeseries import mpe_of, pearson, percent_errors, rmspe_of
 
 __all__ = [
     "Thresholds",
-    "RuleResult",
     "FaultFinding",
     "InconclusiveNote",
     "DetectionResult",
-    "FINDING",
-    "OK",
-    "INCONCLUSIVE",
     "RULE_NAMES",
     "run_all",
     "write_findings",
     "read_findings",
 ]
-
-FINDING = "finding"
-OK = "ok"
-INCONCLUSIVE = "inconclusive"
 
 RULE_NAMES = {
     1: "economizer stuck",
@@ -127,13 +121,6 @@ class Thresholds:
 
 
 @dataclass(frozen=True)
-class RuleResult:
-    verdict: str
-    statistic: float | None = None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class FaultFinding:
     rule: int
     rule_name: str
@@ -157,20 +144,6 @@ class DetectionResult:
     findings: tuple
     inconclusive: tuple
     warnings: tuple
-
-
-def _ahu(data: BuildingData, ahu_id: str):
-    try:
-        return data.ahus[ahu_id]
-    except KeyError:
-        raise FaultRuleError(f"unknown AHU '{ahu_id}'") from None
-
-
-def _vav(data: BuildingData, vav_id: str):
-    try:
-        return data.vavs[vav_id]
-    except KeyError:
-        raise FaultRuleError(f"unknown VAV '{vav_id}'") from None
 
 
 # a verdict code per window: OK, FINDING, then the inconclusive reasons.
@@ -225,14 +198,10 @@ class _Verdicts:
                                   f"(need {th.min_coverage:.0%})",
                         "window holds no rows", *own)
 
-    def result(self, k: int) -> RuleResult:
-        code, value = int(self.code[k]), float(self.value[k])
-        detail = self.details[code]
-        if callable(detail):
-            detail = detail(value)
-        if code >= _SHORT:
-            return RuleResult(INCONCLUSIVE, detail=detail)
-        return RuleResult((OK, FINDING)[code], value, detail)
+    def detail(self, k: int) -> str:
+        """Window k's detail: a finding's wording or an inconclusive reason."""
+        detail = self.details[int(self.code[k])]
+        return detail(float(self.value[k])) if callable(detail) else detail
 
 
 def _always(w: _Windows, th: Thresholds, detail: str) -> _Verdicts:
@@ -260,7 +229,7 @@ def _economizer_screen(data: BuildingData, ahu_id: str, th: Thresholds, w: _Wind
     """Correlate the measured mixed-air temperature with the one the damper
     command implies. A working economizer keeps the two moving together; a
     stuck damper decouples them."""
-    ahu = _ahu(data, ahu_id)
+    ahu = data.ahus[ahu_id]
     if ahu.mixed_temp_measured is None:
         return _always(w, th, "no mixed-air temperature sensor")
     if ahu.mixed_temp_estimated is None:
@@ -321,7 +290,7 @@ def _valve_leak_screen(data: BuildingData, ahu_id: str, th: Thresholds, w: _Wind
                        heating: bool):
     """Supply air biased cold (warm) across the instants the cooling
     (heating) valve is shut."""
-    ahu = _ahu(data, ahu_id)
+    ahu = data.ahus[ahu_id]
     valve = ahu.heating_valve if heating else ahu.cooling_valve
     side = "heating" if heating else "cooling"
     if valve is None:
@@ -357,9 +326,9 @@ def _config_screen(data: BuildingData, vav_id: str, th: Thresholds, w: _Windows)
     legitimately drives flow, a cool one does not. A VAV with no upper limit
     configured is screened on occupancy alone.
     """
-    vav = _vav(data, vav_id)
+    vav = data.vavs[vav_id]
     if vav.min_flow is None:
-        raise FaultRuleError(f"{vav_id}: VAV missing min-flow config")
+        return _always(w, th, "VAV missing min-flow config")
     valid = ~(np.isnan(vav.flow) | np.isnan(vav.zone_temp)
               | np.isnan(vav.occupied) | np.isnan(vav.min_flow))
     eligible = valid & (vav.occupied <= 0.0)
@@ -383,7 +352,7 @@ def _config_screen(data: BuildingData, vav_id: str, th: Thresholds, w: _Windows)
 
 def _damper_screen(data: BuildingData, vav_id: str, th: Thresholds, w: _Windows):
     """Flow that no longer follows its own setpoint."""
-    vav = _vav(data, vav_id)
+    vav = data.vavs[vav_id]
     if vav.flow_setpoint is None:
         return _always(w, th, "no flow setpoint trend")
     flow, setpoint = vav.flow, vav.flow_setpoint
@@ -417,8 +386,11 @@ def run_all(data: BuildingData, th: Thresholds | None = None) -> DetectionResult
     The persistence window slides across the frame in one-day steps. Each
     (rule, equipment) pair judges every window at once. A pair that violates
     in any window yields exactly one finding spanning the union of its
-    violating windows, carrying the worst statistic seen. Rule errors on one
-    unit degrade to an inconclusive note rather than aborting the sweep.
+    violating windows, carrying the worst statistic seen and that window's
+    detail. A pair with no finding but an inconclusive window yields one note
+    for that unit, the reason of its first such window. A screen states each
+    reason without naming the unit. A DisaggError out of a screen is the last
+    resort: it becomes a note for that one unit rather than aborting the sweep.
     """
     if th is None:
         th = Thresholds()
@@ -457,13 +429,12 @@ def run_all(data: BuildingData, th: Thresholds | None = None) -> DetectionResult
                     window_end=int(starts[hits[-1]]) + persist,
                     statistic=stat,
                     threshold=pick(th),
-                    detail=verdicts.result(hits[stats.index(stat)]).detail,
+                    detail=verdicts.detail(hits[stats.index(stat)]),
                 ))
                 continue
             stuck = (verdicts.code >= _SHORT).nonzero()[0]
             if stuck.size:
-                notes.append(InconclusiveNote(rule_id, unit,
-                                              verdicts.result(stuck[0]).detail))
+                notes.append(InconclusiveNote(rule_id, unit, verdicts.detail(stuck[0])))
 
     return DetectionResult(findings=tuple(findings), inconclusive=tuple(notes),
                            warnings=())

@@ -721,6 +721,24 @@ class TestCli:
             values = np.array([[float(v) for v in row[1:]] for row in rows])
             assert len(rows) == int(count) and np.isfinite(values).all(), name
 
+    def test_vav_without_min_flow_config_is_one_inconclusive_line(self, faulted_bundle,
+                                                                  tmp_path, capsys):
+        # the log names the unit once, and the reason in report's words
+        work = tmp_path / "bundle"
+        shutil.copytree(faulted_bundle.out_dir, work)
+        topology = work / "topology.ini"
+        text = topology.read_text(encoding="utf-8")
+        section = text.index("[vav VAV1-01]\n")
+        key = text.index("min_flow_cfm = 100\n", section)
+        assert key < text.index("[vav VAV1-02]\n")
+        topology.write_text(text[:key] + text[key + len("min_flow_cfm = 100\n"):],
+                            encoding="utf-8")
+        assert main(["detect", "--config", str(work / "run.conf")]) == 0
+        assert capsys.readouterr().err == ""
+        log = (work / "out" / "inconclusive.log").read_text(encoding="utf-8").splitlines()
+        assert [line for line in log if line.startswith("rule 4 ")] == [
+            "rule 4 VAV1-01: VAV missing min-flow config"]
+
     def test_repeated_config_section_exits_one(self, cli_bundle, tmp_path, capsys):
         def repeat_paths(work):
             with open(work / "run.conf", "a", encoding="utf-8") as fh:

@@ -19,26 +19,17 @@ from conftest import mpe, rmspe, traced_peak_bytes
 from hvacdisagg import faults
 from hvacdisagg.building import AhuNode, EquipmentGraph, VavNode
 from hvacdisagg.energy import AhuData, BuildingData, VavData
-from hvacdisagg.errors import (
-    ConfigError,
-    DegenerateSeriesError,
-    DisaggError,
-    FaultRuleError,
-    IngestError,
-)
+from hvacdisagg.errors import ConfigError, DegenerateSeriesError, DisaggError, IngestError
 from hvacdisagg.faults import (
     _FLOW_EPS_CFM,
     _RULES,
+    _SHORT,
     _TEMP_EPS_F,
     _Windows,
-    FINDING,
-    INCONCLUSIVE,
-    OK,
     RULE_NAMES,
     DetectionResult,
     FaultFinding,
     InconclusiveNote,
-    RuleResult,
     Thresholds,
     read_findings,
     run_all,
@@ -108,10 +99,25 @@ def _frame(days=8, seed=5, grid=GRID):
     )
 
 
+# one window's verdict as these tests and the reference rules state it
+FINDING, OK, INCONCLUSIVE = "finding", "ok", "inconclusive"
+
+
+@dataclasses.dataclass(frozen=True)
+class RuleResult:
+    verdict: str
+    statistic: float | None = None
+    detail: str = ""
+
+
 def judge_whole_frame(rule_id, data, unit, th):
     """Rule rule_id's verdict on the whole frame judged as one window."""
     screen = _RULES[rule_id][0]
-    return screen(data, unit, th, _Windows(np.array([0]), np.array([data.n_rows]))).result(0)
+    verdicts = screen(data, unit, th, _Windows(np.array([0]), np.array([data.n_rows])))
+    code, detail = int(verdicts.code[0]), verdicts.detail(0)
+    if code >= _SHORT:
+        return RuleResult(INCONCLUSIVE, detail=detail)
+    return RuleResult((OK, FINDING)[code], float(verdicts.value[0]), detail)
 
 
 class TestEconomizerRule:
@@ -166,10 +172,6 @@ class TestEconomizerRule:
         res = judge_whole_frame(1, data, "A1", TH)
         assert res.verdict == INCONCLUSIVE
         assert "flatlined" in res.detail
-
-    def test_unknown_ahu(self):
-        with pytest.raises(FaultRuleError, match="unknown AHU"):
-            judge_whole_frame(1, _frame(), "A9", TH)
 
 
 class TestValveLeakRules:
@@ -270,10 +272,12 @@ class TestConfigRule:
         assert res.verdict == INCONCLUSIVE
 
     def test_missing_min_flow_raises(self):
+        # a VAV without min-flow config is inconclusive, in words that do
+        # not name the unit: run_all and the log name it once
         data = _frame()
         data.vavs["V1"].min_flow = None
-        with pytest.raises(FaultRuleError, match="min-flow"):
-            judge_whole_frame(4, data, "V1", TH)
+        assert judge_whole_frame(4, data, "V1", TH) == RuleResult(
+            INCONCLUSIVE, detail="VAV missing min-flow config")
 
 
 class TestDamperRule:
@@ -302,10 +306,6 @@ class TestDamperRule:
         res = judge_whole_frame(5, data, "V2", TH)
         assert res.verdict == INCONCLUSIVE
         assert "setpoint sits at zero" in res.detail
-
-    def test_unknown_vav(self):
-        with pytest.raises(FaultRuleError, match="unknown VAV"):
-            judge_whole_frame(5, _frame(), "V9", TH)
 
 
 class TestRunAll:
@@ -380,20 +380,6 @@ def _masked(data, start, end):
 # frame, with boolean masks over that frame and the whole-series timeseries
 # statistics. run_all must agree with them window for window.
 
-def _ref_ahu(data, ahu_id):
-    try:
-        return data.ahus[ahu_id]
-    except KeyError:
-        raise FaultRuleError(f"unknown AHU '{ahu_id}'") from None
-
-
-def _ref_vav(data, vav_id):
-    try:
-        return data.vavs[vav_id]
-    except KeyError:
-        raise FaultRuleError(f"unknown VAV '{vav_id}'") from None
-
-
 def _ref_covered(valid, floor):
     if len(valid) == 0:
         return None, "window holds no rows"
@@ -404,7 +390,7 @@ def _ref_covered(valid, floor):
 
 
 def _ref_economizer_stuck(data, ahu_id, th):
-    ahu = _ref_ahu(data, ahu_id)
+    ahu = data.ahus[ahu_id]
     if ahu.mixed_temp_measured is None:
         return RuleResult(INCONCLUSIVE, detail="no mixed-air temperature sensor")
     if ahu.mixed_temp_estimated is None:
@@ -435,7 +421,7 @@ def _ref_economizer_stuck(data, ahu_id, th):
 
 
 def _ref_valve_leak(data, ahu_id, th, *, heating):
-    ahu = _ref_ahu(data, ahu_id)
+    ahu = data.ahus[ahu_id]
     valve = ahu.heating_valve if heating else ahu.cooling_valve
     side = "heating" if heating else "cooling"
     if valve is None:
@@ -467,9 +453,9 @@ def _ref_valve_leak(data, ahu_id, th, *, heating):
 
 
 def _ref_config_error(data, vav_id, th):
-    vav = _ref_vav(data, vav_id)
+    vav = data.vavs[vav_id]
     if vav.min_flow is None:
-        raise FaultRuleError(f"{vav_id}: VAV missing min-flow config")
+        return RuleResult(INCONCLUSIVE, detail="VAV missing min-flow config")
     valid = (~np.isnan(vav.flow) & ~np.isnan(vav.zone_temp)
              & ~np.isnan(vav.occupied) & ~np.isnan(vav.min_flow))
     _, short = _ref_covered(valid, th.min_coverage)
@@ -491,7 +477,7 @@ def _ref_config_error(data, vav_id, th):
 
 
 def _ref_damper_stuck(data, vav_id, th):
-    vav = _ref_vav(data, vav_id)
+    vav = data.vavs[vav_id]
     if vav.flow_setpoint is None:
         return RuleResult(INCONCLUSIVE, detail="no flow setpoint trend")
     valid = ~np.isnan(vav.flow) & ~np.isnan(vav.flow_setpoint)
@@ -580,7 +566,7 @@ class TestSweepOracle:
         data.vavs["V1"].min_flow = None
         result = run_all(data)
         assert result == reference_run_all(data)
-        assert InconclusiveNote(4, "V1", "V1: VAV missing min-flow config") in result.inconclusive
+        assert InconclusiveNote(4, "V1", "VAV missing min-flow config") in result.inconclusive
 
     def test_gappy_frame_has_findings_and_notes(self):
         result = run_all(_gappy_frame())
@@ -711,10 +697,7 @@ class TestSweepProperty:
             for rule_id, func in reference_rules.items():
                 unit = "A1" if _RULES[rule_id][1] == "ahu" else "V1"
                 for s in range(data.start, data.end - 3 * 86400 + 1, 86400):
-                    try:
-                        reasons.add(func(_masked(data, s, s + 3 * 86400), unit, th).detail)
-                    except DisaggError:
-                        pass
+                    reasons.add(func(_masked(data, s, s + 3 * 86400), unit, th).detail)
         assert {"mixed-air temperature near zero; percentage bias undefined",
                 "flow setpoint sits at zero through the window",
                 "flatlined sensor"} <= reasons
@@ -729,6 +712,64 @@ class TestSweepProperty:
 
         monkeypatch.setattr(BuildingData, "window", refuse)
         assert run_all(data) == expected
+
+
+# each optional input of a frame: left as it is, absent, or present with no
+# finite row
+_PRESENCE = st.sampled_from(["kept", "absent", "all-nan"])
+
+
+class TestScreensNeverRaise:
+    @settings(max_examples=200, deadline=None)
+    @given(days=st.integers(1, 10),
+           windows=st.lists(st.tuples(st.integers(0, 10 * 24), st.integers(0, 10 * 24)),
+                            min_size=1, max_size=12),
+           ahu_inputs=st.fixed_dictionaries({
+               name: _PRESENCE for name in ("mixed_temp_measured", "damper",
+                                            "cooling_valve", "heating_valve")}),
+           estimated=st.booleans(),
+           vav_inputs=st.fixed_dictionaries({
+               name: _PRESENCE for name in ("flow_setpoint", "min_flow",
+                                            "zone_upper_limit")}),
+           coverage=st.floats(0.1, 1.0))
+    @example(days=8, windows=[(0, 8 * 24)], estimated=True, coverage=0.5,
+             ahu_inputs=dict.fromkeys(("mixed_temp_measured", "damper", "cooling_valve",
+                                       "heating_valve"), "kept"),
+             vav_inputs={"flow_setpoint": "kept", "min_flow": "absent",
+                         "zone_upper_limit": "kept"})
+    def test_every_screen_gives_one_code_per_window(self, days, windows, ahu_inputs,
+                                                    estimated, vav_inputs, coverage):
+        # frames as assemble builds them: occupancy and a mixed-air temp
+        # always present, configured constants broadcast read-only, and an
+        # estimated mix only beside a damper command; windows may be empty
+        data = _frame(days=days, grid=3600)
+        n = data.n_rows
+
+        def shaped(value, presence, constant=False):
+            if presence == "absent":
+                return None
+            if presence == "all-nan":
+                value = np.full(n, np.nan)
+            return np.broadcast_to(value[0], n) if constant else value
+
+        ahu = data.ahus["A1"]
+        for name, presence in ahu_inputs.items():
+            setattr(ahu, name, shaped(getattr(ahu, name), presence))
+        if ahu.damper is None or not estimated:
+            ahu.mixed_temp_estimated = None
+        for vav in data.vavs.values():
+            vav.flow_setpoint = shaped(vav.flow_setpoint, vav_inputs["flow_setpoint"])
+            for name in ("min_flow", "zone_upper_limit"):
+                setattr(vav, name, shaped(getattr(vav, name), vav_inputs[name], constant=True))
+        th = Thresholds(min_coverage=coverage)
+        i0, i1 = (np.array([min(pair[j], n) for pair in windows]) for j in (0, 1))
+        w = _Windows(np.minimum(i0, i1), np.maximum(i0, i1))
+        for rule_id, (screen, kind, _, _) in sorted(_RULES.items()):
+            for unit in data.ahus if kind == "ahu" else data.vavs:
+                verdicts = screen(data, unit, th, w)
+                assert verdicts.code.shape == verdicts.value.shape == (len(windows),)
+                for k in range(len(windows)):
+                    assert isinstance(verdicts.detail(k), str)
 
 
 class TestSweepCost:

@@ -658,19 +658,19 @@ def _records_passes(monkeypatch):
     return passes
 
 
-def _long_trend_file(path, time_major=False):
-    """40 points over 2,000 timestamps written by write_trends, point-major
-    or re-ordered time-major; (binding, rows)."""
+def _long_trend_file(path, time_major=False, n_points=40, n_stamps=2000):
+    """n_points points over n_stamps timestamps written by write_trends,
+    point-major or re-ordered time-major; (binding, rows)."""
     rng = np.random.default_rng(17)
     points = [(f"V{i:02d}", PointRole.VAV_SUPPLY_FLOW, f"B1.V{i:02d}.FLOW", Unit.CFM)
-              for i in range(40)]
-    write_trends([TimeSeries(pid, T0, GRID, unit, rng.normal(400.0, 50.0, 2000))
+              for i in range(n_points)]
+    write_trends([TimeSeries(pid, T0, GRID, unit, rng.normal(400.0, 50.0, n_stamps))
                   for _, _, pid, unit in points], path)
     if time_major:
         head, *body = Path(path).read_bytes().splitlines(keepends=True)
-        Path(path).write_bytes(head + b"".join(body[p * 2000 + t] for t in range(2000)
-                                               for p in range(40)))
-    return binding_for(points), 40 * 2000
+        Path(path).write_bytes(head + b"".join(body[p * n_stamps + t] for t in range(n_stamps)
+                                               for p in range(n_points)))
+    return binding_for(points), n_points * n_stamps
 
 
 def test_a_late_quote_reads_the_file_once_through_records(tmp_path, monkeypatch):
@@ -694,6 +694,34 @@ def test_a_clean_file_never_reaches_records(tmp_path, monkeypatch):
     passes = _records_passes(monkeypatch)
     got = read_trends(path, binding, GRID)
     assert passes == [] and got[1].rows == rows
+    assert_same_read(got, reference_read_trends(path, binding, GRID))
+
+
+@pytest.mark.parametrize("block_bytes", [ingest._TREND_BLOCK_BYTES, 4096],
+                         ids=["default-block", "4KB-block"])
+@pytest.mark.parametrize("time_major", [False, True], ids=["point-major", "time-major"])
+def test_many_distinct_stamps_keep_a_second_lexicon_run(tmp_path, monkeypatch, time_major,
+                                                        block_bytes):
+    # 9,000 stamps is past _Lexicon.SMALL distinct texts, so the stamp
+    # lexicon keeps a second sorted run and searches both; a year of
+    # 15-minute readings holds about 35,000 stamps. Point-major, a block
+    # finds some of its stamps in each run.
+    path = str(tmp_path / "t.csv")
+    binding, rows = _long_trend_file(path, time_major, n_points=3, n_stamps=9000)
+    monkeypatch.setattr(ingest, "_TREND_BLOCK_BYTES", block_bytes)
+    most_runs = []
+    real = ingest._Lexicon.codes
+
+    def counted(self, cells):
+        codes = real(self, cells)
+        most_runs.append(len(self.runs))
+        return codes
+
+    monkeypatch.setattr(ingest._Lexicon, "codes", counted)
+    passes = _records_passes(monkeypatch)
+    got = read_trends(path, binding, GRID)
+    assert passes == [] and got[1].rows == rows
+    assert max(most_runs) >= 2
     assert_same_read(got, reference_read_trends(path, binding, GRID))
 
 

@@ -40,6 +40,20 @@ def _tracer_module():
     return module
 
 
+def test_bundle_digests_covers_every_preset_and_workload():
+    # tools/bundle_digests.py checks byte identity on the presets and the
+    # benchmark's workloads, each at the benchmark's two seeds
+    from hvacdisagg.config import SCENARIO_PRESETS
+
+    spec = importlib.util.spec_from_file_location("bundle_digests",
+                                                  ROOT / "tools" / "bundle_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    got = [(name, seed) for name, _, seed in module.scenarios()]
+    names = [*SCENARIO_PRESETS, "wide-80vav", "long-2y"]
+    assert got == [(name, seed) for name in names for seed in (202, 100205)]
+
+
 def test_every_wrapped_name_resolves():
     wrapped = _tracer_module().WRAPPED
     missing = [f"{name}.{attr}" for name, attrs in wrapped.items()
